@@ -26,7 +26,6 @@ from .potentials import (
 )
 from .scatter import ScatteringSolution, partial_waves, solve, solve_spinor, wavefunction_at
 from .timescales import (
-    DerivativeSpec,
     TimescaleReport,
     bl_time,
     dwell_time,
@@ -62,7 +61,6 @@ __all__ = [
     "solve_spinor",
     "partial_waves",
     "wavefunction_at",
-    "DerivativeSpec",
     "TimescaleReport",
     "wigner_delay",
     "dwell_time",

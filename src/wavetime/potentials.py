@@ -86,15 +86,10 @@ class ClockKind(Enum):
 
 @dataclass(frozen=True)
 class ClockSettings:
-    """Clock type and strength; strength is V_I or omega_L by kind.
-
-    paired_xi is the paired variable xi = strength * clock length used by the
-    sojourn correction; operations apply signs, the stored values stay >= 0.
-    """
+    """Clock type and strength; strength is V_I or omega_L by kind."""
 
     kind: ClockKind
     strength: float
-    paired_xi: float = 0.0
 
 
 def make_rectangular_barrier(v0: float, width: float) -> PotentialProfile:

@@ -293,18 +293,6 @@ class ScatteringSolution:
     segment_waves: tuple[_SegmentWave, ...]
 
     @property
-    def segment_coefficients(self) -> tuple[tuple[complex, complex], ...]:
-        """Per-segment (right-mover, left-mover) amplitudes at the segment's
-        left edge; near-zero-k segments report (psi, psi') instead."""
-        out = []
-        for w in self.segment_waves:
-            if w.kind == "pw":
-                out.append((w.a, w.b * cmath.exp(1j * w.k * w.d)))
-            else:
-                out.append((w.a, w.b))
-        return tuple(out)
-
-    @property
     def incident_flux(self) -> float:
         """Flux of the unit incident wave, J = 2 k_left (2m = 1)."""
         return 2.0 * self.k_left.real

@@ -18,17 +18,18 @@ Implemented clocks and delays (natural units, hbar = 1, 2m = 1):
   traversal time.  Prompt reflection r12 is subtracted before timing the
   reflected wave.
 
-Every zero-strength limit is a central-difference ladder with Richardson
-extrapolation; reported times carry step sizes and an extrapolation error
-estimate in their diagnostics.
+Every zero-strength limit goes through one probe ladder: the clock names the
+parameter it probes, the amplitude it reads and the factor it applies; the
+ladder lays out symmetric probes, reduces the amplitudes to ln|a|^2 or
+unwrapped phases and Richardson-extrapolates the central differences.
+Reported times carry step sizes and an extrapolation error estimate in their
+diagnostics.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
 from scipy.integrate import quad
 
 from . import scatter
@@ -40,10 +41,9 @@ from .errors import (
     WavetimeError,
 )
 from .numdiff import DerivativeResult, central_differences, richardson, unwrapped_phases
-from .potentials import PotentialProfile
+from .potentials import ClockKind, ClockSettings, PotentialProfile, with_clock
 
 __all__ = [
-    "DerivativeSpec",
     "TimescaleReport",
     "wigner_delay",
     "dwell_time",
@@ -65,29 +65,11 @@ _AMPLITUDE_FLOOR = 1e-8  # below this the log-derivative is declared singular
 _PHASE_FLOOR = 1e-150
 
 
-@dataclass(frozen=True)
-class DerivativeSpec:
-    """Probe ladder realising the zero-strength limits.
-
-    steps are relative probe strengths (scaled by the local energy scale
-    max(E, |V0 - E|) at the point of use), strictly positive and strictly
-    decreasing, at least two of them.
-    """
-
-    steps: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3)
-    order: int = 2
-    richardson_levels: int = 2
-
-    def __post_init__(self) -> None:
-        if len(self.steps) < 2:
-            raise ValidationError("DerivativeSpec needs at least two probe steps")
-        if any(s <= 0 for s in self.steps):
-            raise ValidationError("probe steps must be strictly positive")
-        if any(a <= b for a, b in zip(self.steps, self.steps[1:])):
-            raise ValidationError("probe steps must be strictly decreasing")
-
-
-DEFAULT_SPEC = DerivativeSpec()
+# Probe ladder realising every zero-strength limit: relative probe strengths,
+# strictly decreasing, scaled by the local energy scale max(E, |V0 - E|) at the
+# point of use, and the number of Richardson levels applied to them.
+_PROBE_STEPS = (1e-2, 5e-3, 2.5e-3)
+_RICHARDSON_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -190,23 +172,40 @@ def _dressed_solution(
     return scatter.solve_with_propagation_override(profile, E, override)
 
 
-def _probe_grid(steps: tuple[float, ...], scale: float) -> list[float]:
-    hs = [s * scale for s in steps]
-    return sorted([-h for h in hs]) + [0.0] + sorted(hs)
+def _ladder(scale: float, centre: bool = False) -> tuple[list[float], list[float]]:
+    """Probe steps h_i = s_i * scale and the probe offsets laid out as
+    [-h1..-hm, (0,) hm..h1]; the centre probe anchors phase unwrapping."""
+    hs = [s * scale for s in _PROBE_STEPS]
+    return hs, [-h for h in hs] + ([0.0] if centre else []) + hs[::-1]
 
 
-def _with_imag_clock(profile: PotentialProfile, v_imag: float) -> PotentialProfile:
-    segs = list(profile.segments)
-    for j in profile.clock_indices():
-        segs[j] = replace(segs[j], v_imag=v_imag)
-    return replace(profile, segments=tuple(segs))
+def _reduce(amps: list[complex], kind: str, what: str):
+    """Guard the probe amplitudes against zeros, then reduce them to ln|a|^2
+    (kind "log") or to continuous phases (kind "phase")."""
+    floor = _AMPLITUDE_FLOOR if kind == "log" else _PHASE_FLOOR
+    if min(abs(a) for a in amps) < floor:
+        raise LogSingularityError(
+            f"{what} ~ 0 within the probe ladder; log-derivative singular"
+        )
+    if kind == "log":
+        return [math.log(abs(a) ** 2) for a in amps]
+    return unwrapped_phases(amps)
 
 
-def _with_larmor(profile: PotentialProfile, omega: float) -> PotentialProfile:
-    segs = list(profile.segments)
-    for j in profile.clock_indices():
-        segs[j] = replace(segs[j], omega_larmor=omega)
-    return replace(profile, segments=tuple(segs))
+def _extrapolate(at: dict[float, float], hs: list[float]) -> DerivativeResult:
+    """Richardson-extrapolated derivative at zero from values keyed by probe offset."""
+    f_plus = [at[h] for h in hs]
+    f_minus = [at[-h] for h in hs]
+    return richardson(central_differences(f_plus, f_minus, hs), hs, _RICHARDSON_LEVELS)
+
+
+def _ladder_derivative(
+    amplitude, scale: float, kind: str, what: str, centre: bool = False
+) -> DerivativeResult:
+    """d/ds of ln|a(s)|^2 or arg a(s) at s = 0 over the probe ladder."""
+    hs, offsets = _ladder(scale, centre)
+    values = _reduce([amplitude(s) for s in offsets], kind, what)
+    return _extrapolate(dict(zip(offsets, values)), hs)
 
 
 def _diag(result: DerivativeResult, **extra) -> dict:
@@ -223,43 +222,29 @@ def _diag(result: DerivativeResult, **extra) -> dict:
 # group-delay and flux-based times
 
 
-def _wigner_detailed(
-    profile: PotentialProfile, E: float, channel: str, spec: DerivativeSpec
-) -> DerivativeResult:
-    scale = _energy_scale(profile, E)
-    grid = _probe_grid(spec.steps, scale)
-    energies = [E + dE for dE in grid]
-    if energies[0] <= max(profile.v_left, profile.v_right):
-        raise ValidationError(
-            "probe energies dip below an asymptotic potential; reduce the steps"
-        )
-    amps = []
-    for Ep in energies:
-        sol = scatter.solve(profile, Ep)
-        amps.append(sol.t_local if channel == "transmission" else sol.r)
-    if min(abs(a) for a in amps) < _PHASE_FLOOR:
-        raise LogSingularityError(f"{channel} amplitude vanishes near E = {E}")
-    phases = unwrapped_phases(amps)
-    m = len(spec.steps)
-    # grid layout: [-h1..-hm, 0, hm..h1]
-    f_minus = list(phases[:m])  # at -h1, -h2, ..., -hm
-    f_plus = list(phases[m + 1 :][::-1])  # at h1, h2, ..., hm
-    hs = [s * scale for s in spec.steps]
-    return richardson(central_differences(f_plus, f_minus, hs), hs, spec.richardson_levels)
+def _wigner_detailed(profile: PotentialProfile, E: float, channel: str) -> DerivativeResult:
+    lead = max(profile.v_left, profile.v_right)
+
+    def amplitude(dE: float) -> complex:
+        if E + dE <= lead:
+            raise ValidationError(
+                f"probe energies dip below an asymptotic potential; E = {E} is too close to a lead"
+            )
+        sol = scatter.solve(profile, E + dE)
+        return sol.t_local if channel == "transmission" else sol.r
+
+    return _ladder_derivative(
+        amplitude, _energy_scale(profile, E), "phase", f"{channel} amplitude", centre=True
+    )
 
 
-def wigner_delay(
-    profile: PotentialProfile,
-    E: float,
-    channel: str = "transmission",
-    spec: DerivativeSpec = DEFAULT_SPEC,
-) -> float:
+def wigner_delay(profile: PotentialProfile, E: float, channel: str = "transmission") -> float:
     """Wigner group delay d(phase)/dE of t (exit-referenced) or r.
 
     With hbar = 1 the frequency is the energy, so this is literally
     d(Arg amplitude)/dE with continuous phase tracking across the probes.
     """
-    return _wigner_detailed(profile, E, channel, spec).value
+    return _wigner_detailed(profile, E, channel).value
 
 
 def dwell_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None = None) -> float:
@@ -327,43 +312,61 @@ def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None 
 # quantum clocks
 
 
-def _spin_expectations(amps: scatter.SpinorAmplitudes, channel: str) -> tuple[float, float]:
-    if channel == "reflection":
-        a, b = amps.r_plus, amps.r_minus
-    else:
-        a, b = amps.t_plus, amps.t_minus
+def _spin_expectations(a: complex, b: complex, what: str) -> tuple[float, float]:
+    """<S_y>, <S_z> of the spinor (a, b) after scattering."""
     norm = abs(a) ** 2 + abs(b) ** 2
     if norm < _AMPLITUDE_FLOOR**2:
-        raise LogSingularityError(f"{channel} spinor amplitude vanishes")
+        raise LogSingularityError(f"{what} vanishes")
     s_y = (a.conjugate() * b).imag / norm
     s_z = 0.5 * (abs(a) ** 2 - abs(b) ** 2) / norm
     return s_y, s_z
 
 
+def _spin_ladder(
+    pair, scale: float, what: str, mirrored: bool
+) -> tuple[list[float], dict[float, tuple[float, float]]]:
+    """Probe steps and (<S_y>, <S_z>) keyed by probe offset for the Zeeman
+    pair (spin-up, spin-down) = pair(h).
+
+    When the probed field is the only one the spinor sees, spin-down at +h
+    has the same k^2 shift as spin-up at -h (and vice versa); mirrored=True
+    then reads each -h probe off the +h pair swapped instead of solving it.
+    """
+    hs, offsets = _ladder(scale)
+    pairs = {h: pair(h) for h in hs}
+    for h in hs:
+        pairs[-h] = pairs[h][::-1] if mirrored else pair(-h)
+    return hs, {s: _spin_expectations(*pairs[s], what) for s in offsets}
+
+
 def _larmor_detailed(
-    profile: PotentialProfile, E: float, spec: DerivativeSpec, channel: str
+    profile: PotentialProfile, E: float, channel: str
 ) -> tuple[DerivativeResult, DerivativeResult, float]:
     _clock_region(profile)
-    scale = _energy_scale(profile, E, list(profile.clock_indices()))
-    hs = [s * scale for s in spec.steps]
-    sy_p, sy_m, sz_p, sz_m = [], [], [], []
-    for h in hs:
-        for omega, sy_acc, sz_acc in ((h, sy_p, sz_p), (-h, sy_m, sz_m)):
-            amps = scatter.solve_spinor(_with_larmor(profile, omega), E)
-            s_y, s_z = _spin_expectations(amps, channel)
-            sy_acc.append(s_y)
-            sz_acc.append(s_z)
-    d_sy = richardson(central_differences(sy_p, sy_m, hs), hs, spec.richardson_levels)
-    d_sz = richardson(central_differences(sz_p, sz_m, hs), hs, spec.richardson_levels)
+
+    def pair(omega: float) -> tuple[complex, complex]:
+        amps = scatter.solve_spinor(with_clock(profile, ClockSettings(ClockKind.LARMOR, omega)), E)
+        if channel == "reflection":
+            return amps.r_plus, amps.r_minus
+        return amps.t_plus, amps.t_minus
+
+    clock_segs = profile.clock_indices()
+    # A Zeeman field outside the clock region is not mirrored with the probe.
+    mirrored = all(
+        seg.omega_larmor == 0.0
+        for j, seg in enumerate(profile.segments)
+        if j not in clock_segs
+    )
+    scale = _energy_scale(profile, E, list(clock_segs))
+    hs, spins = _spin_ladder(pair, scale, f"{channel} spinor amplitude", mirrored)
+    d_sy = _extrapolate({s: s_y for s, (s_y, _) in spins.items()}, hs)
+    d_sz = _extrapolate({s: s_z for s, (_, s_z) in spins.items()}, hs)
     sign_y = math.copysign(1.0, d_sy.value) if d_sy.value != 0.0 else 0.0
     return d_sy, d_sz, sign_y
 
 
 def larmor_times(
-    profile: PotentialProfile,
-    E: float,
-    spec: DerivativeSpec = DEFAULT_SPEC,
-    channel: str = "transmission",
+    profile: PotentialProfile, E: float, channel: str = "transmission"
 ) -> tuple[float, float]:
     """Spin precession and spin rotation times (tau_y, tau_z).
 
@@ -372,34 +375,24 @@ def larmor_times(
     cancel).  tau_y is reported as a magnitude; the raw derivative sign is
     available through full_report diagnostics.
     """
-    d_sy, d_sz, _ = _larmor_detailed(profile, E, spec, channel)
+    d_sy, d_sz, _ = _larmor_detailed(profile, E, channel)
     return abs(2.0 * d_sy.value), 2.0 * d_sz.value
 
 
-def _imag_clock_detailed(
-    profile: PotentialProfile, E: float, spec: DerivativeSpec, channel: str
-) -> DerivativeResult:
+def _imag_clock_detailed(profile: PotentialProfile, E: float, channel: str) -> DerivativeResult:
     _clock_region(profile)
+
+    def amplitude(v_imag: float) -> complex:
+        clocked = with_clock(profile, ClockSettings(ClockKind.IMAGINARY_POTENTIAL, v_imag))
+        sol = scatter.solve(clocked, E)
+        return sol.t if channel == "transmission" else sol.r
+
     scale = _energy_scale(profile, E, list(profile.clock_indices()))
-    hs = [s * scale for s in spec.steps]
-    f_p, f_m = [], []
-    for h in hs:
-        for v_i, acc in ((h, f_p), (-h, f_m)):
-            sol = scatter.solve(_with_imag_clock(profile, v_i), E)
-            amp = sol.t if channel == "transmission" else sol.r
-            if abs(amp) < _AMPLITUDE_FLOOR:
-                raise LogSingularityError(
-                    f"{channel} amplitude ~ 0 at probe V_I = {v_i}; log-derivative singular"
-                )
-            acc.append(math.log(abs(amp) ** 2))
-    return richardson(central_differences(f_p, f_m, hs), hs, spec.richardson_levels)
+    return _ladder_derivative(amplitude, scale, "log", f"{channel} amplitude")
 
 
 def imag_clock_time(
-    profile: PotentialProfile,
-    E: float,
-    spec: DerivativeSpec = DEFAULT_SPEC,
-    channel: str = "transmission",
+    profile: PotentialProfile, E: float, channel: str = "transmission"
 ) -> float:
     """Imaginary-potential clock time from d ln|T|^2 / d V_I at V_I -> 0.
 
@@ -407,7 +400,7 @@ def imag_clock_time(
     logarithmic derivative; free propagation then clocks the literal crossing
     time L/(2k).
     """
-    return -0.5 * _imag_clock_detailed(profile, E, spec, channel).value
+    return -0.5 * _imag_clock_detailed(profile, E, channel).value
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +432,6 @@ def dressed_transmission(
 def _sojourn_detailed(
     profile: PotentialProfile,
     E: float,
-    spec: DerivativeSpec,
     regions,
     channel: str,
 ) -> tuple[float, DerivativeResult, bool]:
@@ -459,41 +451,26 @@ def _sojourn_detailed(
             )
         r12 = scatter.partial_waves(replace(profile, clock_region=region_list[0]), E).r12
 
-    def amplitude(xis: dict[int, float]) -> complex:
-        sol = _dressed_solution(profile, E, xis)
-        if channel == "transmission":
-            return sol.t_local
-        return sol.r - r12
-
     def branch_time(active: list[int], regime: str) -> DerivativeResult:
         L_act = sum(profile.segments[j].length for j in active)
-        scale = _energy_scale(profile, E, active) * L_act
-        grid = _probe_grid(spec.steps, scale)
-        amps = []
-        for xi in grid:
+
+        def amplitude(xi: float) -> complex:
             xis = {j: xi * profile.segments[j].length / L_act for j in active}
-            amps.append(amplitude(xis))
-        floor = _AMPLITUDE_FLOOR if regime == "propagating" else _PHASE_FLOOR
-        if min(abs(a) for a in amps) < floor:
-            raise LogSingularityError(
-                f"dressed {channel} amplitude ~ 0 within the probe ladder; "
-                "log-derivative singular"
-            )
-        m = len(spec.steps)
-        hs = [s * scale for s in spec.steps]
-        if regime == "propagating":
-            vals = [math.log(abs(a) ** 2) for a in amps]
-            f_minus, f_plus = vals[:m], vals[m + 1 :][::-1]
-            res = richardson(
-                central_differences(f_plus, f_minus, hs), hs, spec.richardson_levels
-            )
-            return replace(res, value=-(L_act / 2.0) * res.value)
-        phases = unwrapped_phases(amps)
-        f_minus, f_plus = list(phases[:m]), list(phases[m + 1 :][::-1])
-        res = richardson(
-            central_differences(f_plus, f_minus, hs), hs, spec.richardson_levels
+            sol = _dressed_solution(profile, E, xis)
+            return sol.r - r12 if channel == "reflection" else sol.t_local
+
+        # Propagating regions time the decay of |a|^2, evanescent ones the
+        # phase the clock adds.
+        propagating = regime == "propagating"
+        res = _ladder_derivative(
+            amplitude,
+            _energy_scale(profile, E, active) * L_act,
+            "log" if propagating else "phase",
+            f"dressed {channel} amplitude",
+            centre=True,
         )
-        return replace(res, value=L_act * res.value)
+        factor = -(L_act / 2.0) if propagating else L_act
+        return replace(res, value=factor * res.value)
 
     unique_regimes = set(regimes.values())
     if len(unique_regimes) == 1:
@@ -509,27 +486,19 @@ def _sojourn_detailed(
     return total, last, True
 
 
-def sojourn_transmission(
-    profile: PotentialProfile,
-    E: float,
-    spec: DerivativeSpec = DEFAULT_SPEC,
-    regions=None,
-) -> float:
+def sojourn_transmission(profile: PotentialProfile, E: float, regions=None) -> float:
     """Positive definite sojourn time for transmission via the xi -> 0 limit.
 
     Propagating regions differentiate ln|T(xi)|^2, evanescent regions the
     phase of T(xi) (where the clock acts); regions may be a (lo, hi) pair or a
     sequence of disjoint pairs (times add over disjoint regions).
     """
-    value, _, _ = _sojourn_detailed(profile, E, spec, regions, "transmission")
+    value, _, _ = _sojourn_detailed(profile, E, regions, "transmission")
     return value
 
 
 def sojourn_reflection(
-    profile: PotentialProfile,
-    E: float,
-    spec: DerivativeSpec = DEFAULT_SPEC,
-    region: tuple[int, int] | None = None,
+    profile: PotentialProfile, E: float, region: tuple[int, int] | None = None
 ) -> float:
     """Sojourn time for reflection, timed on R' = R - r12 (prompt reflection
     removed).  Satisfies tau_s(R) = tau_s(T) + tau_BL for rectangular regions.
@@ -537,16 +506,11 @@ def sojourn_reflection(
     Raises:
         LogSingularityError: if |R'| vanishes (nothing but prompt reflection).
     """
-    value, _, _ = _sojourn_detailed(profile, E, spec, region, "reflection")
+    value, _, _ = _sojourn_detailed(profile, E, region, "reflection")
     return value
 
 
-def sojourn_via_larmor_pairing(
-    profile: PotentialProfile,
-    E: float,
-    spec: DerivativeSpec = DEFAULT_SPEC,
-    regions=None,
-) -> float:
+def sojourn_via_larmor_pairing(profile: PotentialProfile, E: float, regions=None) -> float:
     """Sojourn time from the Larmor clock with the paired variable xi = omega_L L.
 
     Interfaces are pinned at zero field while the Zeeman-split internal
@@ -562,8 +526,6 @@ def sojourn_via_larmor_pairing(
         )
     regime = regimes[segs[0]]
     L_tot = sum(profile.segments[j].length for j in segs)
-    scale = _energy_scale(profile, E, segs) * L_tot
-    hs = [s * scale for s in spec.steps]
 
     def channel_override(xi: float, sign: int) -> dict[int, complex]:
         # Zeeman shift of the internal propagation only: k'_+- from
@@ -580,19 +542,18 @@ def sojourn_via_larmor_pairing(
                 out[j] = complex(0.0, kap - sign * xi_j / (4.0 * kap * seg.length))
         return out
 
-    def spin_expectation(xi: float) -> float:
-        a = scatter.solve_with_propagation_override(profile, E, channel_override(xi, +1)).t
-        b = scatter.solve_with_propagation_override(profile, E, channel_override(xi, -1)).t
-        norm = abs(a) ** 2 + abs(b) ** 2
-        if norm < _AMPLITUDE_FLOOR**2:
-            raise LogSingularityError("dressed spinor amplitude vanishes")
-        if regime == "propagating":
-            return (a.conjugate() * b).imag / norm
-        return 0.5 * (abs(a) ** 2 - abs(b) ** 2) / norm
+    def pair(xi: float) -> tuple[complex, complex]:
+        return tuple(
+            scatter.solve_with_propagation_override(profile, E, channel_override(xi, sign)).t
+            for sign in (+1, -1)
+        )
 
-    f_p = [spin_expectation(h) for h in hs]
-    f_m = [spin_expectation(-h) for h in hs]
-    res = richardson(central_differences(f_p, f_m, hs), hs, spec.richardson_levels)
+    scale = _energy_scale(profile, E, segs) * L_tot
+    # The override solve ignores omega_larmor, so the pair always mirrors.
+    hs, spins = _spin_ladder(pair, scale, "dressed spinor amplitude", mirrored=True)
+    # Precession (S_y) for propagating regions, rotation (S_z) for evanescent.
+    component = 0 if regime == "propagating" else 1
+    res = _extrapolate({s: spin[component] for s, spin in spins.items()}, hs)
     return abs(2.0 * L_tot * res.value)
 
 
@@ -601,10 +562,7 @@ def sojourn_via_larmor_pairing(
 
 
 def full_report(
-    profile: PotentialProfile,
-    E: float,
-    spec: DerivativeSpec = DEFAULT_SPEC,
-    channel: str = "transmission",
+    profile: PotentialProfile, E: float, channel: str = "transmission"
 ) -> TimescaleReport:
     """Compute every timescale at one energy; failed preconditions become
     reason-coded absences rather than errors."""
@@ -626,7 +584,7 @@ def full_report(
             reasons[label] = f"{type(exc).__name__}: {exc}"
 
     def _wigner() -> None:
-        res = _wigner_detailed(profile, E, channel, spec)
+        res = _wigner_detailed(profile, E, channel)
         entries["wigner"] = res.value
         diagnostics["wigner"] = _diag(res)
 
@@ -637,7 +595,7 @@ def full_report(
         entries["bl"] = bl_time(profile, E)
 
     def _larmor() -> None:
-        d_sy, d_sz, sign_y = _larmor_detailed(profile, E, spec, channel)
+        d_sy, d_sz, sign_y = _larmor_detailed(profile, E, channel)
         entries["larmor_y"] = abs(2.0 * d_sy.value)
         entries["larmor_z"] = 2.0 * d_sz.value
         diagnostics["larmor_y"] = _diag(d_sy, raw_derivative_sign=sign_y)
@@ -649,15 +607,12 @@ def full_report(
         )
 
     def _imag() -> None:
-        res = _imag_clock_detailed(profile, E, spec, channel)
+        res = _imag_clock_detailed(profile, E, channel)
         entries["imag_clock"] = -0.5 * res.value
         diagnostics["imag_clock"] = _diag(res)
 
     def _sojourn() -> None:
-        if channel == "reflection":
-            value, res, mixed = _sojourn_detailed(profile, E, spec, None, "reflection")
-        else:
-            value, res, mixed = _sojourn_detailed(profile, E, spec, None, "transmission")
+        value, res, mixed = _sojourn_detailed(profile, E, None, channel)
         entries["sojourn"] = value
         diagnostics["sojourn"] = _diag(res)
         if mixed:

@@ -6,7 +6,14 @@ import pytest
 
 from conftest import random_complex_profile, random_real_profile, safe_energy
 from wavetime.errors import NoOpenChannelError, ValidationError
-from wavetime.potentials import PotentialProfile, Segment, make_rectangular_barrier
+from wavetime.potentials import (
+    ClockKind,
+    ClockSettings,
+    PotentialProfile,
+    Segment,
+    make_rectangular_barrier,
+    with_clock,
+)
 from wavetime.scatter import (
     partial_waves,
     solve,
@@ -180,6 +187,22 @@ class TestSpinor:
         amps = solve_spinor(prof, 1.0)
         # Spin-up sees the lower barrier, so it tunnels more easily.
         assert abs(amps.t_plus) > abs(amps.t_minus)
+
+    def test_mirrored_field_swaps_channels_bitwise(self, rng):
+        # Spin-up at +omega and spin-down at -omega both shift k^2 by
+        # +omega/2, so the Larmor clock reads the -omega probe off the +omega
+        # solve; the two must agree to the last bit.
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        for _ in range(20):
+            prof = random_real_profile(rng, clock_region=True)
+            e = safe_energy(rng, prof)
+            h = float(rng.uniform(1e-4, 0.1))
+            up = solve(with_clock(prof, ClockSettings(ClockKind.LARMOR, h)), e, channel=+1)
+            down = solve(with_clock(prof, ClockSettings(ClockKind.LARMOR, -h)), e, channel=-1)
+            assert bits(up.t) == bits(down.t)
+            assert bits(up.r) == bits(down.r)
 
 
 class TestPartialWaves:
