@@ -1,10 +1,10 @@
 """Batch front end: scenario files in, deterministic sweep tables out.
 
 A scenario is one YAML file with a versioned schema.  Unknown keys are hard
-errors (silent typos corrupt physics parameters).  Sweeps run on a worker
-pool capped by the WAVETIME_WORKERS environment variable; rows are ordered by
-sweep index before writing, so output bytes are independent of worker count.
-Per-point failures become reason-coded rows instead of aborting the sweep.
+errors (silent typos corrupt physics parameters).  Sweep rows run in grid
+order on the calling thread, each row an independent kernel call, so a sweep
+split into parts writes the same rows as the whole.  Per-point failures become
+reason-coded rows instead of aborting the sweep.
 
 Verbs:
     wavetime run <scenario.yaml>
@@ -20,8 +20,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import click
 import yaml
@@ -72,6 +71,8 @@ def _fmt(value) -> str:
 
 
 def _require_keys(mapping: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{where}: must be a mapping, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
@@ -80,30 +81,50 @@ def _require_keys(mapping: dict, allowed: set[str], required: set[str], where: s
         raise ValidationError(f"{where}: missing key(s) {sorted(missing)}")
 
 
+_INTEGER_FIELDS = frozenset({"n_samples", "n_sites", "initial_site", "n_steps"})
+
+
+def _number(value, where: str, integer: bool = False) -> float | int:
+    """A scalar field as a float, or as an int; a ValidationError names the field."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: expected a number, got {value!r}") from None
+    if integer and not out.is_integer():
+        raise ValidationError(f"{where}: expected an integer, got {value!r}")
+    return int(out) if integer else out
+
+
+def _numbers(values, where: str, integer: bool = False) -> list:
+    if not isinstance(values, list):
+        raise ValidationError(f"{where}: must be a list, got {values!r}")
+    return [_number(v, where, integer) for v in values]
+
+
+def _scalars(cfg: dict, where: str, exclude: tuple[str, ...] = ()) -> dict:
+    """The scalar fields of cfg as numbers, keyed by their dataclass field names."""
+    return {k: _number(v, f"{where}.{k}", integer=k in _INTEGER_FIELDS)
+            for k, v in cfg.items() if k not in exclude}
+
+
 def _parse_profile(cfg: dict) -> PotentialProfile:
     _require_keys(cfg, {"segments", "clock_region", "v_left", "v_right"}, {"segments"}, "profile")
     segments = []
+    if not isinstance(cfg["segments"], list):
+        raise ValidationError(f"profile.segments: must be a list, got {cfg['segments']!r}")
     for i, seg in enumerate(cfg["segments"]):
-        _require_keys(
-            seg,
-            {"length", "v_real", "v_imag", "omega_larmor"},
-            {"length", "v_real"},
-            f"profile.segments[{i}]",
-        )
-        segments.append(
-            Segment(
-                length=float(seg["length"]),
-                v_real=float(seg["v_real"]),
-                v_imag=float(seg.get("v_imag", 0.0)),
-                omega_larmor=float(seg.get("omega_larmor", 0.0)),
-            )
-        )
+        where = f"profile.segments[{i}]"
+        _require_keys(seg, {"length", "v_real", "v_imag", "omega_larmor"}, {"length", "v_real"}, where)
+        segments.append(Segment(**_scalars(seg, where)))
     region = cfg.get("clock_region")
+    if region is not None:
+        region = tuple(_numbers(region, "profile.clock_region", integer=True))
+        if len(region) != 2:
+            raise ValidationError(f"profile.clock_region: expected [first, last], got {list(region)}")
     profile = PotentialProfile(
         segments=tuple(segments),
-        clock_region=tuple(int(v) for v in region) if region is not None else None,
-        v_left=float(cfg.get("v_left", 0.0)),
-        v_right=float(cfg.get("v_right", 0.0)),
+        clock_region=region,
+        **_scalars(cfg, "profile", exclude=("segments", "clock_region")),
     )
     problems = validate_profile(profile)
     if problems:
@@ -118,14 +139,18 @@ def _parse_lattice(cfg: dict) -> first_passage.LatticeSpec:
         {"n_sites", "hopping", "initial_site", "detector_sites", "tau", "n_steps"},
         "lattice",
     )
+    sites = _numbers(cfg["detector_sites"], "lattice.detector_sites", integer=True)
     return first_passage.LatticeSpec(
-        n_sites=int(cfg["n_sites"]),
-        hopping=float(cfg["hopping"]),
-        initial_site=int(cfg["initial_site"]),
-        detector_sites=frozenset(int(s) for s in cfg["detector_sites"]),
-        tau=float(cfg["tau"]),
-        n_steps=int(cfg["n_steps"]),
+        detector_sites=frozenset(sites),
+        **_scalars(cfg, "lattice", exclude=("detector_sites",)),
     )
+
+
+def _parse_t_fixed(payload: dict, spec: first_passage.LatticeSpec) -> float:
+    t_fixed = _number(payload.get("t_fixed", 5.0 / spec.hopping), "t_fixed")
+    if not (math.isfinite(t_fixed) and t_fixed > 0):
+        raise ValidationError(f"t_fixed: must be positive and finite, got {t_fixed}")
+    return t_fixed
 
 
 def _parse_pulse(cfg: dict) -> em_pulse.PulseSpec:
@@ -135,13 +160,7 @@ def _parse_pulse(cfg: dict) -> em_pulse.PulseSpec:
         {"carrier", "duration", "center", "n_samples", "span"},
         "pulse",
     )
-    return em_pulse.PulseSpec(
-        carrier=float(cfg["carrier"]),
-        duration=float(cfg["duration"]),
-        center=float(cfg["center"]),
-        n_samples=int(cfg["n_samples"]),
-        span=float(cfg["span"]),
-    )
+    return em_pulse.PulseSpec(**_scalars(cfg, "pulse"))
 
 
 def _parse_medium(cfg: dict) -> em_pulse.MediumSpec:
@@ -155,19 +174,13 @@ def _parse_medium(cfg: dict) -> em_pulse.MediumSpec:
         kind = em_pulse.MediumKind(cfg["model"])
     except ValueError:
         raise ValidationError(f"medium.model: unknown model {cfg['model']!r}") from None
-    return em_pulse.MediumSpec(
-        kind=kind,
-        thickness=float(cfg["thickness"]),
-        resonance=float(cfg.get("resonance", 0.0)),
-        plasma_strength=float(cfg.get("plasma_strength", 0.0)),
-        damping=float(cfg.get("damping", 0.0)),
-    )
+    return em_pulse.MediumSpec(kind=kind, **_scalars(cfg, "medium", exclude=("model",)))
 
 
 _SWEEP_PARAMS = {
-    "timescale_sweep": {"energy"},
-    "first_passage": {"tau", "step"},
-    "em_pulse": {"carrier", "thickness"},
+    "timescale_sweep": ("energy",),
+    "first_passage": ("step", "tau"),
+    "em_pulse": ("carrier", "thickness"),
 }
 
 _PAYLOAD_KEYS = {
@@ -191,7 +204,7 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError("scenario file must contain a mapping")
     top_allowed = {"schema_version", "kind", "sweep", "output"}
-    payload_allowed, payload_required = ({"profile", "lattice", "pulse", "medium", "channel", "t_fixed"}, set())
+    payload_allowed = {"profile", "lattice", "pulse", "medium", "channel", "t_fixed"}
     _require_keys(
         raw,
         top_allowed | payload_allowed,
@@ -220,9 +233,12 @@ def load_scenario(path: str) -> Scenario:
             f"sweep.parameter: {sweep['parameter']!r} not valid for kind {kind} "
             f"(allowed: {sorted(_SWEEP_PARAMS[kind])})"
         )
-    grid = [float(v) for v in sweep["grid"]]
+    step = sweep["parameter"] == "step"
+    grid = [float(v) for v in _numbers(sweep["grid"], "sweep.grid", integer=step)]
     if not grid:
         raise ValidationError("sweep.grid: must be non-empty")
+    if not all(map(math.isfinite, grid)):
+        raise ValidationError(f"sweep.grid: values must be finite, got {grid}")
     if not (all(a < b for a, b in zip(grid, grid[1:])) or all(a > b for a, b in zip(grid, grid[1:]))):
         raise ValidationError("sweep.grid: must be strictly monotone")
 
@@ -239,7 +255,7 @@ def load_scenario(path: str) -> Scenario:
         if channel not in ("transmission", "reflection"):
             raise ValidationError(f"channel: must be transmission or reflection, got {channel!r}")
     elif kind == "first_passage":
-        _parse_lattice(payload["lattice"])
+        _parse_t_fixed(payload, _parse_lattice(payload["lattice"]))
     else:
         _parse_pulse(payload["pulse"])
         _parse_medium(payload["medium"])
@@ -264,14 +280,6 @@ def load_scenario(path: str) -> Scenario:
 # sweep execution
 
 
-def _workers() -> int:
-    raw = os.environ.get("WAVETIME_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return min(4, os.cpu_count() or 1)
-
-
 def _timescale_row(profile: PotentialProfile, channel: str, energy: float) -> list:
     try:
         report = timescales.full_report(profile, energy, channel=channel)
@@ -284,19 +292,18 @@ def _timescale_row(profile: PotentialProfile, channel: str, energy: float) -> li
     return [energy] + cells + [reason or None]
 
 
-def _run_timescale(scenario: Scenario, workers: int) -> ResultTable:
+def _run_timescale(scenario: Scenario) -> ResultTable:
     profile = _parse_profile(scenario.payload["profile"])
     channel = scenario.payload.get("channel", "transmission")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda e: _timescale_row(profile, channel, e), scenario.sweep_grid))
+    rows = [_timescale_row(profile, channel, e) for e in scenario.sweep_grid]
     return ResultTable(columns=["energy", *METHOD_LABELS, "reason"], rows=rows)
 
 
-def _run_first_passage(scenario: Scenario, workers: int) -> ResultTable:
+def _run_first_passage(scenario: Scenario) -> ResultTable:
     spec = _parse_lattice(scenario.payload["lattice"])
     if scenario.sweep_parameter == "tau":
-        t_fixed = float(scenario.payload.get("t_fixed", 5.0 / spec.hopping))
-        pairs = first_passage.zeno_scan(spec, list(scenario.sweep_grid), t_fixed, workers=workers)
+        t_fixed = _parse_t_fixed(scenario.payload, spec)
+        pairs = first_passage.zeno_scan(spec, list(scenario.sweep_grid), t_fixed)
         rows = [[tau, s, None] for tau, s in pairs]
         return ResultTable(columns=["tau", "survival", "reason"], rows=rows)
     # step sweep: indices into a single stroboscopic run
@@ -311,20 +318,13 @@ def _run_first_passage(scenario: Scenario, workers: int) -> ResultTable:
     return ResultTable(columns=["step", "p", "survival", "reason"], rows=rows)
 
 
-def _em_row(scenario: Scenario, value: float) -> list:
-    pulse = _parse_pulse(scenario.payload["pulse"])
-    medium = _parse_medium(scenario.payload["medium"])
-    if scenario.sweep_parameter == "carrier":
-        pulse = em_pulse.PulseSpec(
-            carrier=value, duration=pulse.duration, center=pulse.center,
-            n_samples=pulse.n_samples, span=pulse.span,
-        )
-    else:
-        medium = em_pulse.MediumSpec(
-            kind=medium.kind, thickness=value, resonance=medium.resonance,
-            plasma_strength=medium.plasma_strength, damping=medium.damping,
-        )
+def _em_row(pulse: em_pulse.PulseSpec, medium: em_pulse.MediumSpec, parameter: str, value: float) -> list:
     try:
+        # The specs validate themselves, so a bad sweep value is a bad row.
+        if parameter == "carrier":
+            pulse = replace(pulse, carrier=value)
+        else:
+            medium = replace(medium, thickness=value)
         rep = em_pulse.delay_decomposition(pulse, medium)
     except WavetimeError as exc:
         return [value] + [None] * 7 + [f"{type(exc).__name__}: {exc}"]
@@ -339,9 +339,10 @@ def _em_row(scenario: Scenario, value: float) -> list:
     ]
 
 
-def _run_em(scenario: Scenario, workers: int) -> ResultTable:
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _em_row(scenario, v), scenario.sweep_grid))
+def _run_em(scenario: Scenario) -> ResultTable:
+    pulse = _parse_pulse(scenario.payload["pulse"])
+    medium = _parse_medium(scenario.payload["medium"])
+    rows = [_em_row(pulse, medium, scenario.sweep_parameter, v) for v in scenario.sweep_grid]
     return ResultTable(
         columns=[scenario.sweep_parameter, "t_in", "t_out", "delta_t",
                  "delta_t_group", "delta_t_reshape", "residual", "flags", "reason"],
@@ -351,13 +352,12 @@ def _run_em(scenario: Scenario, workers: int) -> ResultTable:
 
 def run_scenario(scenario: Scenario) -> ResultTable:
     """Execute a sweep; rows are ordered by sweep index, failures reason-coded."""
-    workers = _workers()
     runner = {
         "timescale_sweep": _run_timescale,
         "first_passage": _run_first_passage,
         "em_pulse": _run_em,
     }[scenario.kind]
-    table = runner(scenario, workers)
+    table = runner(scenario)
     table.metadata = {
         "units": "natural units: hbar = 1, 2m = 1 (quantum); c = 1 (electromagnetic)",
         "tool_version": __version__,

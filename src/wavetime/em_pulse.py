@@ -22,6 +22,7 @@ measure only grid aliasing.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -207,17 +208,29 @@ def group_wavevector_derivative(medium: MediumSpec, omega) -> np.ndarray | compl
 # spectral transforms (convention E~(w) = int E(t) exp(+iwt) dt)
 
 
-def _index_on_grid(medium: MediumSpec, w: np.ndarray) -> np.ndarray:
-    """n over a full FFT grid, extended to w < 0 by the reality symmetry
-    n(-w) = conj(n(w)) so that Im(k) = Im(n w) >= 0 (decay) at every w."""
-    n = refractive_index(medium, np.abs(w))
-    n = np.where(np.isfinite(n), n, 0.0)
-    return np.where(w >= 0, n, np.conj(n))
+def _on_grid(f, medium: MediumSpec, w: np.ndarray) -> np.ndarray:
+    """f(medium, |w|) over a full FFT grid, extended to w < 0 by the reality symmetry
+    f(-w) = conj(f(w)); for n this keeps Im(k) = Im(n w) >= 0 (decay) at every w."""
+    v = f(medium, np.abs(w))
+    v = np.where(np.isfinite(v), v, 0.0)
+    return np.where(w >= 0, v, np.conj(v))
 
 
-def _omegas(pulse: PulseSpec) -> np.ndarray:
-    dt = pulse.span / pulse.n_samples
-    return 2.0 * np.pi * np.fft.fftfreq(pulse.n_samples, d=dt)
+def _omegas(n_samples: int, span: float) -> np.ndarray:
+    return 2.0 * np.pi * np.fft.fftfreq(n_samples, d=span / n_samples)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_dispersion(kind: MediumKind, resonance: float, plasma_strength: float, damping: float,
+                     n_samples: int, span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (omega, n, dk/domega) on the FFT grid.  They depend on neither
+    the carrier nor the slab thickness, so a sweep over either computes them once."""
+    medium = MediumSpec(kind, 1.0, resonance, plasma_strength, damping)
+    w = _omegas(n_samples, span)
+    out = (w, _on_grid(refractive_index, medium, w), _on_grid(group_wavevector_derivative, medium, w))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def to_spectrum(field: np.ndarray, pulse: PulseSpec) -> np.ndarray:
@@ -265,8 +278,7 @@ class PlaneFields:
         return 0.5 * np.real(self.e * np.conj(self.h))
 
 
-def _fields_at(spectrum: np.ndarray, medium: MediumSpec, pulse: PulseSpec) -> PlaneFields:
-    n = _index_on_grid(medium, _omegas(pulse))
+def _fields_at(spectrum: np.ndarray, n: np.ndarray, pulse: PulseSpec) -> PlaneFields:
     return PlaneFields(e=to_time(spectrum, pulse), h=to_time(n * spectrum, pulse), pulse=pulse)
 
 
@@ -280,14 +292,13 @@ def propagate(pulse: PulseSpec, medium: MediumSpec) -> tuple[PlaneFields, PlaneF
         GridError: if spectral leakage at the grid edge exceeds 1e-6 of the
             peak (entry or exit), i.e. the grid aliases.
     """
-    w = _omegas(pulse)
+    w = _omegas(pulse.n_samples, pulse.span)
+    n = _on_grid(refractive_index, medium, w)
     spec_in = to_spectrum(pulse.field(), pulse)
     _check_aliasing(spec_in, "entry spectrum")
-    k = _index_on_grid(medium, w) * w
-    phase = np.exp(1j * k * medium.thickness)
-    spec_out = spec_in * phase
+    spec_out = spec_in * np.exp(1j * n * w * medium.thickness)
     _check_aliasing(spec_out, "exit spectrum")
-    return _fields_at(spec_in, medium, pulse), _fields_at(spec_out, medium, pulse)
+    return _fields_at(spec_in, n, pulse), _fields_at(spec_out, n, pulse)
 
 
 def centroid_time(fields: PlaneFields) -> float:
@@ -303,14 +314,14 @@ def centroid_time(fields: PlaneFields) -> float:
     return float(np.sum(fields.pulse.times() * s) / total)
 
 
-def _p_operator(spectrum: np.ndarray, n: np.ndarray, pulse: PulseSpec) -> float:
+def _p_operator(spectrum: np.ndarray, dspec: np.ndarray, n: np.ndarray) -> float:
     """Spectral form of the Poynting centroid: the arrival-time functional of a
-    spectrum at a plane with local index n."""
-    dspec = _spectrum_derivative(spectrum, pulse)
+    spectrum, given its omega-derivative dspec, at a plane with local index n.
+    By discrete Parseval it equals centroid_time of the plane's fields."""
     num = np.sum(np.real(-1j * dspec * np.conj(n * spectrum)))
     den = np.sum(np.real(n) * np.abs(spectrum) ** 2)
-    if abs(den) < 1e-300:
-        raise ZeroFluxError("spectral flux vanishes")
+    if abs(den) < 1e-300 or not np.isfinite(den):
+        raise ZeroFluxError("net energy flux through the plane vanishes")
     return float(num / den)
 
 
@@ -319,28 +330,28 @@ def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
 
     Group part: flux-spectrum-weighted average of L d(Re k)/domega at the exit.
     Reshaping part: arrival-time shift of the entry pulse when its spectrum is
-    attenuated by |exp(i k L)| with no phase applied.
+    attenuated by |exp(i k L)| with no phase applied.  Arrival times are
+    spectral centroids (_p_operator), so no field is transformed back in time.
     """
-    entry, exit_ = propagate(pulse, medium)
-    w = _omegas(pulse)
-    n = _index_on_grid(medium, w)
+    w, n, kprime = _grid_dispersion(medium.kind, medium.resonance, medium.plasma_strength,
+                                    medium.damping, pulse.n_samples, pulse.span)
+    field = pulse.field()
+    spec_in = to_spectrum(field, pulse)
+    _check_aliasing(spec_in, "entry spectrum")
     k = n * w
-    spec_in = to_spectrum(pulse.field(), pulse)
+    spec_out = spec_in * np.exp(1j * k * medium.thickness)
+    _check_aliasing(spec_out, "exit spectrum")
     spec_att = spec_in * np.exp(-np.imag(k) * medium.thickness)
 
-    t_in = centroid_time(entry)
-    t_out = centroid_time(exit_)
+    t_in = _p_operator(spec_in, 1j * to_spectrum(pulse.times() * field, pulse), n)
+    t_out = _p_operator(spec_out, _spectrum_derivative(spec_out, pulse), n)
     delta_t = t_out - t_in
 
-    # k'(-w) = conj(k'(w)), same reality symmetry as n
-    kp_pos = group_wavevector_derivative(medium, np.abs(w))
-    kp_pos = np.where(np.isfinite(kp_pos), kp_pos, 0.0)
-    kprime = np.where(w >= 0, kp_pos, np.conj(kp_pos))
     weight = np.real(n) * np.abs(spec_att) ** 2
     dt_group = float(
         medium.thickness * np.sum(np.real(kprime) * weight) / np.sum(weight)
     )
-    dt_reshape = _p_operator(spec_att, n, pulse) - _p_operator(spec_in, n, pulse)
+    dt_reshape = _p_operator(spec_att, _spectrum_derivative(spec_att, pulse), n) - t_in
 
     residual = delta_t - (dt_group + dt_reshape)
     tol_scale = max(abs(delta_t), pulse.duration * 1e-3)
@@ -375,7 +386,7 @@ def detector_absorption_time(
     O(eta thickness bandwidth / carrier).
     """
     pulse = fields.pulse
-    w = _omegas(pulse)
+    w = _omegas(pulse.n_samples, pulse.span)
     spec = to_spectrum(fields.e, pulse)
     n_det = np.where(w >= 0, 1.0 + 1j * eta, 1.0 - 1j * eta)
     spec_abs = spec * np.exp(1j * n_det * w * thickness)

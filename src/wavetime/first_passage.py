@@ -11,7 +11,6 @@ power-law decay of the survival series, and scans the Zeno limit tau -> 0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -144,7 +143,6 @@ def calibrate_gamma(
     spec: LatticeSpec,
     window: tuple[int, int],
     gammas: Sequence[float] | None = None,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Pick the absorbing strength whose survival best matches the projective run.
 
@@ -163,15 +161,10 @@ def calibrate_gamma(
     if np.any(ref <= 0):
         raise ValidationError("projective survival vanishes inside the window")
 
-    def deviation(g: float) -> float:
+    devs = []
+    for g in gammas:
         s = evolve_nonhermitian(spec, g)[lo:hi]
-        return float(np.max(np.abs(s - ref) / ref))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            devs = list(pool.map(deviation, gammas))
-    else:
-        devs = [deviation(g) for g in gammas]
+        devs.append(float(np.max(np.abs(s - ref) / ref)))
     best = int(np.argmin(devs))
     return float(gammas[best]), devs[best]
 
@@ -202,7 +195,7 @@ def fit_power_law(survival: Sequence[float], window: tuple[int, int]) -> tuple[f
 
 
 def zeno_scan(
-    spec: LatticeSpec, tau_list: Sequence[float], t_fixed: float, workers: int = 1
+    spec: LatticeSpec, tau_list: Sequence[float], t_fixed: float
 ) -> list[tuple[float, float]]:
     """Survival at a fixed physical time versus measurement interval.
 
@@ -213,14 +206,8 @@ def zeno_scan(
     if any(t <= 0 for t in tau_list):
         raise ValidationError("all measurement intervals must be positive")
 
-    def survival_at(tau: float) -> float:
-        n = max(1, round(t_fixed / tau))
-        run = replace(spec, tau=tau, n_steps=n)
-        return float(evolve_project(run).survival[-1])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(survival_at, tau_list))
-    else:
-        values = [survival_at(t) for t in tau_list]
-    return list(zip([float(t) for t in tau_list], values))
+    out = []
+    for tau in tau_list:
+        run = replace(spec, tau=tau, n_steps=max(1, round(t_fixed / tau)))
+        out.append((float(tau), float(evolve_project(run).survival[-1])))
+    return out

@@ -6,15 +6,12 @@ analytic limits), never from the code paths under test.
 """
 import cmath
 import math
-import os
 
 import numpy as np
 import pytest
-import yaml
-from click.testing import CliRunner
 from scipy.linalg import expm
 
-from conftest import random_real_profile, safe_energy
+from conftest import SPLIT_SWEEPS, random_real_profile, safe_energy, whole_and_split_rows
 from wavetime.errors import LogSingularityError, RegimeAmbiguityError
 from wavetime.first_passage import LatticeSpec, evolve_project, fit_power_law, zeno_scan
 from wavetime.potentials import PotentialProfile, Segment, make_rectangular_barrier
@@ -29,7 +26,6 @@ from wavetime.timescales import (
     wigner_delay,
 )
 from wavetime import em_pulse
-from wavetime.cli import main as cli_main
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -371,24 +367,12 @@ def test_criterion_13_em_decomposition():
 
 
 def test_criterion_14_determinism(tmp_path):
-    doc = {
-        "schema_version": 1,
-        "kind": "timescale_sweep",
-        "profile": {"segments": [{"length": 1.0, "v_real": 2.0}], "clock_region": [0, 0]},
-        "sweep": {"parameter": "energy", "grid": [0.3, 0.9, 1.5, 2.7, 3.3, 4.1]},
-        "output": {"path": str(tmp_path / "out.csv"), "format": "csv"},
-    }
-    scenario = tmp_path / "scenario.yaml"
-    scenario.write_text(yaml.safe_dump(doc))
-    runner = CliRunner()
-    outputs = []
-    for workers in ("1", "3"):
-        os.environ["WAVETIME_WORKERS"] = workers
-        try:
-            res = runner.invoke(cli_main, ["run", str(scenario)])
-            assert res.exit_code == 0, res.output
-            outputs.append((tmp_path / "out.csv").read_bytes())
-        finally:
-            del os.environ["WAVETIME_WORKERS"]
-    report(14, "byte-identical sweep output across worker counts",
-           outputs[0] == outputs[1])
+    # Rows are independent kernel calls, so a sweep split in two must write
+    # the same bytes as the whole: no state may pass from one row to the next.
+    differ = []
+    for parameter, doc in SPLIT_SWEEPS.items():
+        whole, split = whole_and_split_rows(tmp_path, doc)
+        if not whole or whole != split:
+            differ.append(parameter)
+    report(14, "byte-identical sweep rows, whole grid vs its two halves",
+           not differ, f"differ: {differ}" if differ else "")

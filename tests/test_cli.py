@@ -1,10 +1,11 @@
+import csv
 import json
-import os
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from conftest import SPLIT_SWEEPS, em_sweep_doc, run_sweep, whole_and_split_rows
 from wavetime.cli import compare_tables, load_scenario, main, run_scenario
 from wavetime.errors import ValidationError
 
@@ -25,6 +26,22 @@ def timescale_scenario(tmp_path, grid=(0.5, 1.0, 3.0), extra=None):
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(doc))
     return path
+
+
+def zeno_doc(tmp_path, parameter):
+    """first_passage scenario sweeping tau (a Zeno scan) or the step index."""
+    return {
+        "schema_version": 1,
+        "kind": "first_passage",
+        "lattice": {
+            "n_sites": 21, "hopping": 1.0, "initial_site": 10,
+            "detector_sites": [15], "tau": 1.0, "n_steps": 5,
+        },
+        "t_fixed": 5.0,
+        "sweep": {"parameter": parameter,
+                  "grid": [1.0, 0.1, 0.01] if parameter == "tau" else [1.0, 2.0, 3.0]},
+        "output": {"path": str(tmp_path / "zeno.csv"), "format": "csv"},
+    }
 
 
 class TestSchema:
@@ -63,6 +80,51 @@ class TestSchema:
         path = timescale_scenario(tmp_path, grid=())
         with pytest.raises(ValidationError, match="non-empty"):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize(
+        "sweep, edit, field, why",
+        [
+            ("energy", lambda d: d["sweep"].update(grid=[float("nan")]), "sweep.grid", "finite"),
+            ("energy", lambda d: d["sweep"].update(grid=[float("nan"), 1.0]), "sweep.grid", "finite"),
+            ("energy", lambda d: d["sweep"].update(grid=[0.5, float("inf")]), "sweep.grid", "finite"),
+            ("energy", lambda d: d["sweep"].update(grid="1.0"), "sweep.grid", "list"),
+            ("energy", lambda d: d["profile"]["segments"][0].update(length="abc"),
+             "profile.segments[0].length", "number"),
+            ("energy", lambda d: d["profile"].update(clock_region=[0]),
+             "profile.clock_region", "[first, last]"),
+            ("energy", lambda d: d["profile"].update(clock_region=[0, 0.5]),
+             "profile.clock_region", "integer"),
+            ("energy", lambda d: d["profile"].update(v_left=[1]), "profile.v_left", "number"),
+            ("step", lambda d: d["sweep"].update(grid=[1.0, 1.5]), "sweep.grid", "integer"),
+            ("tau", lambda d: d["lattice"].update(hopping="fast"), "lattice.hopping", "number"),
+            ("tau", lambda d: d["lattice"].update(detector_sites=[15.5]),
+             "lattice.detector_sites", "integer"),
+            ("tau", lambda d: d.update(t_fixed="abc"), "t_fixed", "number"),
+            ("tau", lambda d: d.update(t_fixed=float("nan")), "t_fixed", "finite"),
+            ("carrier", lambda d: d["pulse"].update(n_samples=1024.5), "pulse.n_samples", "integer"),
+            ("carrier", lambda d: d["medium"].update(thickness="thick"), "medium.thickness", "number"),
+        ],
+        ids=["nan", "nan-first", "inf", "grid-not-list", "length-abc", "region-one-index",
+             "region-fraction", "v_left-list", "step-fraction", "hopping", "detector-fraction",
+             "t_fixed-abc", "t_fixed-nan", "n_samples-fraction", "thickness-abc"],
+    )
+    def test_malformed_field_is_named_error(self, tmp_path, sweep, edit, field, why):
+        if sweep == "energy":
+            doc = yaml.safe_load(timescale_scenario(tmp_path).read_text())
+        elif sweep == "carrier":
+            doc = em_sweep_doc("carrier", [8.0, 12.0])
+        else:
+            doc = zeno_doc(tmp_path, sweep)
+        edit(doc)
+        doc["output"] = {"path": str(tmp_path / "bad.csv"), "format": "csv"}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        res = CliRunner().invoke(main, ["run", str(path)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith(f"error: {field}:")
+        assert why in res.stderr
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_digest_ignores_output_path(self, tmp_path):
         a = load_scenario(str(timescale_scenario(tmp_path)))
@@ -123,17 +185,7 @@ class TestRun:
         assert "error:" in res.stderr
 
     def test_first_passage_zeno_table(self, tmp_path):
-        doc = {
-            "schema_version": 1,
-            "kind": "first_passage",
-            "lattice": {
-                "n_sites": 21, "hopping": 1.0, "initial_site": 10,
-                "detector_sites": [15], "tau": 1.0, "n_steps": 5,
-            },
-            "t_fixed": 5.0,
-            "sweep": {"parameter": "tau", "grid": [1.0, 0.1, 0.01]},
-            "output": {"path": str(tmp_path / "zeno.csv"), "format": "csv"},
-        }
+        doc = zeno_doc(tmp_path, "tau")
         path = tmp_path / "zeno.yaml"
         path.write_text(yaml.safe_dump(doc))
         table = run_scenario(load_scenario(str(path)))
@@ -158,20 +210,27 @@ class TestRun:
         assert "delta_t_group" in table.columns
         assert all(row[-1] is None for row in table.rows)
 
+    def test_em_carrier_beyond_nyquist_is_one_reason_coded_row(self, tmp_path):
+        # Nyquist is 16.08 on this grid; carrier 15 needs the band up to 18.
+        rows = run_sweep(tmp_path, em_sweep_doc("carrier", [5.0, 10.0, 15.0], 1024, 200.0), "em")
+        reasons = [row[-1] for row in csv.reader(r.decode() for r in rows)]
+        assert len(reasons) == 3
+        assert reasons[:2] == ["", ""]
+        assert reasons[2].startswith("ValidationError: Nyquist frequency 16.08")
+
+    def test_em_nonpositive_thickness_is_reason_coded(self, tmp_path):
+        rows = run_sweep(tmp_path, em_sweep_doc("thickness", [-1.0, 0.0, 2.0]), "em")
+        reasons = [row[-1] for row in csv.reader(r.decode() for r in rows)]
+        assert reasons == ["ValidationError: thickness must be positive, got -1.0",
+                           "ValidationError: thickness must be positive, got 0.0", ""]
+
 
 class TestDeterminism:
-    def test_byte_identical_across_worker_counts(self, tmp_path):
-        runner = CliRunner()
-        outputs = []
-        for workers in ("1", "4"):
-            os.environ["WAVETIME_WORKERS"] = workers
-            try:
-                res = runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
-                assert res.exit_code == 0, res.output
-                outputs.append((tmp_path / "out.csv").read_bytes())
-            finally:
-                del os.environ["WAVETIME_WORKERS"]
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("parameter", sorted(SPLIT_SWEEPS))
+    def test_split_grid_is_byte_identical(self, tmp_path, parameter):
+        whole, split = whole_and_split_rows(tmp_path, SPLIT_SWEEPS[parameter])
+        assert len(whole) == len(SPLIT_SWEEPS[parameter]["sweep"]["grid"])
+        assert whole == split
 
 
 class TestCompare:

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wavetime import em_pulse
 from wavetime.em_pulse import (
     MediumKind,
     MediumSpec,
@@ -24,6 +26,7 @@ VACUUM = MediumSpec(kind=MediumKind.VACUUM, thickness=5.0)
 LORENTZ = MediumSpec(
     kind=MediumKind.LORENTZ, thickness=5.0, resonance=20.0, plasma_strength=5.0, damping=0.1
 )
+PLASMA = MediumSpec(kind=MediumKind.PLASMA, thickness=2.0, plasma_strength=8.0, damping=0.05)
 
 
 class TestSpecs:
@@ -172,6 +175,31 @@ class TestDecomposition:
         medium = MediumSpec(kind=MediumKind.PLASMA, thickness=0.5, plasma_strength=15.0)
         rep = delay_decomposition(PULSE, medium)
         assert rep.evanescent_regime
+
+    @pytest.mark.parametrize("medium", [VACUUM, LORENTZ, PLASMA], ids=["vacuum", "lorentz", "plasma"])
+    def test_spectral_centroids_match_time_domain(self, medium):
+        # delay_decomposition takes its arrival times from spectral centroids;
+        # propagate + centroid_time is the independent time-domain path that
+        # keeps criterion 13's identity from checking itself.
+        rep = delay_decomposition(PULSE, medium)
+        entry, exit_ = propagate(PULSE, medium)
+        assert rep.t_in == pytest.approx(centroid_time(entry), rel=1e-12)
+        assert rep.t_out == pytest.approx(centroid_time(exit_), rel=1e-12)
+
+    def test_each_row_transforms_six_times_and_sweep_disperses_once(self, monkeypatch):
+        calls = []
+        for name in ("to_spectrum", "to_time"):
+            original = getattr(em_pulse, name)
+            monkeypatch.setattr(
+                em_pulse, name, lambda *args, _f=original: calls.append(_f) or _f(*args)
+            )
+        em_pulse._grid_dispersion.cache_clear()
+        rows = [(replace(PULSE, carrier=c), PLASMA) for c in (9.0, 10.0, 11.0)]
+        rows += [(PULSE, replace(PLASMA, thickness=t)) for t in (0.5, 1.0)]
+        for pulse, medium in rows:
+            delay_decomposition(pulse, medium)
+        assert len(calls) == 6 * len(rows)
+        assert em_pulse._grid_dispersion.cache_info().misses == 1
 
     def test_luminal_total_for_propagating_spectra(self):
         for thickness in (0.5, 2.0, 5.0):

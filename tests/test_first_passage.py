@@ -172,9 +172,11 @@ class TestZeno:
         with pytest.raises(ValidationError):
             zeno_scan(spec, [0.1, 0.0], t_fixed=1.0)
 
-    def test_workers_do_not_change_results(self):
+    def test_split_scan_matches_whole(self):
+        # Each tau is an independent run: the two halves of the tau list,
+        # scanned second half first, must concatenate to the whole scan.
         spec = LatticeSpec(21, 1.0, 10, frozenset({15}), 1.0, 1)
-        taus = [0.5, 0.2, 0.1]
-        a = zeno_scan(spec, taus, t_fixed=3.0, workers=1)
-        b = zeno_scan(spec, taus, t_fixed=3.0, workers=4)
-        assert a == b
+        taus = [0.5, 0.2, 0.1, 0.05]
+        second = zeno_scan(spec, taus[2:], t_fixed=3.0)
+        first = zeno_scan(spec, taus[:2], t_fixed=3.0)
+        assert first + second == zeno_scan(spec, taus, t_fixed=3.0)
