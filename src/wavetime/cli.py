@@ -246,6 +246,8 @@ def load_scenario(path: str) -> Scenario:
     _require_keys(output, {"path", "format"}, {"path", "format"}, "output")
     if output["format"] not in ("csv", "json"):
         raise ValidationError(f"output.format: must be csv or json, got {output['format']!r}")
+    if not isinstance(output["path"], str) or not output["path"]:
+        raise ValidationError(f"output.path: must be a non-empty string, got {output['path']!r}")
 
     payload = {k: raw[k] for k in allowed if k in raw}
     # Parse eagerly so validation failures surface in `validate`.
@@ -465,7 +467,7 @@ def run_cmd(scenario_file: str) -> None:
         scenario = load_scenario(scenario_file)
         table = run_scenario(scenario)
         write_table(table, scenario.output_path, scenario.output_format)
-    except WavetimeError as exc:
+    except (WavetimeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     click.echo(f"wrote {scenario.output_path} ({len(table.rows)} rows)")
@@ -498,13 +500,16 @@ def compare_cmd(table_a: str, table_b: str, tols: tuple[str, ...]) -> None:
     """Compare two result tables cell by cell."""
     default_tol = 1e-9
     per_column: dict[str, float] = {}
-    for spec in tols:
-        if "=" in spec:
-            col, _, val = spec.partition("=")
-            per_column[col.strip()] = float(val)
-        else:
-            default_tol = float(spec)
     try:
+        for spec in tols:
+            col, sep, val = spec.rpartition("=")
+            tol = _number(val, "--tol")
+            if not tol >= 0:
+                raise ValidationError(f"--tol: must be a number >= 0, got {val!r}")
+            if sep:
+                per_column[col.strip()] = tol
+            else:
+                default_tol = tol
         failures = compare_tables(
             _read_csv_table(table_a), _read_csv_table(table_b), per_column, default_tol
         )

@@ -405,8 +405,6 @@ class SpinorAmplitudes:
     t_minus: complex
     r_plus: complex
     r_minus: complex
-    t_plus_local: complex
-    t_minus_local: complex
 
 
 def solve_spinor(profile: PotentialProfile, E: float) -> SpinorAmplitudes:
@@ -422,8 +420,6 @@ def solve_spinor(profile: PotentialProfile, E: float) -> SpinorAmplitudes:
         t_minus=down.t,
         r_plus=up.r,
         r_minus=down.r,
-        t_plus_local=up.t_local,
-        t_minus_local=down.t_local,
     )
 
 
@@ -447,26 +443,6 @@ class PartialWaveSet:
     region_length: float
 
 
-def _region_stacks(
-    profile: PotentialProfile,
-    E: float,
-    ks: list[complex],
-    region: tuple[int, int],
-    prop_ks: list[complex] | None = None,
-) -> tuple[SMatrix, SMatrix, _Chain]:
-    k_l, k_r = _lead_wavevectors(profile, E)
-    ds = [s.length for s in profile.segments]
-    chain = _build_chain(ks, ds, k_l, k_r, prop_ks)
-    lo, hi = region
-    if chain.degenerate[lo] or chain.degenerate[hi]:
-        raise RegimeAmbiguityError(
-            "clock region boundary sits at its barrier top (k ~ 0); offset E"
-        )
-    s_left = chain.prefix[chain.left_cut[lo]]
-    s_right = chain.suffix[chain.right_start[hi]]
-    return s_left, s_right, chain
-
-
 def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
     """Left/right interface-stack amplitudes for the profile's clock region.
 
@@ -478,8 +454,15 @@ def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
     if region is None:
         raise ValidationError("profile has no clock region")
     ks = _segment_ks(profile, E, None)
-    s_left, s_right, _ = _region_stacks(profile, E, ks, region)
+    k_l, k_r = _lead_wavevectors(profile, E)
+    chain = _build_chain(ks, [s.length for s in profile.segments], k_l, k_r)
     lo, hi = region
+    if chain.degenerate[lo] or chain.degenerate[hi]:
+        raise RegimeAmbiguityError(
+            "clock region boundary sits at its barrier top (k ~ 0); offset E"
+        )
+    s_left = chain.prefix[chain.left_cut[lo]]
+    s_right = chain.suffix[chain.right_start[hi]]
     k_inner = ks[lo] if lo == hi else None
     length = sum(profile.segments[j].length for j in range(lo, hi + 1))
     if k_inner is not None:

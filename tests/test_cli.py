@@ -126,6 +126,20 @@ class TestSchema:
         assert "Traceback" not in res.output
         assert not (tmp_path / "bad.csv").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("bad", [None, "", 3], ids=["null", "empty", "integer"])
+    def test_output_path_must_be_a_nonempty_string(self, tmp_path, command, bad):
+        doc = yaml.safe_load(timescale_scenario(tmp_path).read_text())
+        doc["output"]["path"] = bad
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ValidationError, match="output.path"):
+            load_scenario(str(path))
+        res = CliRunner().invoke(main, [command, str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: output.path: must be a non-empty string")
+
     def test_digest_ignores_output_path(self, tmp_path):
         a = load_scenario(str(timescale_scenario(tmp_path)))
         doc = yaml.safe_load(timescale_scenario(tmp_path).read_text())
@@ -183,6 +197,17 @@ class TestRun:
         res = runner.invoke(main, ["run", str(path)])
         assert res.exit_code == 2
         assert "error:" in res.stderr
+
+    def test_unwritable_output_is_error(self, tmp_path):
+        doc = yaml.safe_load(timescale_scenario(tmp_path).read_text())
+        doc["output"]["path"] = str(tmp_path / "missing" / "out.csv")
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        res = CliRunner().invoke(main, ["run", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "No such file or directory" in res.stderr
 
     def test_first_passage_zeno_table(self, tmp_path):
         doc = zeno_doc(tmp_path, "tau")
@@ -257,6 +282,30 @@ class TestCompare:
         assert res.exit_code == 1
         assert "FAIL" in res.stderr
         assert "wigner" in res.stderr
+
+    @pytest.mark.parametrize("tol", ["abc", "nan", "-1", "wigner=abc", "wigner=-1e-6"])
+    def test_bad_tolerance_is_error(self, tmp_path, tol):
+        runner = CliRunner()
+        runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        out = str(tmp_path / "out.csv")
+        res = runner.invoke(main, ["compare", out, out, "--tol", tol])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: --tol:")
+        assert "FAIL" not in res.stderr
+
+    def test_per_column_tolerance_is_applied_from_the_command_line(self, tmp_path):
+        runner = CliRunner()
+        runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        out = tmp_path / "out.csv"
+        lines = out.read_text().splitlines()
+        data = lines[-1].split(",")
+        data[1] = f"{float(data[1]) * 1.001:.17g}"
+        perturbed = tmp_path / "perturbed.csv"
+        perturbed.write_text("\n".join(lines[:-1] + [",".join(data)]) + "\n")
+        args = ["compare", str(out), str(perturbed), "--tol", "1e-9"]
+        assert runner.invoke(main, args).exit_code == 1
+        assert runner.invoke(main, [*args, "--tol", "wigner=1e-2"]).exit_code == 0
 
     def test_per_column_tolerance_override(self, tmp_path):
         from wavetime.cli import ResultTable

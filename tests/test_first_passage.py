@@ -6,6 +6,7 @@ from wavetime.errors import ValidationError
 from wavetime.first_passage import (
     DetectionRecord,
     LatticeSpec,
+    _modes,
     calibrate_gamma,
     evolve_nonhermitian,
     evolve_project,
@@ -14,23 +15,34 @@ from wavetime.first_passage import (
 )
 
 
-def brute_force_survival(spec):
-    """Dense-matrix reference: build U with expm (not eigh) and apply the
-    projector explicitly as a matrix."""
+def site_hamiltonian(spec):
     h = np.zeros((spec.n_sites, spec.n_sites))
     for i in range(spec.n_sites - 1):
         h[i, i + 1] = h[i + 1, i] = -spec.hopping
-    u = expm(-1j * h * spec.tau)
+    return h
+
+
+def brute_force_run(spec):
+    """Site-basis reference, sharing nothing with the sine modes: build U with
+    expm and apply the projector explicitly as a matrix.
+
+    Returns:
+        (p, survival) per step.
+    """
+    u = expm(-1j * site_hamiltonian(spec) * spec.tau)
     proj = np.eye(spec.n_sites)
     for d in spec.detector_sites:
         proj[d, d] = 0.0
     psi = np.zeros(spec.n_sites, dtype=complex)
     psi[spec.initial_site] = 1.0
-    out = []
+    p, s = [], []
     for _ in range(spec.n_steps):
-        psi = proj @ (u @ psi)
-        out.append(float(np.vdot(psi, psi).real))
-    return np.array(out)
+        psi = u @ psi
+        detected = psi - proj @ psi
+        p.append(float(np.vdot(detected, detected).real))
+        psi = proj @ psi
+        s.append(float(np.vdot(psi, psi).real))
+    return np.array(p), np.array(s)
 
 
 def random_spec(rng, max_sites=5, n_steps=12):
@@ -86,15 +98,26 @@ class TestOracle:
     def test_three_site_chain_matches_dense_exponential(self):
         spec = LatticeSpec(3, 1.0, 0, frozenset({2}), 1.0, 8)
         rec = evolve_project(spec)
-        ref = brute_force_survival(spec)
-        assert np.max(np.abs(rec.survival - ref)) < 1e-12
+        p, s = brute_force_run(spec)
+        assert np.max(np.abs(rec.survival - s)) < 1e-12
+        assert np.max(np.abs(rec.p - p)) < 1e-12
 
     def test_small_lattices_match_brute_force(self, rng):
         for _ in range(100):
             spec = random_spec(rng)
             rec = evolve_project(spec)
-            ref = brute_force_survival(spec)
-            assert np.max(np.abs(rec.survival - ref)) < 1e-10
+            p, s = brute_force_run(spec)
+            assert np.max(np.abs(rec.survival - s)) < 1e-10
+            assert np.max(np.abs(rec.p - p)) < 1e-10
+
+    def test_modes_are_orthogonal_eigenvectors_at_large_n(self):
+        n = 1201
+        spec = LatticeSpec(n, 1.3, 0, frozenset({1}), 1.0, 1)
+        v, energies = _modes(spec, range(n))
+        assert np.max(np.abs(v @ v.T - np.eye(n))) < 1e-14
+        assert np.array_equal(v, v.T)
+        h = site_hamiltonian(spec)
+        assert np.max(np.abs(h @ v - v * energies)) < 1e-14
 
     def test_mirror_symmetry(self):
         spec = LatticeSpec(11, 1.3, 2, frozenset({8}), 0.7, 20)
@@ -114,6 +137,22 @@ class TestNonHermitian:
         spec = LatticeSpec(11, 1.0, 5, frozenset({8}), 0.5, 40)
         s = evolve_nonhermitian(spec, 1.0)
         assert np.all(np.diff(s) <= 1e-12)
+
+    def test_matches_site_basis_exponential(self, rng):
+        for _ in range(10):
+            spec = random_spec(rng, max_sites=7, n_steps=15)
+            proj = np.zeros((spec.n_sites, spec.n_sites))
+            for d in spec.detector_sites:
+                proj[d, d] = 1.0
+            for gamma in (0.1, 1.0, 10.0):
+                step = expm(-1j * spec.tau * (site_hamiltonian(spec) - 1j * gamma * proj))
+                psi = np.zeros(spec.n_sites, dtype=complex)
+                psi[spec.initial_site] = 1.0
+                ref = []
+                for _ in range(spec.n_steps):
+                    psi = step @ psi
+                    ref.append(float(np.vdot(psi, psi).real))
+                assert np.max(np.abs(evolve_nonhermitian(spec, gamma) - ref)) < 1e-12
 
     def test_rejects_nonpositive_gamma(self):
         spec = LatticeSpec(5, 1.0, 0, frozenset({4}), 1.0, 1)

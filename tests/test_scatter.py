@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex_profile, random_real_profile, safe_energy
-from wavetime.errors import NoOpenChannelError, ValidationError
+from wavetime.errors import NoOpenChannelError, ResummationDivergenceError, ValidationError
 from wavetime.potentials import (
     ClockKind,
     ClockSettings,
@@ -242,6 +242,16 @@ class TestPartialWaves:
         prof = PotentialProfile(segments=segs, clock_region=(1, 1))
         pw = partial_waves(prof, 2.0)
         assert pw.r21 == pytest.approx(pw.r23, rel=1e-12)
+
+    def test_gain_region_diverges(self):
+        # A gain (v_imag < 0) region amplifies each internal round trip, so
+        # the geometric series for the region's partial waves diverges.
+        prof = PotentialProfile(
+            segments=(Segment(1.0, 0.0), Segment(3.0, 2.0, v_imag=-1.5), Segment(1.0, 0.0)),
+            clock_region=(1, 1),
+        )
+        with pytest.raises(ResummationDivergenceError, match=r"= 9\.644\d* >= 1"):
+            partial_waves(prof, 2.5)
 
 
 class TestPropagationOverride:

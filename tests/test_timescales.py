@@ -276,6 +276,16 @@ class TestFullReport:
         assert "bl" not in rep.entries
         assert math.isfinite(rep.entries["wigner"])
 
+    def test_divergent_resummation_is_reason_coded(self):
+        prof = PotentialProfile(
+            segments=(Segment(1.0, 0.0), Segment(3.0, 2.0, v_imag=-1.5), Segment(1.0, 0.0)),
+            clock_region=(1, 1),
+        )
+        rep = full_report(prof, 2.5, "reflection")
+        assert rep.reasons["sojourn"].startswith("ResummationDivergenceError: ")
+        assert "sojourn" not in rep.entries
+        assert math.isfinite(rep.entries["wigner"])
+
     @pytest.mark.parametrize("channel, chains", [("transmission", 27), ("reflection", 28)])
     def test_chain_count_per_energy(self, monkeypatch, channel, chains):
         # wigner 7 + dwell 1 + larmor 3 x 2 + imag_clock 6 + sojourn 7, plus
