@@ -426,10 +426,17 @@ def compare_tables(
     """Per-cell relative comparison; returns failure descriptions (empty = pass).
 
     Raises:
-        ValidationError: if the column sets differ or row counts mismatch.
+        ValidationError: if the column sets differ, row counts mismatch, or a
+            per-column tolerance names a column the tables do not have.
     """
     if a.columns != b.columns:
         raise ValidationError(f"column mismatch: {a.columns} vs {b.columns}")
+    unknown = [col for col in tolerances if col not in a.columns]
+    if unknown:
+        raise ValidationError(
+            f"--tol: no column named {', '.join(map(repr, unknown))} "
+            f"(columns: {', '.join(a.columns)})"
+        )
     if len(a.rows) != len(b.rows):
         raise ValidationError(f"row count mismatch: {len(a.rows)} vs {len(b.rows)}")
     failures = []

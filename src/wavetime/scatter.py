@@ -5,6 +5,12 @@ per-segment scattering matrices with the Redheffer star product.  The star
 product never mixes growing and decaying exponentials, so opaque barriers
 (|Im k| * length >> 1) are handled without overflow or cancellation.
 
+Every clock reads only the chain's full S-matrix, so solve() gets its
+amplitudes from one left-to-right fold that keeps a running (t, r, t_rev,
+r_rev) and builds no element list.  The prefix/suffix chain that the interior
+waves need is composed only for wavefunction_at (on the first access to
+ScatteringSolution.segment_waves) and for partial_waves.
+
 Amplitude conventions: the incident wave is exp(i k_L x) with unit amplitude in
 absolute coordinates, so the empty (zero-potential) profile gives t = 1, r = 0.
 The exit-plane-referenced amplitude t_local (transmitted amplitude at x = X
@@ -15,7 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -197,9 +204,34 @@ class _Chain:
     right_start: tuple[int, ...]  # per segment: element index of interface-out
     degenerate: tuple[bool, ...]
 
-    @property
-    def full(self) -> SMatrix:
-        return self.prefix[-1]
+
+def _is_degenerate(k: complex, d: float) -> bool:
+    return abs(k) * (1.0 + d) < _DEGENERATE_KD
+
+
+def _degenerate_block(
+    ks: list[complex],
+    ds: list[float],
+    j: int,
+    k_prev: complex,
+    k_right: complex,
+    prop_ks: list[complex],
+) -> tuple[SMatrix, int, complex]:
+    """Merge the run of consecutive k ~ 0 segments that starts at j into one
+    block from medium k_prev into the medium after the run.  Returns the
+    block, the run's last segment index and that next medium's wavevector."""
+    if prop_ks[j] != ks[j]:
+        raise RegimeAmbiguityError(
+            "cannot dress a segment at its barrier top (k ~ 0); offset E"
+        )
+    n = len(ks)
+    m = j
+    M = _segment_transfer(ks[j], ds[j])
+    while m + 1 < n and _is_degenerate(ks[m + 1], ds[m + 1]):
+        m += 1
+        M = _segment_transfer(ks[m], ds[m]) @ M
+    kc = ks[m + 1] if m + 1 < n else k_right
+    return _block_smatrix(M, k_prev, kc), m, kc
 
 
 def _build_chain(
@@ -214,7 +246,7 @@ def _build_chain(
     n = len(ks)
     if prop_ks is None:
         prop_ks = ks
-    degenerate = [abs(ks[j]) * (1.0 + ds[j]) < _DEGENERATE_KD for j in range(n)]
+    degenerate = [_is_degenerate(ks[j], ds[j]) for j in range(n)]
 
     elements: list[SMatrix] = []
     left_cut = [0] * n
@@ -225,22 +257,11 @@ def _build_chain(
     interface_pending = True  # next segment still owes its interface-in element
     while j < n:
         if degenerate[j]:
-            if prop_ks[j] != ks[j]:
-                raise RegimeAmbiguityError(
-                    "cannot dress a segment at its barrier top (k ~ 0); offset E"
-                )
-            # Merge the run of consecutive degenerate segments into one block.
-            m = j
-            M = _segment_transfer(ks[j], ds[j])
-            while m + 1 < n and degenerate[m + 1]:
-                m += 1
-                M = _segment_transfer(ks[m], ds[m]) @ M
-            kc = ks[m + 1] if m + 1 < n else k_right
-            elements.append(_block_smatrix(M, k_prev, kc))
+            block, m, k_prev = _degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
+            elements.append(block)
             for jj in range(j, m + 1):
                 left_cut[jj] = len(elements)  # unused for degenerate segments
                 right_start[jj] = len(elements)
-            k_prev = kc
             interface_pending = False  # block already lands in the next medium
             j = m + 1
         else:
@@ -272,6 +293,97 @@ def _build_chain(
     )
 
 
+def _fold(
+    ks: list[complex],
+    ds: list[float],
+    k_left: complex,
+    k_right: complex,
+    prop_ks: list[complex] | None = None,
+) -> tuple[complex, complex, complex, complex]:
+    """(t, r, t_rev, r_rev) of the whole chain: _build_chain(...).prefix[-1]
+    computed in one left-to-right pass with no element or prefix list.
+
+    Each interface is starred into the running S-matrix with _star's
+    arithmetic in _star's order.  A propagation factor has r = r_rev = 0, so
+    its star has denominator exactly 1 and reduces to the products below.
+    """
+    n = len(ks)
+    if prop_ks is None:
+        prop_ks = ks
+    t, r, t_rev, r_rev = _IDENTITY.t, _IDENTITY.r, _IDENTITY.t_rev, _IDENTITY.r_rev
+    k_prev = k_left
+    interface_pending = True
+    j = 0
+    while True:
+        if j < n and _is_degenerate(ks[j], ds[j]):
+            block, m, k_prev = _degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
+            full = _star(SMatrix(t, r, t_rev, r_rev), block)
+            t, r, t_rev, r_rev = full.t, full.r, full.t_rev, full.r_rev
+            interface_pending = False
+            j = m + 1
+            continue
+        k = ks[j] if j < n else k_right
+        if interface_pending:
+            # _star(state, _interface(k_prev, k)), inlined
+            s = k_prev + k
+            if abs(s) < 1e-300:
+                raise ValidationError("degenerate interface: ka + kb = 0")
+            b_t, b_r = 2.0 * k_prev / s, (k_prev - k) / s
+            b_t_rev, b_r_rev = 2.0 * k / s, (k - k_prev) / s
+            denom = 1.0 - r_rev * b_r
+            if abs(denom) < 1e-300:
+                raise ResummationDivergenceError("interface resummation diverges (unit-loop gain)")
+            inv = 1.0 / denom
+            t, r, t_rev, r_rev = (
+                b_t * t * inv,
+                r + t_rev * b_r * t * inv,
+                t_rev * b_t_rev * inv,
+                b_r_rev + b_t * r_rev * b_t_rev * inv,
+            )
+        if j == n:
+            return t, r, t_rev, r_rev
+        p = cmath.exp(1j * prop_ks[j] * ds[j])
+        t, t_rev, r_rev = p * t, t_rev * p, p * r_rev * p
+        k_prev = k
+        interface_pending = True
+        j += 1
+
+
+def _segment_waves(sol: ScatteringSolution) -> tuple[_SegmentWave, ...]:
+    """Interior wave coefficients of every segment, from the prefix and
+    suffix chains around it."""
+    profile, ks, prop_ks = sol._profile, sol._ks, sol._prop_ks
+    ds = [s.length for s in profile.segments]
+    chain = _build_chain(ks, ds, sol.k_left, sol.k_right, prop_ks)
+    edges = profile.edges()
+    eff_ks = ks if prop_ks is None else prop_ks
+
+    waves: list[_SegmentWave] = []
+    for j in range(len(ks)):
+        if chain.degenerate[j]:
+            # psi, psi' at the left edge, taken from the left neighbour.
+            if j == 0:
+                a = 1.0 + sol.r
+                b = 1j * sol.k_left * (1.0 - sol.r)
+            else:
+                prev = waves[j - 1]
+                x_if = edges[j]
+                a = prev.value(x_if)
+                b = prev.derivative(x_if)
+            waves.append(_SegmentWave("lin", ks[j], edges[j], ds[j], a, b))
+        else:
+            left = chain.prefix[chain.left_cut[j]]
+            right = chain.suffix[chain.right_start[j]]
+            p = cmath.exp(1j * eff_ks[j] * ds[j])
+            denom = 1.0 - left.r_rev * right.r * p * p
+            if abs(denom) < 1e-300:
+                raise ResummationDivergenceError("internal resummation diverges")
+            a = left.t / denom
+            b = right.r * p * a  # left-mover, referenced at the right edge
+            waves.append(_SegmentWave("pw", eff_ks[j], edges[j], ds[j], a, b))
+    return tuple(waves)
+
+
 @dataclass(frozen=True)
 class ScatteringSolution:
     """Scattering amplitudes plus interior wavefunction access at one energy.
@@ -290,12 +402,26 @@ class ScatteringSolution:
     k_left: complex
     k_right: complex
     extent: float
-    segment_waves: tuple[_SegmentWave, ...]
+    # The inputs segment_waves is built from, on first access.
+    _profile: PotentialProfile = field(repr=False, compare=False)
+    _ks: list[complex] = field(repr=False, compare=False)
+    _prop_ks: list[complex] | None = field(repr=False, compare=False)
 
     @property
     def incident_flux(self) -> float:
         """Flux of the unit incident wave, J = 2 k_left (2m = 1)."""
         return 2.0 * self.k_left.real
+
+    @cached_property
+    def segment_waves(self) -> tuple[_SegmentWave, ...]:
+        """Per-segment interior waves, built on first access: no amplitude
+        needs them, only wavefunction_at (so the dwell time) does.
+
+        Raises:
+            ResummationDivergenceError: if a segment's internal round trip
+                has unit gain.
+        """
+        return _segment_waves(self)
 
 
 def _lead_wavevectors(profile: PotentialProfile, E: float) -> tuple[complex, complex]:
@@ -319,49 +445,22 @@ def _solve_prepared(
 ) -> ScatteringSolution:
     k_l, k_r = _lead_wavevectors(profile, E)
     ds = [s.length for s in profile.segments]
-    chain = _build_chain(ks, ds, k_l, k_r, prop_ks)
-    full = chain.full
+    t, r, t_rev, r_rev = _fold(ks, ds, k_l, k_r, prop_ks)
     X = profile.extent()
-    edges = profile.edges()
-    eff_ks = ks if prop_ks is None else prop_ks
-
-    waves: list[_SegmentWave] = []
-    for j in range(len(ks)):
-        if chain.degenerate[j]:
-            # psi, psi' at the left edge, taken from the left neighbour.
-            if j == 0:
-                r0 = full.r
-                a = 1.0 + r0
-                b = 1j * k_l * (1.0 - r0)
-            else:
-                prev = waves[j - 1]
-                x_if = edges[j]
-                a = prev.value(x_if)
-                b = prev.derivative(x_if)
-            waves.append(_SegmentWave("lin", ks[j], edges[j], ds[j], a, b))
-        else:
-            left = chain.prefix[chain.left_cut[j]]
-            right = chain.suffix[chain.right_start[j]]
-            p = cmath.exp(1j * eff_ks[j] * ds[j])
-            denom = 1.0 - left.r_rev * right.r * p * p
-            if abs(denom) < 1e-300:
-                raise ResummationDivergenceError("internal resummation diverges")
-            a = left.t / denom
-            b = right.r * p * a  # left-mover, referenced at the right edge
-            waves.append(_SegmentWave("pw", eff_ks[j], edges[j], ds[j], a, b))
-
     phase = cmath.exp(-1j * k_r * X)
     return ScatteringSolution(
         energy=E,
-        t=full.t * phase,
-        r=full.r,
-        t_rev=full.t_rev * phase,
-        r_rev=full.r_rev * phase * phase,
-        t_local=full.t,
+        t=t * phase,
+        r=r,
+        t_rev=t_rev * phase,
+        r_rev=r_rev * phase * phase,
+        t_local=t,
         k_left=k_l,
         k_right=k_r,
         extent=X,
-        segment_waves=tuple(waves),
+        _profile=profile,
+        _ks=ks,
+        _prop_ks=prop_ks,
     )
 
 

@@ -3,6 +3,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from wavetime import scatter
 from wavetime.cli import main as cli_main
 from wavetime.potentials import PotentialProfile, Segment
 
@@ -101,3 +102,18 @@ def whole_and_split_rows(tmp_path, doc):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """Records one entry per scatter._build_chain call (the prefix/suffix
+    chain that only interior waves and partial_waves need)."""
+    calls = []
+    original = scatter._build_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scatter, "_build_chain", counted)
+    return calls

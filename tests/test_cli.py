@@ -294,6 +294,17 @@ class TestCompare:
         assert res.stderr.startswith("error: --tol:")
         assert "FAIL" not in res.stderr
 
+    @pytest.mark.parametrize("tol", ["nosuchcol=1", "wigenr=10"])
+    def test_tolerance_for_unknown_column_is_error(self, tmp_path, tol):
+        runner = CliRunner()
+        runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        out = str(tmp_path / "out.csv")
+        res = runner.invoke(main, ["compare", out, out, "--tol", tol])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: --tol:")
+        assert repr(tol.partition("=")[0]) in res.stderr
+
     def test_per_column_tolerance_is_applied_from_the_command_line(self, tmp_path):
         runner = CliRunner()
         runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])

@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex_profile, random_real_profile, safe_energy
-from wavetime.errors import NoOpenChannelError, ResummationDivergenceError, ValidationError
+from wavetime import scatter
+from wavetime.errors import (
+    NoOpenChannelError,
+    RegimeAmbiguityError,
+    ResummationDivergenceError,
+    ValidationError,
+)
 from wavetime.potentials import (
     ClockKind,
     ClockSettings,
@@ -94,6 +102,32 @@ class TestSolveBasics:
             assert sol.t == pytest.approx(sol.t_rev, rel=1e-10)
 
 
+def flux_sum(sol):
+    """(k_R/k_L)|t|^2 + |r|^2: 1 for a real potential, <= 1 with absorption."""
+    return abs(sol.t) ** 2 * sol.k_right.real / sol.k_left.real + abs(sol.r) ** 2
+
+
+@st.composite
+def open_channel_problems(draw, v_imag):
+    """A 1-30 segment profile with random leads, and an energy above both leads."""
+    segments = draw(
+        st.lists(
+            st.builds(
+                Segment,
+                length=st.floats(0.1, 2.0),
+                v_real=st.floats(-3.0, 6.0),
+                v_imag=v_imag,
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    v_left = draw(st.floats(-2.0, 2.0))
+    v_right = draw(st.floats(-2.0, 2.0))
+    e = max(v_left, v_right) + draw(st.floats(0.01, 10.0))
+    return PotentialProfile(segments=tuple(segments), v_left=v_left, v_right=v_right), e
+
+
 class TestFluxConservation:
     def test_unitarity_random_real_profiles(self, rng):
         worst = 0.0
@@ -114,9 +148,31 @@ class TestFluxConservation:
     def test_step_potential_flux_weights(self):
         # Unequal leads: |t|^2 k_R/k_L + |r|^2 = 1.
         prof = PotentialProfile(segments=(Segment(1.0, 1.0),), v_right=1.0)
-        sol = solve(prof, 3.0)
-        flux = abs(sol.t) ** 2 * sol.k_right.real / sol.k_left.real + abs(sol.r) ** 2
-        assert flux == pytest.approx(1.0, abs=1e-12)
+        assert flux_sum(solve(prof, 3.0)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.xfail(reason="plane-wave branch loses flux for 1e-5 < |k|(1+d) << 1 (ROADMAP)")
+    def test_flux_is_conserved_just_above_a_segment_top(self):
+        # Above the k -> 0 cutoff the plane-wave branch still runs, and its
+        # flux error grows like eps/|k|: 3.7e-11 at E - V = 3e-11.  Below the
+        # top (evanescent k) and at the top (linear block) it stays ~1e-15.
+        worst = 0.0
+        for de in (1e-8, 1e-9, 1e-10, 3e-11):
+            for length in np.linspace(0.1, 2.0, 40):
+                prof = PotentialProfile(segments=(Segment(length, 2.0), Segment(0.7, -1.0)))
+                worst = max(worst, abs(flux_sum(solve(prof, 2.0 + de)) - 1.0))
+        assert worst <= 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_flux_is_conserved_on_any_real_profile(self, data):
+        prof, e = data.draw(open_channel_problems(v_imag=st.just(0.0)))
+        assert abs(flux_sum(solve(prof, e)) - 1.0) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_absorption_never_adds_flux(self, data):
+        prof, e = data.draw(open_channel_problems(v_imag=st.floats(0.0, 2.0)))
+        assert flux_sum(solve(prof, e)) <= 1.0 + 1e-12
 
 
 class TestOpaqueStability:
@@ -152,15 +208,18 @@ class TestWavefunction:
                 sol.t_local, rel=1e-9
             )
 
-    def test_continuity_at_interfaces(self, rng):
+    def test_continuity_at_interfaces(self, rng, chain_builds):
         for _ in range(20):
             prof = random_real_profile(rng, max_segments=4)
             e = safe_energy(rng, prof)
             sol = solve(prof, e)
+            assert chain_builds == []  # the waves wait for the first interior read
             for x in prof.edges():
                 lo = wavefunction_at(sol, x - 1e-9)
                 hi = wavefunction_at(sol, x + 1e-9)
                 assert abs(lo - hi) < 1e-6
+            assert len(chain_builds) == 1  # and are built once per solution
+            del chain_builds[:]
 
     def test_zero_potential_is_plane_wave_everywhere(self):
         sol = solve(PotentialProfile(segments=(Segment(3.0, 0.0),)), 1.0)
@@ -273,3 +332,112 @@ class TestPropagationOverride:
         dressed = solve_with_propagation_override(prof, e, {0: 2.0 + 1j * eta})
         # No interface mismatch at bare k, so |t| = exp(-eta L) exactly.
         assert abs(dressed.t) == pytest.approx(math.exp(-eta), rel=1e-12)
+
+
+def chain_amplitudes(profile, E, channel=None, prop_override=None):
+    """(t, r, t_rev, r_rev, t_local) read off the last entry of the prefix
+    chain that _build_chain composes element by element."""
+    ks = scatter._segment_ks(profile, E, channel)
+    prop_ks = None
+    if prop_override is not None:
+        prop_ks = list(ks)
+        for j, kp in prop_override.items():
+            prop_ks[j] = kp
+    k_l, k_r = scatter._lead_wavevectors(profile, E)
+    ds = [s.length for s in profile.segments]
+    full = scatter._build_chain(ks, ds, k_l, k_r, prop_ks).prefix[-1]
+    phase = cmath.exp(-1j * k_r * profile.extent())
+    return full.t * phase, full.r, full.t_rev * phase, full.r_rev * phase * phase, full.t
+
+
+def amplitudes(sol):
+    return sol.t, sol.r, sol.t_rev, sol.r_rev, sol.t_local
+
+
+class TestFoldOracle:
+    """solve's one-pass fold must reproduce the prefix chain exactly."""
+
+    @staticmethod
+    def random_problem(rng, top_run):
+        # Real, absorptive and gain segments, some with a Zeeman field, plus a
+        # run of segments exactly at their barrier top (k = 0) when asked.
+        e = float(rng.uniform(0.5, 8.0))
+        segments = [
+            Segment(
+                length=float(rng.uniform(0.1, 2.0)),
+                v_real=float(rng.uniform(-3.0, 6.0)),
+                v_imag=float(rng.choice([0.0, rng.uniform(0.0, 1.0), -rng.uniform(0.0, 1.0)])),
+                omega_larmor=float(rng.choice([0.0, rng.uniform(0.0, 0.5)])),
+            )
+            for _ in range(int(rng.integers(0, 8)))
+        ]
+        if top_run is not None:
+            run = [Segment(float(rng.uniform(0.1, 2.0)), e) for _ in range(int(rng.integers(1, 4)))]
+            at = {"start": 0, "middle": len(segments) // 2, "end": len(segments)}[top_run]
+            segments[at:at] = run
+        v_left, v_right = (float(v) for v in rng.choice([0.0, rng.uniform(-2.0, e)], size=2))
+        prof = PotentialProfile(segments=tuple(segments), v_left=v_left, v_right=v_right)
+        return prof, e
+
+    @pytest.mark.parametrize("top_run", [None, "start", "middle", "end"])
+    def test_solve_equals_prefix_chain(self, rng, top_run):
+        for _ in range(60):
+            prof, e = self.random_problem(rng, top_run)
+            channel = [None, +1, -1][int(rng.integers(0, 3))]
+            sol = solve(prof, e, channel)
+            assert amplitudes(sol) == chain_amplitudes(prof, e, channel)
+
+    @pytest.mark.parametrize("top_run", [None, "start", "middle", "end"])
+    def test_propagation_override_equals_prefix_chain(self, rng, top_run):
+        for _ in range(60):
+            prof, e = self.random_problem(rng, top_run)
+            ks = scatter._segment_ks(prof, e, None)
+            dressable = [j for j, seg in enumerate(prof.segments) if seg.v_real != e]
+            override = {
+                int(j): ks[j] + complex(*rng.normal(0.0, 0.1, size=2))
+                for j in rng.choice(dressable, size=min(2, len(dressable)), replace=False)
+            }
+            sol = solve_with_propagation_override(prof, e, override)
+            assert amplitudes(sol) == chain_amplitudes(prof, e, prop_override=override)
+
+    def test_empty_profile_equals_prefix_chain(self):
+        for v_right in (0.0, 1.5):
+            prof = PotentialProfile(segments=(), v_right=v_right)
+            assert amplitudes(solve(prof, 2.0)) == chain_amplitudes(prof, 2.0)
+
+    @pytest.mark.parametrize(
+        "error, ks, ds, prop_ks",
+        [
+            # ka + kb = 0 at the entry interface (k_left = 1, k_right = 2)
+            (ValidationError, [-1 + 0j], [1.0], None),
+            # r_rev = i after the first interface meets r = -i at the second:
+            # a unit loop gain, so the interface star's denominator is 0
+            (ResummationDivergenceError, [1j, -1 + 0j], [0.0, 1.0], None),
+            # a propagation override on a k = 0 segment
+            (RegimeAmbiguityError, [0j, 1 + 0j], [1.0, 1.0], [0.1 + 0j, 1 + 0j]),
+        ],
+        ids=["degenerate-interface", "unit-loop-gain", "dressed-barrier-top"],
+    )
+    def test_fold_raises_where_chain_raises(self, error, ks, ds, prop_ks):
+        for compose in (scatter._build_chain, scatter._fold):
+            with pytest.raises(error):
+                compose(ks, ds, 1 + 0j, 2 + 0j, prop_ks)
+
+    def test_dressed_barrier_top_raises_from_solve(self):
+        prof = make_rectangular_barrier(4.0, 1.0)
+        with pytest.raises(RegimeAmbiguityError):
+            solve_with_propagation_override(prof, 4.0, {0: 0.1 + 0j})
+
+
+class TestLazyWaves:
+    def test_amplitude_solves_build_no_chain(self, rng, chain_builds):
+        for _ in range(20):
+            prof = random_real_profile(rng, clock_region=True)
+            e = safe_energy(rng, prof)
+            solve(prof, e)
+            solve_spinor(prof, e)
+            lo = prof.clock_region[0]
+            solve_with_propagation_override(prof, e, {lo: wavevector(e, prof.segments[lo]) + 0.01j})
+            wavefunction_at(solve(prof, e), -1.0)
+            wavefunction_at(solve(prof, e), prof.extent() + 1.0)
+        assert chain_builds == []

@@ -36,6 +36,11 @@ from wavetime.timescales import (
 )
 
 FREE = PotentialProfile(segments=(Segment(1.0, 0.0),), clock_region=(0, 0))
+# 12-segment superlattice: barriers V=5, L=0.6 alternating with wells V=1, L=0.9
+STACK = PotentialProfile(
+    segments=tuple(Segment(0.6, 5.0) if i % 2 == 0 else Segment(0.9, 1.0) for i in range(12)),
+    clock_region=(4, 7),
+)
 
 
 class TestFreeSegment:
@@ -302,6 +307,17 @@ class TestFullReport:
         rep = full_report(make_rectangular_barrier(4.0, 1.0), 2.0, channel=channel)
         assert rep.reasons == {}
         assert len(calls) == chains
+
+    @pytest.mark.parametrize("channel, builds", [("transmission", 1), ("reflection", 2)])
+    def test_prefix_chain_builds_per_energy(self, chain_builds, channel, builds):
+        # Only the dwell time's interior waves and the reflection channel's
+        # prompt-reflection partial_waves need the prefix/suffix chain; every
+        # other solve reads its amplitudes off the fold.
+        for e in (0.7, 3.0, 7.5):
+            del chain_builds[:]
+            rep = full_report(STACK, e, channel=channel)
+            assert rep.reasons == {}
+            assert len(chain_builds) == builds
 
     def test_reflection_channel_report(self):
         rep = full_report(make_rectangular_barrier(4.0, 1.0), 2.0, channel="reflection")
