@@ -19,7 +19,9 @@ import io
 import json
 import math
 import os
+import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import click
@@ -400,6 +402,31 @@ def write_table(table: ResultTable, path: str, fmt: str) -> None:
             fh.write(_render_json(table))
 
 
+# A timescale reason joins "label: ExcName: message" parts; an EM row's reason,
+# or a timescale row that failed whole, is one "ExcName: message".
+_LABELLED_CAUSE = re.compile(r"(?:^|; )(\w+): (?=\w+Error: )")
+
+
+def _reason_causes(reason: str) -> list[str]:
+    labels = _LABELLED_CAUSE.findall(reason)
+    if labels:
+        return labels
+    head, sep, _ = reason.partition(": ")
+    return [head] if sep and head.endswith("Error") else ["other"]
+
+
+def _reason_summary(table: ResultTable) -> str:
+    """One line on the reason-coded rows of a sweep: their number, and how many
+    rows name each method label (timescale sweeps) or exception (other sweeps).
+    A lattice step outside the run is counted as "other"."""
+    reasons = [row[-1] for row in table.rows if row[-1] is not None]
+    counts = Counter(cause for reason in reasons for cause in _reason_causes(reason))
+    line = f"reason-coded rows: {len(reasons)} of {len(table.rows)}"
+    if counts:
+        line += " (" + ", ".join(f"{cause}: {n}" for cause, n in sorted(counts.items())) + ")"
+    return line
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -477,6 +504,7 @@ def run_cmd(scenario_file: str) -> None:
     except (WavetimeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    click.echo(_reason_summary(table), err=True)
     click.echo(f"wrote {scenario.output_path} ({len(table.rows)} rows)")
 
 

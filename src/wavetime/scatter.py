@@ -219,17 +219,20 @@ def _degenerate_block(
 ) -> tuple[SMatrix, int, complex]:
     """Merge the run of consecutive k ~ 0 segments that starts at j into one
     block from medium k_prev into the medium after the run.  Returns the
-    block, the run's last segment index and that next medium's wavevector."""
-    if prop_ks[j] != ks[j]:
+    block, the run's last segment index and that next medium's wavevector.
+    An override on any segment of the run is refused: the block has no
+    propagation factor to carry it."""
+    n = len(ks)
+    m = j
+    while m + 1 < n and _is_degenerate(ks[m + 1], ds[m + 1]):
+        m += 1
+    if any(prop_ks[i] != ks[i] for i in range(j, m + 1)):
         raise RegimeAmbiguityError(
             "cannot dress a segment at its barrier top (k ~ 0); offset E"
         )
-    n = len(ks)
-    m = j
     M = _segment_transfer(ks[j], ds[j])
-    while m + 1 < n and _is_degenerate(ks[m + 1], ds[m + 1]):
-        m += 1
-        M = _segment_transfer(ks[m], ds[m]) @ M
+    for i in range(j + 1, m + 1):
+        M = _segment_transfer(ks[i], ds[i]) @ M
     kc = ks[m + 1] if m + 1 < n else k_right
     return _block_smatrix(M, k_prev, kc), m, kc
 

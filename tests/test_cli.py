@@ -1,12 +1,23 @@
 import csv
 import json
+import math
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SPLIT_SWEEPS, em_sweep_doc, run_sweep, whole_and_split_rows
-from wavetime.cli import compare_tables, load_scenario, main, run_scenario
+from wavetime.cli import (
+    ResultTable,
+    Scenario,
+    _reason_summary,
+    compare_tables,
+    load_scenario,
+    main,
+    run_scenario,
+)
 from wavetime.errors import ValidationError
 
 
@@ -250,12 +261,94 @@ class TestRun:
                            "ValidationError: thickness must be positive, got 0.0", ""]
 
 
+class TestReasonSummary:
+    def run(self, tmp_path, doc):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump({**doc, "output": {"path": str(tmp_path / "out.csv"),
+                                                         "format": "csv"}}))
+        res = CliRunner().invoke(main, ["run", str(path)])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == f"wrote {tmp_path / 'out.csv'} ({len(doc['sweep']['grid'])} rows)\n"
+        return res.stderr
+
+    def test_timescale_counts_per_method_label(self, tmp_path):
+        # E = 2.0 is the barrier top: bl and sojourn are reason-coded there.
+        doc = yaml.safe_load(timescale_scenario(tmp_path, grid=(1.0, 2.0, 3.0)).read_text())
+        assert self.run(tmp_path, doc) == "reason-coded rows: 1 of 3 (bl: 1, sojourn: 1)\n"
+
+    def test_em_counts_per_exception(self, tmp_path):
+        doc = em_sweep_doc("carrier", [-1.0, 5.0, 10.0, 15.0], 1024, 200.0)
+        assert self.run(tmp_path, doc) == "reason-coded rows: 2 of 4 (ValidationError: 2)\n"
+
+    def test_lattice_step_outside_run_is_other(self, tmp_path):
+        doc = zeno_doc(tmp_path, "step")
+        doc["sweep"]["grid"] = [1.0, 5.0, 6.0, 7.0]
+        assert self.run(tmp_path, doc) == "reason-coded rows: 2 of 4 (other: 2)\n"
+
+    def test_whole_row_failure_counts_its_exception(self):
+        table = ResultTable(columns=["energy", "wigner", "reason"], rows=[
+            [1.0, None, "NoOpenChannelError: no open channel: E below a lead"],
+            [2.0, None, "larmor: StepSizeError: probe a; b; sojourn: ValidationError: c"],
+            [3.0, 0.5, None],
+        ])
+        assert _reason_summary(table) == (
+            "reason-coded rows: 2 of 3 (NoOpenChannelError: 1, larmor: 1, sojourn: 1)"
+        )
+
+    def test_clean_sweep_reports_zero(self, tmp_path):
+        assert self.run(tmp_path, zeno_doc(tmp_path, "tau")) == "reason-coded rows: 0 of 3\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("parameter", sorted(SPLIT_SWEEPS))
     def test_split_grid_is_byte_identical(self, tmp_path, parameter):
         whole, split = whole_and_split_rows(tmp_path, SPLIT_SWEEPS[parameter])
         assert len(whole) == len(SPLIT_SWEEPS[parameter]["sweep"]["grid"])
         assert whole == split
+
+
+# Nyquist is 26.8 on this 512-sample grid, so carriers above about 20.8 fail
+# PulseSpec's band check.  Carriers below 8 lie under the plasma cutoff.
+_SMALL_PULSE = {"duration": 1.0, "center": 30.0, "n_samples": 512, "span": 60.0}
+_MEDIA = [
+    {"model": "plasma", "thickness": 2.0, "plasma_strength": 8.0, "damping": 0.05},
+    {"model": "lorentz", "thickness": 2.0, "resonance": 12.0, "plasma_strength": 5.0,
+     "damping": 0.1},
+    {"model": "vacuum", "thickness": 2.0},
+]
+
+
+@st.composite
+def em_grids(draw):
+    """An em_pulse scenario with a random, strictly monotone carrier or thickness
+    grid that reaches zero, negative values and carriers past Nyquist."""
+    parameter = draw(st.sampled_from(["carrier", "thickness"]))
+    values = st.floats(-10.0, 40.0) if parameter == "carrier" else st.floats(-5.0, 60.0)
+    grid = sorted(draw(st.lists(values, min_size=1, max_size=8, unique=True)))
+    if draw(st.booleans()):
+        grid.reverse()
+    payload = {
+        "pulse": {**_SMALL_PULSE, "carrier": draw(st.floats(0.5, 20.0))},
+        "medium": draw(st.sampled_from(_MEDIA)),
+    }
+    return Scenario(kind="em_pulse", payload=payload, sweep_parameter=parameter,
+                    sweep_grid=tuple(grid), output_path="unused.csv", output_format="csv",
+                    digest="")
+
+
+class TestRandomGrids:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(em_grids())
+    def test_every_em_grid_value_is_one_row(self, scenario):
+        # filterwarnings = error: a warning escaping a row fails here too.
+        table = run_scenario(scenario)
+        assert [row[0] for row in table.rows] == list(scenario.sweep_grid)
+        for row in table.rows:
+            values, reason = row[1:7], row[-1]
+            if reason is None:
+                assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+            else:
+                assert values == [None] * 6 and row[7] is None and reason
 
 
 class TestCompare:

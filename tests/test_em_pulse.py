@@ -79,6 +79,20 @@ class TestDispersion:
 
 
 class TestTransforms:
+    @pytest.mark.parametrize("kind", ["pulse", "random"])
+    def test_match_numpy_definitions(self, kind):
+        # E~ = dt N ifft(E) and E = fft(E~) / (dt N), the scale folded in.
+        if kind == "pulse":
+            x = PULSE.field()
+        else:
+            rng = np.random.default_rng(7)
+            x = rng.normal(size=PULSE.n_samples) + 1j * rng.normal(size=PULSE.n_samples)
+        dt = PULSE.span / PULSE.n_samples
+        spec = dt * PULSE.n_samples * np.fft.ifft(x)
+        assert np.max(np.abs(to_spectrum(x, PULSE) - spec)) <= 1e-14 * np.max(np.abs(spec))
+        field = np.fft.fft(x) / (dt * PULSE.n_samples)
+        assert np.max(np.abs(to_time(x, PULSE) - field)) <= 1e-14 * np.max(np.abs(field))
+
     def test_round_trip(self):
         field = PULSE.field()
         assert np.max(np.abs(to_time(to_spectrum(field, PULSE), PULSE) - field)) < 1e-12
@@ -177,11 +191,17 @@ class TestDecomposition:
         assert rep.evanescent_regime
 
     @pytest.mark.parametrize("medium", [VACUUM, LORENTZ, PLASMA], ids=["vacuum", "lorentz", "plasma"])
-    def test_spectral_centroids_match_time_domain(self, medium):
+    def test_spectral_centroids_match_time_domain(self, medium, monkeypatch):
         # delay_decomposition takes its arrival times from spectral centroids;
         # propagate + centroid_time is the independent time-domain path that
-        # keeps criterion 13's identity from checking itself.
+        # keeps criterion 13's identity from checking itself, so it must not
+        # share the kernel's cached slab factors.
         rep = delay_decomposition(PULSE, medium)
+
+        def shared(*args):
+            raise AssertionError("the time-domain path read the kernel's slab factors")
+
+        monkeypatch.setattr(em_pulse, "_slab_factors", shared)
         entry, exit_ = propagate(PULSE, medium)
         assert rep.t_in == pytest.approx(centroid_time(entry), rel=1e-12)
         assert rep.t_out == pytest.approx(centroid_time(exit_), rel=1e-12)
@@ -194,12 +214,21 @@ class TestDecomposition:
                 em_pulse, name, lambda *args, _f=original: calls.append(_f) or _f(*args)
             )
         em_pulse._grid_dispersion.cache_clear()
-        rows = [(replace(PULSE, carrier=c), PLASMA) for c in (9.0, 10.0, 11.0)]
-        rows += [(PULSE, replace(PLASMA, thickness=t)) for t in (0.5, 1.0)]
-        for pulse, medium in rows:
+        em_pulse._slab_factors.cache_clear()
+        carrier_rows = [(replace(PULSE, carrier=c), PLASMA) for c in (9.0, 10.0, 11.0)]
+        for pulse, medium in carrier_rows:
             delay_decomposition(pulse, medium)
-        assert len(calls) == 6 * len(rows)
+        assert em_pulse._slab_factors.cache_info().misses == 1
+        thicknesses = (0.5, 1.0)
+        for t in thicknesses:
+            delay_decomposition(PULSE, replace(PLASMA, thickness=t))
+        assert len(calls) == 6 * (len(carrier_rows) + len(thicknesses))
         assert em_pulse._grid_dispersion.cache_info().misses == 1
+        assert em_pulse._slab_factors.cache_info().misses == 1 + len(thicknesses)
+        key = (PLASMA.kind, PLASMA.resonance, PLASMA.plasma_strength, PLASMA.damping,
+               PULSE.n_samples, PULSE.span)
+        for factor in em_pulse._slab_factors(*key, thicknesses[-1]):
+            assert not factor.flags.writeable
 
     def test_luminal_total_for_propagating_spectra(self):
         for thickness in (0.5, 2.0, 5.0):

@@ -428,6 +428,24 @@ class TestFoldOracle:
         with pytest.raises(RegimeAmbiguityError):
             solve_with_propagation_override(prof, 4.0, {0: 0.1 + 0j})
 
+    @pytest.mark.parametrize("dressed", [0, 1, 2], ids=["first", "second", "last"])
+    def test_override_anywhere_in_a_barrier_top_run_raises(self, dressed):
+        # Three consecutive k = 0 segments merge into one block; an override
+        # on any of them, not just the run's first, has nowhere to go.
+        prof = PotentialProfile(segments=(
+            Segment(0.5, 2.0), Segment(0.5, 2.0), Segment(0.7, 2.0), Segment(1.0, 0.0),
+        ))
+        with pytest.raises(RegimeAmbiguityError):
+            solve_with_propagation_override(prof, 2.0, {dressed: 0.3 + 0.1j})
+        ks = scatter._segment_ks(prof, 2.0, None)
+        prop_ks = list(ks)
+        prop_ks[dressed] = 0.3 + 0.1j
+        ds = [seg.length for seg in prof.segments]
+        k_lead = complex(math.sqrt(2.0))
+        for compose in (scatter._build_chain, scatter._fold):
+            with pytest.raises(RegimeAmbiguityError):
+                compose(ks, ds, k_lead, k_lead, prop_ks)
+
 
 class TestLazyWaves:
     def test_amplitude_solves_build_no_chain(self, rng, chain_builds):
