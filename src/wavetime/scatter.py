@@ -7,9 +7,10 @@ product never mixes growing and decaying exponentials, so opaque barriers
 
 Every clock reads only the chain's full S-matrix, so solve() gets its
 amplitudes from one left-to-right fold that keeps a running (t, r, t_rev,
-r_rev) and builds no element list.  The prefix/suffix chain that the interior
-waves need is composed only for wavefunction_at (on the first access to
-ScatteringSolution.segment_waves) and for partial_waves.
+r_rev) and builds no element list; partial_waves folds the stacks on either
+side of the clock region the same way.  The prefix/suffix chain that the
+interior waves need is composed only on the first access to
+ScatteringSolution.segment_waves (wavefunction_at and the dwell time).
 
 Amplitude conventions: the incident wave is exp(i k_L x) with unit amplitude in
 absolute coordinates, so the empty (zero-potential) profile gives t = 1, r = 0.
@@ -418,7 +419,7 @@ class ScatteringSolution:
     @cached_property
     def segment_waves(self) -> tuple[_SegmentWave, ...]:
         """Per-segment interior waves, built on first access: no amplitude
-        needs them, only wavefunction_at (so the dwell time) does.
+        needs them, only wavefunction_at and the dwell time do.
 
         Raises:
             ResummationDivergenceError: if a segment's internal round trip
@@ -557,29 +558,31 @@ def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
         raise ValidationError("profile has no clock region")
     ks = _segment_ks(profile, E, None)
     k_l, k_r = _lead_wavevectors(profile, E)
-    chain = _build_chain(ks, [s.length for s in profile.segments], k_l, k_r)
+    ds = [s.length for s in profile.segments]
     lo, hi = region
-    if chain.degenerate[lo] or chain.degenerate[hi]:
+    if _is_degenerate(ks[lo], ds[lo]) or _is_degenerate(ks[hi], ds[hi]):
         raise RegimeAmbiguityError(
             "clock region boundary sits at its barrier top (k ~ 0); offset E"
         )
-    s_left = chain.prefix[chain.left_cut[lo]]
-    s_right = chain.suffix[chain.right_start[hi]]
+    # The stacks on either side of the region, each folded on its own into
+    # the region's edge media.
+    t12, r12, t21, r21 = _fold(ks[:lo], ds[:lo], k_l, ks[lo])
+    t23, r23, _, _ = _fold(ks[hi + 1 :], ds[hi + 1 :], ks[hi], k_r)
     k_inner = ks[lo] if lo == hi else None
     length = sum(profile.segments[j].length for j in range(lo, hi + 1))
     if k_inner is not None:
-        loop = s_left.r_rev * s_right.r * cmath.exp(2j * k_inner * length)
+        loop = r21 * r23 * cmath.exp(2j * k_inner * length)
         if abs(loop) >= 1.0 + 1e-12:
             raise ResummationDivergenceError(
                 f"|r21 r23 e^(2ik'L)| = {abs(loop):.6g} >= 1; series diverges"
             )
     return PartialWaveSet(
-        t12=s_left.t,
-        r12=s_left.r,
-        t21=s_left.t_rev,
-        r21=s_left.r_rev,
-        t23=s_right.t,
-        r23=s_right.r,
+        t12=t12,
+        r12=r12,
+        t21=t21,
+        r21=r21,
+        t23=t23,
+        r23=r23,
         k_inner=k_inner,
         region_length=length,
     )

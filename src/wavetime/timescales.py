@@ -3,7 +3,8 @@
 Implemented clocks and delays (natural units, hbar = 1, 2m = 1):
 
 * Wigner delay: energy derivative of the exit-referenced scattering phase.
-* Smith dwell time: integrated density over a region divided by incident flux.
+* Smith dwell time: integrated density over a region divided by incident flux,
+  with each segment's stored wave integrated in closed form.
 * Buttiker-Landauer time: segment-wise d/(2 kappa) below the barrier and the
   classical crossing d/(2 k) above it (the super-barrier form is an
   interpretation; the WKB expression is sub-barrier only).
@@ -20,27 +21,27 @@ Implemented clocks and delays (natural units, hbar = 1, 2m = 1):
 
 Every zero-strength limit goes through one probe ladder: the clock names the
 parameter it probes, the amplitude it reads and the factor it applies; the
-ladder lays out symmetric probes, reduces the amplitudes to ln|a|^2 or
-unwrapped phases and Richardson-extrapolates the central differences.
-Reported times carry step sizes and an extrapolation error estimate in their
-diagnostics.
+ladder probes at +-h, +-h/2 and +-h/4, reduces the amplitudes to ln|a|^2 or
+unwrapped phases and applies one fixed Richardson stencil to the central
+differences.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 
-from scipy.integrate import quad
+import numpy as np
 
 from . import scatter
 from .errors import (
+    DerivativeError,
     DivergentIntegrandError,
     LogSingularityError,
     RegimeAmbiguityError,
+    StepSizeError,
     ValidationError,
     WavetimeError,
 )
-from .numdiff import DerivativeResult, central_differences, richardson, unwrapped_phases
 from .potentials import ClockKind, ClockSettings, PotentialProfile, with_clock
 
 __all__ = [
@@ -65,20 +66,24 @@ _AMPLITUDE_FLOOR = 1e-8  # below this the log-derivative is declared singular
 _PHASE_FLOOR = 1e-150
 
 
-# Probe ladder realising every zero-strength limit: relative probe strengths,
-# strictly decreasing, scaled by the local energy scale max(E, |V0 - E|) at the
-# point of use, and the number of Richardson levels applied to them.
-_PROBE_STEPS = (1e-2, 5e-3, 2.5e-3)
-_RICHARDSON_LEVELS = 2
+# Probe ladder realising every zero-strength limit: the largest probe h is
+# this relative strength times the local energy scale max(E, |V0 - E|) at the
+# point of use; the ladder also probes at h/2 and h/4.
+_PROBE_STEP = 1e-2
+# Unwrapped phases of neighbouring probes further apart than this undersample
+# the phase.
+_MAX_PHASE_JUMP = math.pi / 2
 
 
 @dataclass(frozen=True)
 class TimescaleReport:
-    """All computed times at one energy, with per-entry diagnostics.
+    """All computed times at one energy.
 
     entries maps method labels (wigner, dwell, bl, larmor_y, larmor_z,
     larmor_pythagorean, imag_clock, sojourn) to times; methods whose
     preconditions fail appear in reasons instead, never as NaN entries.
+    diagnostics["larmor_y"]["raw_derivative_sign"] is the sign of the
+    precession derivative that larmor_y reports as a magnitude.
     """
 
     energy: float
@@ -172,16 +177,43 @@ def _dressed_solution(
     return scatter.solve_with_propagation_override(profile, E, override)
 
 
-def _ladder(scale: float, centre: bool = False) -> tuple[list[float], list[float]]:
-    """Probe steps h_i = s_i * scale and the probe offsets laid out as
-    [-h1..-hm, (0,) hm..h1]; the centre probe anchors phase unwrapping."""
-    hs = [s * scale for s in _PROBE_STEPS]
-    return hs, [-h for h in hs] + ([0.0] if centre else []) + hs[::-1]
+def _ladder(scale: float, centre: bool = False) -> tuple[float, list[float]]:
+    """The largest probe h and the probe offsets laid out as
+    [-h, -h/2, -h/4, (0,) h/4, h/2, h]; the centre probe anchors phase
+    unwrapping."""
+    h = _PROBE_STEP * scale
+    hs = [h, 0.5 * h, 0.25 * h]
+    return h, [-s for s in hs] + ([0.0] if centre else []) + hs[::-1]
+
+
+def richardson(values, h: float) -> float:
+    """Derivative at zero of f from its values at the ladder offsets
+    [-h, -h/2, -h/4, (0,) h/4, h/2, h].
+
+    With the central differences D(s) = (f(s) - f(-s)) / (2 s), whose errors
+    are even in s, the stencil (64 D(h/4) - 20 D(h/2) + D(h)) / 45 cancels the
+    h^2 and h^4 terms.
+
+    Raises:
+        DerivativeError: if the result is not finite.
+    """
+    d1, d2, d4 = (
+        (values[-1 - i] - values[i]) / (2.0 * s) for i, s in enumerate((h, 0.5 * h, 0.25 * h))
+    )
+    value = (64.0 * d4 - 20.0 * d2 + d1) / 45.0
+    if not math.isfinite(value):
+        raise DerivativeError("derivative extrapolation produced a non-finite value")
+    return float(value)
 
 
 def _reduce(amps: list[complex], kind: str, what: str):
     """Guard the probe amplitudes against zeros, then reduce them to ln|a|^2
-    (kind "log") or to continuous phases (kind "phase")."""
+    (kind "log") or to continuous phases (kind "phase").
+
+    Raises:
+        StepSizeError: if neighbouring unwrapped phases still jump by more
+            than _MAX_PHASE_JUMP.
+    """
     floor = _AMPLITUDE_FLOOR if kind == "log" else _PHASE_FLOOR
     if min(abs(a) for a in amps) < floor:
         raise LogSingularityError(
@@ -189,40 +221,33 @@ def _reduce(amps: list[complex], kind: str, what: str):
         )
     if kind == "log":
         return [math.log(abs(a) ** 2) for a in amps]
-    return unwrapped_phases(amps)
-
-
-def _extrapolate(at: dict[float, float], hs: list[float]) -> DerivativeResult:
-    """Richardson-extrapolated derivative at zero from values keyed by probe offset."""
-    f_plus = [at[h] for h in hs]
-    f_minus = [at[-h] for h in hs]
-    return richardson(central_differences(f_plus, f_minus, hs), hs, _RICHARDSON_LEVELS)
+    phases = np.unwrap(np.angle(np.asarray(amps, dtype=complex)))
+    if np.max(np.abs(np.diff(phases))) > _MAX_PHASE_JUMP:
+        raise StepSizeError(
+            f"phase of the {what} jumps by more than pi/2 between neighbouring probes; "
+            "the probe ladder undersamples it"
+        )
+    return phases
 
 
 def _ladder_derivative(
     amplitude, scale: float, kind: str, what: str, centre: bool = False
-) -> DerivativeResult:
+) -> float:
     """d/ds of ln|a(s)|^2 or arg a(s) at s = 0 over the probe ladder."""
-    hs, offsets = _ladder(scale, centre)
-    values = _reduce([amplitude(s) for s in offsets], kind, what)
-    return _extrapolate(dict(zip(offsets, values)), hs)
-
-
-def _diag(result: DerivativeResult, **extra) -> dict:
-    d = {
-        "steps": list(result.steps),
-        "richardson_error": result.error_estimate,
-        "table_diagonal": list(result.table_diagonal),
-    }
-    d.update(extra)
-    return d
+    h, offsets = _ladder(scale, centre)
+    return richardson(_reduce([amplitude(s) for s in offsets], kind, what), h)
 
 
 # ---------------------------------------------------------------------------
 # group-delay and flux-based times
 
 
-def _wigner_detailed(profile: PotentialProfile, E: float, channel: str) -> DerivativeResult:
+def wigner_delay(profile: PotentialProfile, E: float, channel: str = "transmission") -> float:
+    """Wigner group delay d(phase)/dE of t (exit-referenced) or r.
+
+    With hbar = 1 the frequency is the energy, so this is literally
+    d(Arg amplitude)/dE with continuous phase tracking across the probes.
+    """
     lead = max(profile.v_left, profile.v_right)
 
     def amplitude(dE: float) -> complex:
@@ -238,13 +263,38 @@ def _wigner_detailed(profile: PotentialProfile, E: float, channel: str) -> Deriv
     )
 
 
-def wigner_delay(profile: PotentialProfile, E: float, channel: str = "transmission") -> float:
-    """Wigner group delay d(phase)/dE of t (exit-referenced) or r.
+def _density_integral(w: scatter._SegmentWave) -> float:
+    """Integral of |psi|^2 over one segment's stored wave (u in [0, d]),
+    whose k^2 is real.
 
-    With hbar = 1 the frequency is the energy, so this is literally
-    d(Arg amplitude)/dE with continuous phase tracking across the probes.
+    A "pw" wave a e^{iku} + b e^{ik(d-u)} gives d|a+b|^2 - 2 Re(a b*) D for
+    real k and [-expm1(-2 kappa d)/(2 kappa)] |a+b|^2 + 2 Re(a b*) e^{-kappa d} D
+    for k = i kappa, with D = d - sin(kd)/k; e^{-kappa d} D is taken as
+    d e^{-kappa d} - [-expm1(-2 kappa d)/(2 kappa)], which cannot overflow.  A
+    "lin" wave a cos(ku) + b sin(ku)/k (|k| d < 1e-5) is a + bu minus
+    k^2 (a u^2/2 + b u^3/6) to first order; the rest is below (kd)^4 < 1e-20.
     """
-    return _wigner_detailed(profile, E, channel).value
+    a, b, d = w.a, w.b, w.d
+    kr, kap = w.k.real, w.k.imag  # one of the two is zero
+    k2 = kr * kr - kap * kap
+    ab = (a * b.conjugate()).real
+    if w.kind == "lin":
+        aa, bb = abs(a) ** 2, abs(b) ** 2
+        return (
+            aa * d + ab * d**2 + bb * d**3 / 3.0
+            - k2 * (aa * d**3 + ab * d**4 + bb * d**5 / 5.0) / 3.0
+        )
+    s2 = abs(a + b) ** 2
+    x2 = k2 * d * d
+    series = abs(x2) < 1e-2
+    if series:
+        # D by its Taylor series in (kd)^2, free of cancellation.
+        D = d * x2 * (1 / 6 - x2 * (1 / 120 - x2 * (1 / 5040 - x2 * (1 / 362880 - x2 / 39916800))))
+    if kap == 0.0:
+        return d * s2 - 2.0 * ab * (D if series else d - math.sin(kr * d) / kr)
+    tail = -math.expm1(-2.0 * kap * d) / (2.0 * kap)
+    decay = math.exp(-kap * d)
+    return tail * s2 + 2.0 * ab * (decay * D if series else d * decay - tail)
 
 
 def dwell_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None = None) -> float:
@@ -269,19 +319,7 @@ def dwell_time(profile: PotentialProfile, E: float, region: tuple[int, int] | No
     J = sol.incident_flux
     if J == 0.0:
         raise ValidationError("incident flux vanishes")
-    edges = profile.edges()
-    total = 0.0
-    for j in range(lo, hi + 1):
-        val, _ = quad(
-            lambda x: abs(scatter.wavefunction_at(sol, x)) ** 2,
-            edges[j],
-            edges[j + 1],
-            limit=200,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
-        total += val
-    return total / J
+    return sum(_density_integral(w) for w in sol.segment_waves[lo : hi + 1]) / J
 
 
 def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None = None) -> float:
@@ -324,24 +362,25 @@ def _spin_expectations(a: complex, b: complex, what: str) -> tuple[float, float]
 
 def _spin_ladder(
     pair, scale: float, what: str, mirrored: bool
-) -> tuple[list[float], dict[float, tuple[float, float]]]:
-    """Probe steps and (<S_y>, <S_z>) keyed by probe offset for the Zeeman
-    pair (spin-up, spin-down) = pair(h).
+) -> tuple[float, list[tuple[float, float]]]:
+    """The largest probe and (<S_y>, <S_z>) at each probe offset, in ladder
+    order, for the Zeeman pair (spin-up, spin-down) = pair(s).
 
-    When the probed field is the only one the spinor sees, spin-down at +h
-    has the same k^2 shift as spin-up at -h (and vice versa); mirrored=True
-    then reads each -h probe off the +h pair swapped instead of solving it.
+    When the probed field is the only one the spinor sees, spin-down at +s
+    has the same k^2 shift as spin-up at -s (and vice versa); mirrored=True
+    then reads each -s probe off the +s pair swapped instead of solving it.
     """
-    hs, offsets = _ladder(scale)
-    pairs = {h: pair(h) for h in hs}
-    for h in hs:
-        pairs[-h] = pairs[h][::-1] if mirrored else pair(-h)
-    return hs, {s: _spin_expectations(*pairs[s], what) for s in offsets}
+    h, offsets = _ladder(scale)
+    pairs = {s: pair(s) for s in offsets if s > 0}
+    for s in offsets:
+        if s < 0:
+            pairs[s] = pairs[-s][::-1] if mirrored else pair(s)
+    return h, [_spin_expectations(*pairs[s], what) for s in offsets]
 
 
 def _larmor_detailed(
     profile: PotentialProfile, E: float, channel: str
-) -> tuple[DerivativeResult, DerivativeResult, float]:
+) -> tuple[float, float, float]:
     _clock_region(profile)
 
     def pair(omega: float) -> tuple[complex, complex]:
@@ -358,10 +397,10 @@ def _larmor_detailed(
         if j not in clock_segs
     )
     scale = _energy_scale(profile, E, list(clock_segs))
-    hs, spins = _spin_ladder(pair, scale, f"{channel} spinor amplitude", mirrored)
-    d_sy = _extrapolate({s: s_y for s, (s_y, _) in spins.items()}, hs)
-    d_sz = _extrapolate({s: s_z for s, (_, s_z) in spins.items()}, hs)
-    sign_y = math.copysign(1.0, d_sy.value) if d_sy.value != 0.0 else 0.0
+    h, spins = _spin_ladder(pair, scale, f"{channel} spinor amplitude", mirrored)
+    d_sy = richardson([s_y for s_y, _ in spins], h)
+    d_sz = richardson([s_z for _, s_z in spins], h)
+    sign_y = math.copysign(1.0, d_sy) if d_sy != 0.0 else 0.0
     return d_sy, d_sz, sign_y
 
 
@@ -376,19 +415,7 @@ def larmor_times(
     available through full_report diagnostics.
     """
     d_sy, d_sz, _ = _larmor_detailed(profile, E, channel)
-    return abs(2.0 * d_sy.value), 2.0 * d_sz.value
-
-
-def _imag_clock_detailed(profile: PotentialProfile, E: float, channel: str) -> DerivativeResult:
-    _clock_region(profile)
-
-    def amplitude(v_imag: float) -> complex:
-        clocked = with_clock(profile, ClockSettings(ClockKind.IMAGINARY_POTENTIAL, v_imag))
-        sol = scatter.solve(clocked, E)
-        return sol.t if channel == "transmission" else sol.r
-
-    scale = _energy_scale(profile, E, list(profile.clock_indices()))
-    return _ladder_derivative(amplitude, scale, "log", f"{channel} amplitude")
+    return abs(2.0 * d_sy), 2.0 * d_sz
 
 
 def imag_clock_time(
@@ -400,7 +427,15 @@ def imag_clock_time(
     logarithmic derivative; free propagation then clocks the literal crossing
     time L/(2k).
     """
-    return -0.5 * _imag_clock_detailed(profile, E, channel).value
+    _clock_region(profile)
+
+    def amplitude(v_imag: float) -> complex:
+        clocked = with_clock(profile, ClockSettings(ClockKind.IMAGINARY_POTENTIAL, v_imag))
+        sol = scatter.solve(clocked, E)
+        return sol.t if channel == "transmission" else sol.r
+
+    scale = _energy_scale(profile, E, list(profile.clock_indices()))
+    return -0.5 * _ladder_derivative(amplitude, scale, "log", f"{channel} amplitude")
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +469,10 @@ def _sojourn_detailed(
     E: float,
     regions,
     channel: str,
-) -> tuple[float, DerivativeResult, bool]:
+) -> tuple[float, bool]:
     """Shared xi-derivative machinery for both scattering channels.
 
-    Returns (time, derivative result of the innermost call, mixed_regime).
+    Returns (time, mixed_regime).
     """
     region_list = _normalize_regions(profile, regions)
     segs = _region_segments(region_list)
@@ -451,7 +486,7 @@ def _sojourn_detailed(
             )
         r12 = scatter.partial_waves(replace(profile, clock_region=region_list[0]), E).r12
 
-    def branch_time(active: list[int], regime: str) -> DerivativeResult:
+    def branch_time(active: list[int], regime: str) -> float:
         L_act = sum(profile.segments[j].length for j in active)
 
         def amplitude(xi: float) -> complex:
@@ -462,7 +497,7 @@ def _sojourn_detailed(
         # Propagating regions time the decay of |a|^2, evanescent ones the
         # phase the clock adds.
         propagating = regime == "propagating"
-        res = _ladder_derivative(
+        derivative = _ladder_derivative(
             amplitude,
             _energy_scale(profile, E, active) * L_act,
             "log" if propagating else "phase",
@@ -470,20 +505,17 @@ def _sojourn_detailed(
             centre=True,
         )
         factor = -(L_act / 2.0) if propagating else L_act
-        return replace(res, value=factor * res.value)
+        return factor * derivative
 
     unique_regimes = set(regimes.values())
     if len(unique_regimes) == 1:
-        res = branch_time(segs, unique_regimes.pop())
-        return res.value, res, False
+        return branch_time(segs, unique_regimes.pop()), False
     # Mixed sub/super-barrier regions: per-segment contributions, each with
     # its own branch; additive by the chain rule, reported as extrapolated.
     total = 0.0
-    last = None
     for j in segs:
-        last = branch_time([j], regimes[j])
-        total += last.value
-    return total, last, True
+        total += branch_time([j], regimes[j])
+    return total, True
 
 
 def sojourn_transmission(profile: PotentialProfile, E: float, regions=None) -> float:
@@ -493,8 +525,7 @@ def sojourn_transmission(profile: PotentialProfile, E: float, regions=None) -> f
     phase of T(xi) (where the clock acts); regions may be a (lo, hi) pair or a
     sequence of disjoint pairs (times add over disjoint regions).
     """
-    value, _, _ = _sojourn_detailed(profile, E, regions, "transmission")
-    return value
+    return _sojourn_detailed(profile, E, regions, "transmission")[0]
 
 
 def sojourn_reflection(
@@ -506,8 +537,7 @@ def sojourn_reflection(
     Raises:
         LogSingularityError: if |R'| vanishes (nothing but prompt reflection).
     """
-    value, _, _ = _sojourn_detailed(profile, E, region, "reflection")
-    return value
+    return _sojourn_detailed(profile, E, region, "reflection")[0]
 
 
 def sojourn_via_larmor_pairing(profile: PotentialProfile, E: float, regions=None) -> float:
@@ -550,11 +580,10 @@ def sojourn_via_larmor_pairing(profile: PotentialProfile, E: float, regions=None
 
     scale = _energy_scale(profile, E, segs) * L_tot
     # The override solve ignores omega_larmor, so the pair always mirrors.
-    hs, spins = _spin_ladder(pair, scale, "dressed spinor amplitude", mirrored=True)
+    h, spins = _spin_ladder(pair, scale, "dressed spinor amplitude", mirrored=True)
     # Precession (S_y) for propagating regions, rotation (S_z) for evanescent.
     component = 0 if regime == "propagating" else 1
-    res = _extrapolate({s: spin[component] for s, spin in spins.items()}, hs)
-    return abs(2.0 * L_tot * res.value)
+    return abs(2.0 * L_tot * richardson([spin[component] for spin in spins], h))
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +613,7 @@ def full_report(
             reasons[label] = f"{type(exc).__name__}: {exc}"
 
     def _wigner() -> None:
-        res = _wigner_detailed(profile, E, channel)
-        entries["wigner"] = res.value
-        diagnostics["wigner"] = _diag(res)
+        entries["wigner"] = wigner_delay(profile, E, channel)
 
     def _dwell() -> None:
         entries["dwell"] = dwell_time(profile, E)
@@ -596,10 +623,9 @@ def full_report(
 
     def _larmor() -> None:
         d_sy, d_sz, sign_y = _larmor_detailed(profile, E, channel)
-        entries["larmor_y"] = abs(2.0 * d_sy.value)
-        entries["larmor_z"] = 2.0 * d_sz.value
-        diagnostics["larmor_y"] = _diag(d_sy, raw_derivative_sign=sign_y)
-        diagnostics["larmor_z"] = _diag(d_sz)
+        entries["larmor_y"] = abs(2.0 * d_sy)
+        entries["larmor_z"] = 2.0 * d_sz
+        diagnostics["larmor_y"] = {"raw_derivative_sign": sign_y}
         # Optional derived quantity; no fundamental basis, reported for
         # comparison only.
         entries["larmor_pythagorean"] = math.hypot(
@@ -607,14 +633,10 @@ def full_report(
         )
 
     def _imag() -> None:
-        res = _imag_clock_detailed(profile, E, channel)
-        entries["imag_clock"] = -0.5 * res.value
-        diagnostics["imag_clock"] = _diag(res)
+        entries["imag_clock"] = imag_clock_time(profile, E, channel)
 
     def _sojourn() -> None:
-        value, res, mixed = _sojourn_detailed(profile, E, None, channel)
-        entries["sojourn"] = value
-        diagnostics["sojourn"] = _diag(res)
+        entries["sojourn"], mixed = _sojourn_detailed(profile, E, None, channel)
         if mixed:
             flags["extrapolated_beyond_paper"] = True
 

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -18,6 +22,7 @@ from wavetime.cli import (
     main,
     run_scenario,
 )
+import wavetime
 from wavetime.errors import ValidationError
 
 
@@ -426,3 +431,18 @@ class TestCompare:
         b = ResultTable(columns=["y"], rows=[])
         with pytest.raises(ValidationError):
             compare_tables(a, b, {}, 1e-9)
+
+
+def test_import_leaves_out_integrate_and_optimize():
+    # Nothing the command line imports needs scipy's quadrature or optimisers.
+    code = (
+        "import sys, wavetime.cli; print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    src = str(Path(wavetime.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"

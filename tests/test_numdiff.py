@@ -1,55 +1,73 @@
+"""Numerical differentiation in timescales: the probe ladder's fixed Richardson
+stencil and its phase unwrapping."""
+import cmath
 import math
 
-import numpy as np
 import pytest
 
+from wavetime import timescales
 from wavetime.errors import DerivativeError, StepSizeError
-from wavetime.numdiff import (
-    central_differences,
-    derivative_at_zero,
-    richardson,
-    unwrapped_phases,
-)
+from wavetime.potentials import make_rectangular_barrier
+from wavetime.timescales import full_report, richardson
+
+
+def ladder_values(f, h, centre=False):
+    """f over the ladder offsets [-h, -h/2, -h/4, (0,) h/4, h/2, h]."""
+    hs = [h, 0.5 * h, 0.25 * h]
+    return [f(s) for s in [-s for s in hs] + ([0.0] if centre else []) + hs[::-1]]
 
 
 def test_polynomial_derivative_is_exact():
-    # Central differences are exact through cubic terms, so one Richardson
-    # level nails any cubic.
-    res = derivative_at_zero(lambda h: 1.0 + 2.0 * h + 5.0 * h**3, [1e-2, 5e-3])
-    assert res.value == pytest.approx(2.0, abs=1e-12)
+    # The stencil cancels the h^2 and h^4 error terms, so it is exact on any
+    # odd quintic (up to rounding), with or without the centre probe.
+    def f(s):
+        return 1.5 + 2.0 * s - 7.0 * s**3 + 40.0 * s**5
+
+    for centre in (False, True):
+        assert richardson(ladder_values(f, 0.3, centre), 0.3) == pytest.approx(2.0, rel=1e-13)
 
 
 def test_richardson_beats_raw_differences():
-    f = math.sin
-    steps = [1e-1, 5e-2, 2.5e-2]
-    raw = central_differences([f(h) for h in steps], [f(-h) for h in steps], steps)
-    res = richardson(raw, steps, levels=2)
-    assert abs(res.value - 1.0) < abs(raw[-1] - 1.0) * 1e-3
-    assert abs(res.value - 1.0) < 10 * res.error_estimate
-
-
-def test_error_estimate_tracks_actual_error():
-    res = derivative_at_zero(lambda h: math.exp(2 * h), [1e-2, 5e-3, 2.5e-3])
-    assert abs(res.value - 2.0) <= max(res.error_estimate, 1e-13)
-
-
-def test_requires_two_steps():
-    with pytest.raises(DerivativeError):
-        richardson([1.0], [1e-2], levels=1)
+    h = 1e-1
+    raw = (math.sin(h) - math.sin(-h)) / (2.0 * h)
+    value = richardson(ladder_values(math.sin, h), h)
+    assert abs(value - 1.0) < abs(raw - 1.0) * 1e-5
 
 
 def test_non_finite_value_raises():
     with pytest.raises(DerivativeError):
-        derivative_at_zero(lambda h: math.inf, [1e-2, 5e-3])
+        richardson(ladder_values(lambda s: math.inf if s > 0 else 0.0, 1e-2), 1e-2)
 
 
 def test_unwrapped_phases_cross_branch_cut():
-    amps = [np.exp(1j * phi) for phi in (3.0, 3.1, 3.2, 3.3)]
-    phases = unwrapped_phases(amps)
-    assert np.allclose(np.diff(phases), 0.1)
+    # arg a(s) = pi - 0.01 + 3 s runs through the branch cut at pi on the ladder.
+    def amplitude(s):
+        return cmath.exp(1j * (math.pi - 0.01 + 3.0 * s))
+
+    value = timescales._ladder_derivative(amplitude, 1.0, "phase", "amplitude", centre=True)
+    assert value == pytest.approx(3.0, rel=1e-10)
 
 
 def test_undersampled_phase_raises():
-    amps = [np.exp(1j * phi) for phi in (0.0, 2.0, 4.0)]
-    with pytest.raises(StepSizeError):
-        unwrapped_phases(amps)
+    # 500 s moves the phase by 2.5 rad between the probes at -h and -h/2.
+    def amplitude(s):
+        return cmath.exp(500j * s)
+
+    with pytest.raises(StepSizeError, match="undersamples"):
+        timescales._ladder_derivative(amplitude, 1.0, "phase", "amplitude", centre=True)
+
+
+@pytest.mark.parametrize("channel", ["transmission", "reflection"])
+def test_full_report_takes_one_stencil_per_derivative(monkeypatch, channel):
+    # wigner 1 + larmor_y 1 + larmor_z 1 + imag_clock 1 + sojourn 1
+    calls = []
+    original = timescales.richardson
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(timescales, "richardson", counted)
+    rep = full_report(make_rectangular_barrier(4.0, 1.0), 2.0, channel=channel)
+    assert rep.reasons == {}
+    assert len(calls) == 5

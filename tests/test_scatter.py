@@ -302,6 +302,25 @@ class TestPartialWaves:
         pw = partial_waves(prof, 2.0)
         assert pw.r21 == pytest.approx(pw.r23, rel=1e-12)
 
+    def test_stacks_equal_chain_cuts(self, rng, chain_builds):
+        # The left stack is the chain's prefix at the region's entry, bit for
+        # bit; the right stack is its suffix at the exit, folded the other way.
+        for _ in range(50):
+            prof = random_real_profile(rng, clock_region=True)
+            e = safe_energy(rng, prof)
+            pw = partial_waves(prof, e)
+            assert chain_builds == []
+            ks = scatter._segment_ks(prof, e, None)
+            k_l, k_r = scatter._lead_wavevectors(prof, e)
+            chain = scatter._build_chain(ks, [s.length for s in prof.segments], k_l, k_r)
+            del chain_builds[:]
+            lo, hi = prof.clock_region
+            left = chain.prefix[chain.left_cut[lo]]
+            right = chain.suffix[chain.right_start[hi]]
+            assert (pw.t12, pw.r12, pw.t21, pw.r21) == (left.t, left.r, left.t_rev, left.r_rev)
+            assert pw.t23 == pytest.approx(right.t, rel=1e-12)
+            assert pw.r23 == pytest.approx(right.r, rel=1e-12, abs=1e-15)
+
     def test_gain_region_diverges(self):
         # A gain (v_imag < 0) region amplifies each internal round trip, so
         # the geometric series for the region's partial waves diverges.
