@@ -77,7 +77,7 @@ def _require_keys(mapping: dict, allowed: set[str], required: set[str], where: s
         raise ValidationError(f"{where}: must be a mapping, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
-        raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ValidationError(f"{where}: unknown key(s) {sorted(unknown, key=repr)}")
     missing = required - set(mapping)
     if missing:
         raise ValidationError(f"{where}: missing key(s) {sorted(missing)}")
@@ -89,8 +89,10 @@ _INTEGER_FIELDS = frozenset({"n_samples", "n_sites", "initial_site", "n_steps"})
 def _number(value, where: str, integer: bool = False) -> float | int:
     """A scalar field as a float, or as an int; a ValidationError names the field."""
     try:
+        if isinstance(value, bytes):  # YAML's !!binary; float() would parse b"1"
+            raise TypeError
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{where}: expected a number, got {value!r}") from None
     if integer and not out.is_integer():
         raise ValidationError(f"{where}: expected an integer, got {value!r}")
@@ -337,6 +339,8 @@ def _em_row(pulse: em_pulse.PulseSpec, medium: em_pulse.MediumSpec, parameter: s
         flags.append("residual_above_tolerance")
     if rep.evanescent_regime:
         flags.append("evanescent_regime")
+    if rep.window_truncated:
+        flags.append("window_truncated")
     return [
         value, rep.t_in, rep.t_out, rep.delta_t, rep.delta_t_group,
         rep.delta_t_reshape, rep.residual, "|".join(flags) or None, None,

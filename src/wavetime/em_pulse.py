@@ -29,6 +29,13 @@ factors exp(i k L) and exp(-Im k L) once per thickness, so a carrier sweep
 computes all of them once.  propagate, centroid_time and
 detector_absorption_time build their own factors: they are the independent
 time-domain check of the kernel.
+
+The transforms are periodic in time, so a field that has not decayed by the
+edges of the window wraps around it, and no spectral check can see that.
+_time_moment reads the exit and attenuated fields at their first and last
+samples on its way through the time domain, and a row where either has not
+decayed is flagged window_truncated, not refused: the arrival times are then
+not converged in the window span.
 """
 from __future__ import annotations
 
@@ -60,6 +67,9 @@ __all__ = [
 ]
 
 _ALIAS_TOL = 1e-6
+# |E|^2 at the first or last sample of the time window above this fraction of
+# its peak means the field wraps around the periodic window.
+_EDGE_TOL = 1e-12
 
 
 class MediumKind(Enum):
@@ -151,6 +161,9 @@ class DelayReport:
     against the tolerance and reported, never silently dropped.
     evanescent_regime marks pulses with non-negligible spectral content below
     a plasma cutoff, where luminality of the total delay is not guaranteed.
+    window_truncated marks an exit or attenuated field that has not decayed
+    at the edges of the time window: it wraps around the periodic grid, so
+    the arrival times are not converged in the window span.
     """
 
     t_in: float
@@ -161,6 +174,7 @@ class DelayReport:
     residual: float
     residual_ok: bool
     evanescent_regime: bool
+    window_truncated: bool
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +288,17 @@ def to_time(spectrum: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     return field
 
 
-def _time_moment(spectrum: np.ndarray, pulse: PulseSpec, times: np.ndarray) -> np.ndarray:
-    """q = -i dE~/domega, the spectrum of the time moment t E(t) (exact duality)."""
+def _time_moment(
+    spectrum: np.ndarray, pulse: PulseSpec, times: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """q = -i dE~/domega, the spectrum of the time moment t E(t) (exact duality),
+    and whether |E(t)|^2 at the window's first or last sample exceeds _EDGE_TOL
+    of its peak."""
     field = to_time(spectrum, pulse)
+    edge = max(abs(field[0]), abs(field[-1])) ** 2
+    truncated = bool(edge > _EDGE_TOL * float(np.max(np.abs(field))) ** 2)
     field *= times
-    return to_spectrum(field, pulse)
+    return to_spectrum(field, pulse), truncated
 
 
 def _check_aliasing(spectrum: np.ndarray, what: str) -> None:
@@ -382,14 +402,16 @@ def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
 
     field *= times
     t_in = _p_operator(spec_in, to_spectrum(field, pulse), n)
-    t_out = _p_operator(spec_out, _time_moment(spec_out, pulse, times), n)
+    q_out, out_truncated = _time_moment(spec_out, pulse, times)
+    t_out = _p_operator(spec_out, q_out, n)
     delta_t = t_out - t_in
 
     weight = np.real(n) * np.abs(spec_att) ** 2
     dt_group = float(
         medium.thickness * np.sum(np.real(kprime) * weight) / np.sum(weight)
     )
-    dt_reshape = _p_operator(spec_att, _time_moment(spec_att, pulse, times), n) - t_in
+    q_att, att_truncated = _time_moment(spec_att, pulse, times)
+    dt_reshape = _p_operator(spec_att, q_att, n) - t_in
 
     residual = delta_t - (dt_group + dt_reshape)
     tol_scale = max(abs(delta_t), pulse.duration * 1e-3)
@@ -410,6 +432,7 @@ def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
         residual=float(residual),
         residual_ok=residual_ok,
         evanescent_regime=evanescent,
+        window_truncated=out_truncated or att_truncated,
     )
 
 

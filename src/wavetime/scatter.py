@@ -5,12 +5,13 @@ per-segment scattering matrices with the Redheffer star product.  The star
 product never mixes growing and decaying exponentials, so opaque barriers
 (|Im k| * length >> 1) are handled without overflow or cancellation.
 
-Every clock reads only the chain's full S-matrix, so solve() gets its
-amplitudes from one left-to-right fold that keeps a running (t, r, t_rev,
-r_rev) and builds no element list; partial_waves folds the stacks on either
-side of the clock region the same way.  The prefix/suffix chain that the
-interior waves need is composed only on the first access to
-ScatteringSolution.segment_waves (wavefunction_at and the dwell time).
+Every S-matrix comes from one composer, _fold: a left-to-right pass that
+keeps a running (t, r, t_rev, r_rev) and builds no element list.  solve()
+reads its amplitudes off one fold, and partial_waves folds the stacks on
+either side of the clock region.  The interior waves (wavefunction_at and the
+dwell time) are built on the first access to ScatteringSolution.segment_waves,
+from two folds that record their state at every segment: one over the chain,
+and one over its mirror image for the reflection off everything to the right.
 
 Amplitude conventions: the incident wave is exp(i k_L x) with unit amplitude in
 absolute coordinates, so the empty (zero-potential) profile gives t = 1, r = 0.
@@ -89,9 +90,6 @@ class SMatrix:
     r_rev: complex
 
 
-_IDENTITY = SMatrix(1.0 + 0j, 0j, 1.0 + 0j, 0j)
-
-
 def _star(a: SMatrix, b: SMatrix) -> SMatrix:
     """Redheffer star product: a followed (to the right) by b."""
     denom = 1.0 - a.r_rev * b.r
@@ -104,18 +102,6 @@ def _star(a: SMatrix, b: SMatrix) -> SMatrix:
         t_rev=a.t_rev * b.t_rev * inv,
         r_rev=b.r_rev + b.t * a.r_rev * b.t_rev * inv,
     )
-
-
-def _interface(ka: complex, kb: complex) -> SMatrix:
-    s = ka + kb
-    if abs(s) < 1e-300:
-        raise ValidationError("degenerate interface: ka + kb = 0")
-    return SMatrix(t=2.0 * ka / s, r=(ka - kb) / s, t_rev=2.0 * kb / s, r_rev=(kb - ka) / s)
-
-
-def _propagation(k: complex, d: float) -> SMatrix:
-    p = cmath.exp(1j * k * d)
-    return SMatrix(t=p, r=0j, t_rev=p, r_rev=0j)
 
 
 def _sinkd_over_k(k: complex, d: float) -> complex:
@@ -194,18 +180,6 @@ class _SegmentWave:
         )
 
 
-@dataclass(frozen=True)
-class _Chain:
-    """Composed S-matrix chain with per-segment cut points."""
-
-    elements: tuple[SMatrix, ...]
-    prefix: tuple[SMatrix, ...]  # prefix[i] = star of elements[:i]
-    suffix: tuple[SMatrix, ...]  # suffix[i] = star of elements[i:]
-    left_cut: tuple[int, ...]  # per segment: element index after interface-in
-    right_start: tuple[int, ...]  # per segment: element index of interface-out
-    degenerate: tuple[bool, ...]
-
-
 def _is_degenerate(k: complex, d: float) -> bool:
     return abs(k) * (1.0 + d) < _DEGENERATE_KD
 
@@ -238,83 +212,28 @@ def _degenerate_block(
     return _block_smatrix(M, k_prev, kc), m, kc
 
 
-def _build_chain(
-    ks: list[complex],
-    ds: list[float],
-    k_left: complex,
-    k_right: complex,
-    prop_ks: list[complex] | None = None,
-) -> _Chain:
-    """Compose the element chain.  prop_ks, when given, replaces the wavevector
-    used in each segment's propagation factor only (interfaces keep ks)."""
-    n = len(ks)
-    if prop_ks is None:
-        prop_ks = ks
-    degenerate = [_is_degenerate(ks[j], ds[j]) for j in range(n)]
-
-    elements: list[SMatrix] = []
-    left_cut = [0] * n
-    right_start = [0] * n
-
-    j = 0
-    k_prev = k_left
-    interface_pending = True  # next segment still owes its interface-in element
-    while j < n:
-        if degenerate[j]:
-            block, m, k_prev = _degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
-            elements.append(block)
-            for jj in range(j, m + 1):
-                left_cut[jj] = len(elements)  # unused for degenerate segments
-                right_start[jj] = len(elements)
-            interface_pending = False  # block already lands in the next medium
-            j = m + 1
-        else:
-            if interface_pending:
-                elements.append(_interface(k_prev, ks[j]))
-            left_cut[j] = len(elements)
-            elements.append(_propagation(prop_ks[j], ds[j]))
-            right_start[j] = len(elements)
-            k_prev = ks[j]
-            interface_pending = True
-            j += 1
-    if interface_pending:
-        elements.append(_interface(k_prev, k_right))
-
-    prefix = [_IDENTITY]
-    for el in elements:
-        prefix.append(_star(prefix[-1], el))
-    suffix = [_IDENTITY]
-    for el in reversed(elements):
-        suffix.append(_star(el, suffix[-1]))
-    suffix.reverse()
-    return _Chain(
-        elements=tuple(elements),
-        prefix=tuple(prefix),
-        suffix=tuple(suffix),
-        left_cut=tuple(left_cut),
-        right_start=tuple(right_start),
-        degenerate=tuple(degenerate),
-    )
-
-
 def _fold(
     ks: list[complex],
     ds: list[float],
     k_left: complex,
     k_right: complex,
     prop_ks: list[complex] | None = None,
+    states: list | None = None,
 ) -> tuple[complex, complex, complex, complex]:
-    """(t, r, t_rev, r_rev) of the whole chain: _build_chain(...).prefix[-1]
-    computed in one left-to-right pass with no element or prefix list.
+    """(t, r, t_rev, r_rev) of the whole chain, composed in one left-to-right
+    pass of Redheffer stars with no element or prefix list.
 
     Each interface is starred into the running S-matrix with _star's
     arithmetic in _star's order.  A propagation factor has r = r_rev = 0, so
     its star has denominator exactly 1 and reduces to the products below.
+    When states is given, the running (t, r_rev) is appended as the fold
+    enters each segment (after its interface, before its propagation), and
+    None for each segment of a k ~ 0 run.
     """
     n = len(ks)
     if prop_ks is None:
         prop_ks = ks
-    t, r, t_rev, r_rev = _IDENTITY.t, _IDENTITY.r, _IDENTITY.t_rev, _IDENTITY.r_rev
+    t, r, t_rev, r_rev = 1.0 + 0j, 0j, 1.0 + 0j, 0j
     k_prev = k_left
     interface_pending = True
     j = 0
@@ -323,12 +242,14 @@ def _fold(
             block, m, k_prev = _degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
             full = _star(SMatrix(t, r, t_rev, r_rev), block)
             t, r, t_rev, r_rev = full.t, full.r, full.t_rev, full.r_rev
+            if states is not None:
+                states.extend([None] * (m + 1 - j))
             interface_pending = False
             j = m + 1
             continue
         k = ks[j] if j < n else k_right
         if interface_pending:
-            # _star(state, _interface(k_prev, k)), inlined
+            # _star(state, interface from k_prev into k), inlined
             s = k_prev + k
             if abs(s) < 1e-300:
                 raise ValidationError("degenerate interface: ka + kb = 0")
@@ -346,6 +267,8 @@ def _fold(
             )
         if j == n:
             return t, r, t_rev, r_rev
+        if states is not None:
+            states.append((t, r_rev))
         p = cmath.exp(1j * prop_ks[j] * ds[j])
         t, t_rev, r_rev = p * t, t_rev * p, p * r_rev * p
         k_prev = k
@@ -354,17 +277,28 @@ def _fold(
 
 
 def _segment_waves(sol: ScatteringSolution) -> tuple[_SegmentWave, ...]:
-    """Interior wave coefficients of every segment, from the prefix and
-    suffix chains around it."""
+    """Interior wave coefficients of every segment, from two recorded folds.
+
+    The forward fold gives, at each segment's left edge, the transmission t
+    into it and the reflection r_rev back off everything to its left.  The
+    fold of the mirrored chain (segments reversed, leads swapped) gives, at
+    its right edge, the reflection off everything to its right as its own
+    r_rev.  A uniform segment's transfer matrix is mirror-symmetric, so a
+    k ~ 0 block mirrors like any other element.
+    """
     profile, ks, prop_ks = sol._profile, sol._ks, sol._prop_ks
     ds = [s.length for s in profile.segments]
-    chain = _build_chain(ks, ds, sol.k_left, sol.k_right, prop_ks)
-    edges = profile.edges()
     eff_ks = ks if prop_ks is None else prop_ks
+    forward: list = []
+    mirrored: list = []
+    _fold(ks, ds, sol.k_left, sol.k_right, prop_ks, forward)
+    _fold(ks[::-1], ds[::-1], sol.k_right, sol.k_left, eff_ks[::-1], mirrored)
+    mirrored.reverse()
+    edges = profile.edges()
 
     waves: list[_SegmentWave] = []
-    for j in range(len(ks)):
-        if chain.degenerate[j]:
+    for j, (left, right) in enumerate(zip(forward, mirrored)):
+        if left is None:
             # psi, psi' at the left edge, taken from the left neighbour.
             if j == 0:
                 a = 1.0 + sol.r
@@ -376,14 +310,14 @@ def _segment_waves(sol: ScatteringSolution) -> tuple[_SegmentWave, ...]:
                 b = prev.derivative(x_if)
             waves.append(_SegmentWave("lin", ks[j], edges[j], ds[j], a, b))
         else:
-            left = chain.prefix[chain.left_cut[j]]
-            right = chain.suffix[chain.right_start[j]]
+            t_in, r_left = left
+            r_right = right[1]
             p = cmath.exp(1j * eff_ks[j] * ds[j])
-            denom = 1.0 - left.r_rev * right.r * p * p
+            denom = 1.0 - r_left * r_right * p * p
             if abs(denom) < 1e-300:
                 raise ResummationDivergenceError("internal resummation diverges")
-            a = left.t / denom
-            b = right.r * p * a  # left-mover, referenced at the right edge
+            a = t_in / denom
+            b = r_right * p * a  # left-mover, referenced at the right edge
             waves.append(_SegmentWave("pw", eff_ks[j], edges[j], ds[j], a, b))
     return tuple(waves)
 

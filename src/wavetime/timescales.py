@@ -51,8 +51,6 @@ __all__ = [
     "bl_time",
     "larmor_times",
     "imag_clock_time",
-    "dressed_transmission",
-    "prompt_reflection",
     "sojourn_transmission",
     "sojourn_reflection",
     "sojourn_via_larmor_pairing",
@@ -440,28 +438,6 @@ def imag_clock_time(
 
 # ---------------------------------------------------------------------------
 # sojourn times (paired-variable correction)
-
-
-def prompt_reflection(profile: PotentialProfile, E: float) -> complex:
-    """r12: the partial wave reflected at the clock region's entry that never
-    samples the region (subtracted before timing the reflected wave)."""
-    return scatter.partial_waves(profile, E).r12
-
-
-def dressed_transmission(
-    profile: PotentialProfile, E: float, xi: float, regions=None
-) -> complex:
-    """Transmission amplitude with interfaces pinned at zero clock strength and
-    the clock-region propagation carrying the paired variable xi = V_I * L.
-
-    xi is distributed over multi-segment regions proportionally to length.
-    At xi = 0 this equals solve()'s amplitude exactly.
-    """
-    regions = _normalize_regions(profile, regions)
-    segs = _region_segments(regions)
-    L_tot = sum(profile.segments[j].length for j in segs)
-    xis = {j: xi * profile.segments[j].length / L_tot for j in segs}
-    return _dressed_solution(profile, E, xis).t
 
 
 def _sojourn_detailed(

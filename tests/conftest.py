@@ -1,3 +1,6 @@
+import cmath
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import yaml
@@ -5,6 +8,7 @@ from click.testing import CliRunner
 
 from wavetime import scatter
 from wavetime.cli import main as cli_main
+from wavetime.errors import ValidationError
 from wavetime.potentials import PotentialProfile, Segment
 
 
@@ -106,14 +110,72 @@ def rng():
 
 @pytest.fixture
 def chain_builds(monkeypatch):
-    """Records one entry per scatter._build_chain call (the prefix/suffix
-    chain that only interior waves and partial_waves need)."""
+    """Records one entry per scatter._segment_waves call (the interior-wave
+    build that only wavefunction_at and the dwell time need)."""
     calls = []
-    original = scatter._build_chain
+    original = scatter._segment_waves
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scatter, "_build_chain", counted)
+    monkeypatch.setattr(scatter, "_segment_waves", counted)
     return calls
+
+
+@dataclass(frozen=True)
+class OracleChain:
+    """A scattering chain composed element by element, with every cut kept."""
+
+    prefix: list  # prefix[i] = star of elements[:i]
+    suffix: list  # suffix[i] = star of elements[i:]
+    left_cut: list  # per segment: element index after its entry interface
+    right_start: list  # per segment: element index of its exit interface
+    degenerate: list
+
+
+def oracle_chain(ks, ds, k_left, k_right, prop_ks=None):
+    """The interface, propagation and k ~ 0 block elements of a chain, and
+    their prefix and suffix stars.  prop_ks, when given, replaces the
+    wavevector of each segment's propagation factor only."""
+    n = len(ks)
+    prop_ks = ks if prop_ks is None else prop_ks
+    degenerate = [scatter._is_degenerate(ks[j], ds[j]) for j in range(n)]
+
+    def interface(ka, kb):
+        s = ka + kb
+        if abs(s) < 1e-300:
+            raise ValidationError("degenerate interface: ka + kb = 0")
+        return scatter.SMatrix(2.0 * ka / s, (ka - kb) / s, 2.0 * kb / s, (kb - ka) / s)
+
+    elements, left_cut, right_start = [], [0] * n, [0] * n
+    j, k_prev, interface_pending = 0, k_left, True
+    while j < n:
+        if degenerate[j]:
+            block, m, k_prev = scatter._degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
+            elements.append(block)
+            for jj in range(j, m + 1):
+                left_cut[jj] = right_start[jj] = len(elements)
+            interface_pending = False
+            j = m + 1
+        else:
+            if interface_pending:
+                elements.append(interface(k_prev, ks[j]))
+            left_cut[j] = len(elements)
+            p = cmath.exp(1j * prop_ks[j] * ds[j])
+            elements.append(scatter.SMatrix(p, 0j, p, 0j))
+            right_start[j] = len(elements)
+            k_prev, interface_pending = ks[j], True
+            j += 1
+    if interface_pending:
+        elements.append(interface(k_prev, k_right))
+
+    identity = scatter.SMatrix(1.0 + 0j, 0j, 1.0 + 0j, 0j)
+    prefix = [identity]
+    for el in elements:
+        prefix.append(scatter._star(prefix[-1], el))
+    suffix = [identity]
+    for el in reversed(elements):
+        suffix.append(scatter._star(el, suffix[-1]))
+    suffix.reverse()
+    return OracleChain(prefix, suffix, left_cut, right_start, degenerate)

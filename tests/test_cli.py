@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -259,6 +260,11 @@ class TestRun:
         assert reasons[:2] == ["", ""]
         assert reasons[2].startswith("ValidationError: Nyquist frequency 16.08")
 
+    def test_em_window_truncation_reaches_flags_column(self, tmp_path):
+        rows = run_sweep(tmp_path, em_sweep_doc("carrier", [5.81, 12.0], 4096, 200.0), "em")
+        flags = [row[-2] for row in csv.reader(r.decode() for r in rows)]
+        assert flags == ["residual_above_tolerance|evanescent_regime|window_truncated", ""]
+
     def test_em_nonpositive_thickness_is_reason_coded(self, tmp_path):
         rows = run_sweep(tmp_path, em_sweep_doc("thickness", [-1.0, 0.0, 2.0]), "em")
         reasons = [row[-1] for row in csv.reader(r.decode() for r in rows)]
@@ -354,6 +360,106 @@ class TestRandomGrids:
                 assert all(isinstance(v, float) and math.isfinite(v) for v in values)
             else:
                 assert values == [None] * 6 and row[7] is None and reason
+
+
+def valid_scenario_docs():
+    """One valid document per kind and sweep parameter, output included."""
+    timescale = {
+        "schema_version": 1,
+        "kind": "timescale_sweep",
+        "profile": {
+            "segments": [{"length": 1.0, "v_real": 2.0, "v_imag": 0.1},
+                         {"length": 0.5, "v_real": -1.0, "omega_larmor": 0.2}],
+            "clock_region": [0, 1], "v_left": 0.0, "v_right": -0.5,
+        },
+        "channel": "reflection",
+        "sweep": {"parameter": "energy", "grid": [0.5, 1.0, 3.0]},
+    }
+    docs = [timescale, zeno_doc(Path("."), "tau"), zeno_doc(Path("."), "step"),
+            em_sweep_doc("carrier", [8.0, 12.0]), em_sweep_doc("thickness", [0.5, 1.0])]
+    for doc in docs:
+        doc["output"] = {"path": "out.csv", "format": "csv"}
+    return docs
+
+
+# Values a hand-edited scenario could hold: YAML nulls, booleans, integers,
+# non-finite floats, strings, binary, dates and containers.  NUMBERISH values
+# replace a number and reach float(): among them an integer too large for a
+# float, and b"1" (YAML's !!binary), which float() parses.
+NUMBERISH = st.sampled_from([10**400, b"1", "1e3", True, -1])
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(), st.text(max_size=6),
+    st.binary(max_size=4), st.dates(),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+KEYS = st.one_of(st.text(max_size=6), st.integers(-3, 3), st.booleans(), st.none())
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A valid scenario with one to three mutations: a number replaced by a
+    NUMBERISH value, any field replaced by junk or deleted, or keys added."""
+    doc = copy.deepcopy(draw(st.sampled_from(valid_scenario_docs())))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = []
+
+        def walk(node):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                slots.append((node, key))
+                if isinstance(value, (dict, list)):
+                    walk(value)
+
+        walk(doc)
+        action = draw(st.sampled_from(["number", "replace", "delete", "add"]))
+        if action == "number":
+            slots = [(node, key) for node, key in slots if type(node[key]) in (int, float)]
+        node, key = draw(st.sampled_from(slots))
+        if action == "number":
+            node[key] = draw(NUMBERISH)
+        elif action == "replace":
+            node[key] = draw(JUNK)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node.update(draw(st.dictionaries(KEYS, JUNK, min_size=1, max_size=3)))
+        else:
+            node.append(draw(JUNK))
+    return doc
+
+
+class TestScenarioFuzz:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=500)
+    @given(doc=mutated_scenarios())
+    def test_mutated_scenario_loads_or_is_validation_error(self, tmp_path_factory, doc):
+        # validate and run report a ValidationError with exit 2; any other
+        # exception would end in a traceback.
+        path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        try:
+            load_scenario(str(path))
+        except ValidationError:
+            pass
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{length: " + "1" * 400 + ", v_real: 2.0}", "profile.segments[0].length"),
+            ('{length: !!binary "MQ==", v_real: 2.0}', "profile.segments[0].length"),
+            ("{length: 1.0, v_real: 2.0, 1: a, b: c}", "profile.segments[0]"),
+        ],
+        ids=["int-beyond-float", "binary", "mixed-type-keys"],
+    )
+    def test_fuzz_findings_are_named_errors(self, tmp_path, text, field):
+        # Each ended in a traceback (OverflowError, a TypeError from json, a
+        # TypeError from sorting the unknown keys) with exit 1.
+        path = tmp_path / "bad.yaml"
+        path.write_text(timescale_scenario(tmp_path).read_text().replace(
+            "- length: 1.0\n    v_real: 2.0", "- " + text))
+        res = CliRunner().invoke(main, ["validate", str(path)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith(f"error: {field}:")
 
 
 class TestCompare:

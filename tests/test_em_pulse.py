@@ -190,6 +190,18 @@ class TestDecomposition:
         rep = delay_decomposition(PULSE, medium)
         assert rep.evanescent_regime
 
+    @pytest.mark.parametrize("carrier, truncated", [(5.81, True), (12.0, False)])
+    def test_window_truncation_is_flagged(self, carrier, truncated):
+        # The pulse_dispersion benchmark grid.  Near the cutoff the exit field
+        # has not decayed by the window's end and wraps around, so doubling
+        # the span at equal dt moves delta_t; far above it nothing moves.
+        pulse = PulseSpec(carrier=carrier, duration=2.0, center=60.0, n_samples=16384, span=200.0)
+        rep = delay_decomposition(pulse, PLASMA)
+        assert rep.window_truncated is truncated
+        wide = delay_decomposition(replace(pulse, n_samples=32768, span=400.0), PLASMA)
+        moved = abs(wide.delta_t - rep.delta_t)
+        assert moved > 1e-3 if truncated else moved < 1e-12
+
     @pytest.mark.parametrize("medium", [VACUUM, LORENTZ, PLASMA], ids=["vacuum", "lorentz", "plasma"])
     def test_spectral_centroids_match_time_domain(self, medium, monkeypatch):
         # delay_decomposition takes its arrival times from spectral centroids;

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex_profile, random_real_profile, safe_energy
+from conftest import oracle_chain, random_complex_profile, random_real_profile, safe_energy
 from wavetime import scatter
 from wavetime.errors import (
     NoOpenChannelError,
@@ -312,8 +312,7 @@ class TestPartialWaves:
             assert chain_builds == []
             ks = scatter._segment_ks(prof, e, None)
             k_l, k_r = scatter._lead_wavevectors(prof, e)
-            chain = scatter._build_chain(ks, [s.length for s in prof.segments], k_l, k_r)
-            del chain_builds[:]
+            chain = oracle_chain(ks, [s.length for s in prof.segments], k_l, k_r)
             lo, hi = prof.clock_region
             left = chain.prefix[chain.left_cut[lo]]
             right = chain.suffix[chain.right_start[hi]]
@@ -354,8 +353,8 @@ class TestPropagationOverride:
 
 
 def chain_amplitudes(profile, E, channel=None, prop_override=None):
-    """(t, r, t_rev, r_rev, t_local) read off the last entry of the prefix
-    chain that _build_chain composes element by element."""
+    """(t, r, t_rev, r_rev, t_local) read off the last entry of the oracle's
+    prefix chain, composed element by element."""
     ks = scatter._segment_ks(profile, E, channel)
     prop_ks = None
     if prop_override is not None:
@@ -364,7 +363,7 @@ def chain_amplitudes(profile, E, channel=None, prop_override=None):
             prop_ks[j] = kp
     k_l, k_r = scatter._lead_wavevectors(profile, E)
     ds = [s.length for s in profile.segments]
-    full = scatter._build_chain(ks, ds, k_l, k_r, prop_ks).prefix[-1]
+    full = oracle_chain(ks, ds, k_l, k_r, prop_ks).prefix[-1]
     phase = cmath.exp(-1j * k_r * profile.extent())
     return full.t * phase, full.r, full.t_rev * phase, full.r_rev * phase * phase, full.t
 
@@ -438,7 +437,7 @@ class TestFoldOracle:
         ids=["degenerate-interface", "unit-loop-gain", "dressed-barrier-top"],
     )
     def test_fold_raises_where_chain_raises(self, error, ks, ds, prop_ks):
-        for compose in (scatter._build_chain, scatter._fold):
+        for compose in (oracle_chain, scatter._fold):
             with pytest.raises(error):
                 compose(ks, ds, 1 + 0j, 2 + 0j, prop_ks)
 
@@ -461,9 +460,94 @@ class TestFoldOracle:
         prop_ks[dressed] = 0.3 + 0.1j
         ds = [seg.length for seg in prof.segments]
         k_lead = complex(math.sqrt(2.0))
-        for compose in (scatter._build_chain, scatter._fold):
+        for compose in (oracle_chain, scatter._fold):
             with pytest.raises(RegimeAmbiguityError):
                 compose(ks, ds, k_lead, k_lead, prop_ks)
+
+
+@st.composite
+def chains_with_top_runs(draw):
+    """Segment wavevectors and lengths of a 0-12 segment profile (real,
+    absorptive and gain segments, unequal leads), with a run of 1-3 segments
+    exactly at their barrier top (k = 0) spliced in half the time."""
+    e = draw(st.floats(0.5, 8.0))
+    segments = draw(st.lists(
+        st.builds(
+            Segment,
+            length=st.floats(0.1, 2.0),
+            v_real=st.floats(-3.0, 6.0),
+            v_imag=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(-0.5, 0.0)),
+        ),
+        max_size=12,
+    ))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(segments)))
+        segments[at:at] = [Segment(length, e) for length in
+                           draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))]
+    v_left, v_right = draw(st.floats(-2.0, e - 0.01)), draw(st.floats(-2.0, e - 0.01))
+    prof = PotentialProfile(segments=tuple(segments), v_left=v_left, v_right=v_right)
+    k_l, k_r = scatter._lead_wavevectors(prof, e)
+    return [wavevector(e, seg) for seg in segments], [seg.length for seg in segments], k_l, k_r
+
+
+def oracle_waves(sol):
+    """Interior waves of a solution, read off the oracle's prefix and suffix
+    chains around each segment."""
+    profile, ks, prop_ks = sol._profile, sol._ks, sol._prop_ks
+    ds = [s.length for s in profile.segments]
+    chain = oracle_chain(ks, ds, sol.k_left, sol.k_right, prop_ks)
+    eff_ks = ks if prop_ks is None else prop_ks
+    edges = profile.edges()
+    waves = []
+    for j in range(len(ks)):
+        if chain.degenerate[j]:
+            prev = waves[j - 1] if j else None
+            a = prev.value(edges[j]) if prev else 1.0 + sol.r
+            b = prev.derivative(edges[j]) if prev else 1j * sol.k_left * (1.0 - sol.r)
+            waves.append(scatter._SegmentWave("lin", ks[j], edges[j], ds[j], a, b))
+        else:
+            left = chain.prefix[chain.left_cut[j]]
+            right = chain.suffix[chain.right_start[j]]
+            p = cmath.exp(1j * eff_ks[j] * ds[j])
+            a = left.t / (1.0 - left.r_rev * right.r * p * p)
+            waves.append(scatter._SegmentWave("pw", eff_ks[j], edges[j], ds[j], a, right.r * p * a))
+    return tuple(waves)
+
+
+class TestMirroredFold:
+    """The interior waves read the forward fold and the fold of the mirrored
+    chain; both must agree with the element-by-element prefix/suffix oracle."""
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(chains_with_top_runs())
+    def test_mirrored_fold_swaps_directions(self, chain):
+        ks, ds, k_l, k_r = chain
+        forward = scatter._fold(ks, ds, k_l, k_r)
+        t, r, t_rev, r_rev = scatter._fold(ks[::-1], ds[::-1], k_r, k_l)
+        scale = max(1.0, *map(abs, forward))
+        for got, want in zip((t_rev, r_rev, t, r), forward):
+            assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("top_run", [None, "start", "middle", "end"])
+    def test_segment_waves_equal_prefix_suffix_chain(self, rng, top_run):
+        for _ in range(60):
+            prof, e = TestFoldOracle.random_problem(rng, top_run)
+            if rng.uniform() < 0.5:
+                sol = solve(prof, e, [None, +1, -1][int(rng.integers(0, 3))])
+            else:
+                ks = scatter._segment_ks(prof, e, None)
+                dressable = [j for j, seg in enumerate(prof.segments) if seg.v_real != e]
+                override = {int(j): ks[j] + 0.05j for j in dressable[:1]}
+                sol = solve_with_propagation_override(prof, e, override)
+            want = oracle_waves(sol)
+            if top_run is None:
+                assert sol.segment_waves == want
+                continue
+            scale = max(abs(c) for w in want for c in (w.a, w.b))
+            for got, ref in zip(sol.segment_waves, want, strict=True):
+                assert (got.kind, got.k, got.x0, got.d) == (ref.kind, ref.k, ref.x0, ref.d)
+                assert abs(got.a - ref.a) <= 1e-9 * scale
+                assert abs(got.b - ref.b) <= 1e-9 * scale
 
 
 class TestLazyWaves:

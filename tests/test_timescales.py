@@ -24,15 +24,13 @@ from wavetime.potentials import (
     with_clock,
 )
 from wavetime import scatter, timescales
-from wavetime.scatter import partial_waves, solve
+from wavetime.scatter import solve
 from wavetime.timescales import (
     bl_time,
-    dressed_transmission,
     dwell_time,
     full_report,
     imag_clock_time,
     larmor_times,
-    prompt_reflection,
     sojourn_reflection,
     sojourn_transmission,
     sojourn_via_larmor_pairing,
@@ -273,13 +271,11 @@ class TestSojourn:
         for _ in range(10):
             prof = random_real_profile(rng, clock_region=True)
             e = safe_energy(rng, prof)
-            assert dressed_transmission(prof, e, 0.0) == pytest.approx(
+            lo, hi = prof.clock_region
+            undressed = dict.fromkeys(range(lo, hi + 1), 0.0)
+            assert timescales._dressed_solution(prof, e, undressed).t == pytest.approx(
                 solve(prof, e).t, rel=1e-12
             )
-
-    def test_prompt_reflection_is_entry_stack_amplitude(self):
-        prof = make_rectangular_barrier(4.0, 1.0)
-        assert prompt_reflection(prof, 2.0) == partial_waves(prof, 2.0).r12
 
     def test_reflection_minus_transmission_is_bl(self, rng):
         for _ in range(10):
@@ -394,9 +390,9 @@ class TestFullReport:
 
     @pytest.mark.parametrize("channel, builds", [("transmission", 1), ("reflection", 1)])
     def test_prefix_chain_builds_per_energy(self, chain_builds, channel, builds):
-        # Only the dwell time's interior waves need the prefix/suffix chain;
-        # every other solve, and the reflection channel's prompt-reflection
-        # partial_waves, reads its amplitudes off folds.
+        # Only the dwell time reads interior waves; every other solve, and
+        # the reflection channel's prompt-reflection partial_waves, reads its
+        # amplitudes off one fold and builds none.
         for e in (0.7, 3.0, 7.5):
             del chain_builds[:]
             rep = full_report(STACK, e, channel=channel)
@@ -433,7 +429,7 @@ class TestBarrierTopLadderDefect:
         h = 1e-7
 
         def log_t2(xi):
-            return math.log(abs(dressed_transmission(self.PROF, self.E, xi)) ** 2)
+            return math.log(abs(timescales._dressed_solution(self.PROF, self.E, {0: xi}).t) ** 2)
 
         return -(1.0 / 2.0) * (log_t2(h) - log_t2(-h)) / (2.0 * h)
 
