@@ -89,7 +89,9 @@ _INTEGER_FIELDS = frozenset({"n_samples", "n_sites", "initial_site", "n_steps"})
 def _number(value, where: str, integer: bool = False) -> float | int:
     """A scalar field as a float, or as an int; a ValidationError names the field."""
     try:
-        if isinstance(value, bytes):  # YAML's !!binary; float() would parse b"1"
+        # YAML's !!binary, which float() would parse (b"1"), and booleans,
+        # which are ints to Python
+        if isinstance(value, (bytes, bool)):
             raise TypeError
         out = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -215,7 +217,7 @@ def load_scenario(path: str) -> Scenario:
         {"schema_version", "kind", "sweep", "output"},
         "scenario",
     )
-    if raw["schema_version"] != SCHEMA_VERSION:
+    if raw["schema_version"] != SCHEMA_VERSION or isinstance(raw["schema_version"], bool):
         raise ValidationError(
             f"schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']}"
         )

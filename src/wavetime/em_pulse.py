@@ -133,6 +133,9 @@ class PulseSpec:
             raise ValidationError(f"carrier must be positive, got {self.carrier}")
         if not self.duration > 0:
             raise ValidationError(f"duration must be positive, got {self.duration}")
+        for name in ("center", "span"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"pulse.{name}: must be finite, got {getattr(self, name)}")
         if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
             raise ValidationError(f"n_samples must be a power of two, got {self.n_samples}")
         if self.span < 8 * self.duration:

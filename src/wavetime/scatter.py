@@ -12,6 +12,9 @@ either side of the clock region.  The interior waves (wavefunction_at and the
 dwell time) are built on the first access to ScatteringSolution.segment_waves,
 from two folds that record their state at every segment: one over the chain,
 and one over its mirror image for the reflection off everything to the right.
+The clock probes in timescales call _fold directly, on wavevectors from _k
+(wavevector's k^2 and branch rule on bare numbers), so solve_spinor and
+solve_with_propagation_override stay public solves that no clock goes through.
 
 Amplitude conventions: the incident wave is exp(i k_L x) with unit amplitude in
 absolute coordinates, so the empty (zero-potential) profile gives t = 1, r = 0.
@@ -67,9 +70,17 @@ def wavevector(E: float, segment: Segment, channel: int | None = None) -> comple
     Im k >= 0 otherwise (decaying evanescent solutions).  The branch cut is
     never crossed by analytic continuation.
     """
-    k2 = complex(E - segment.v_real, segment.v_imag)
-    if channel is not None:
-        k2 += channel * segment.omega_larmor / 2.0
+    shift = None if channel is None else channel * segment.omega_larmor / 2.0
+    return _k(E, segment.v_real, segment.v_imag, shift)
+
+
+def _k(E: float, v_real: float, v_imag: float, shift: float | None = None) -> complex:
+    """wavevector's k^2 = complex(E - v_real, v_imag) (+ shift, the Zeeman
+    term) and its branch, on bare numbers: the clock probes call it for the
+    segments they move, so a probe's k is the public solve's to the bit."""
+    k2 = complex(E - v_real, v_imag)
+    if shift is not None:
+        k2 += shift
     if k2.real >= 0.0:
         return cmath.sqrt(k2)
     # i * sqrt(-k2) has Im >= 0 and continues k(V_I) smoothly through 0.

@@ -24,9 +24,21 @@ parameter it probes, the amplitude it reads and the factor it applies; the
 ladder probes at +-h, +-h/2 and +-h/4, reduces the amplitudes to ln|a|^2 or
 unwrapped phases and applies one fixed Richardson stencil to the central
 differences.
+
+A clock builds the chain's inputs once per energy (_Probe): the bare segment
+wavevectors, the segment lengths, the lead wavevectors and the exit phase
+exp(-i k_R X).  Each probe copies the bare wavevectors, replaces the entries
+its parameter moves (the clock segments' k for the imaginary clock and the
+Larmor clock, their propagation wavevectors for the sojourn) and reads its
+amplitude off one scatter._fold; a Wigner probe prepares the chain anew at
+E + dE.  A moved k comes from scatter._k, the rule scatter.wavevector applies,
+so a probe gives the amplitude the public solve gives for the clocked
+profile, to the bit.
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -42,7 +54,7 @@ from .errors import (
     ValidationError,
     WavetimeError,
 )
-from .potentials import ClockKind, ClockSettings, PotentialProfile, with_clock
+from .potentials import PotentialProfile
 
 __all__ = [
     "TimescaleReport",
@@ -151,28 +163,54 @@ def _regime(profile: PotentialProfile, E: float, j: int) -> str:
     )
 
 
-def _dressed_wavevector(profile: PotentialProfile, E: float, j: int, xi: float) -> complex:
-    """Paired-variable propagation wavevector for one clocked segment.
+class _Probe:
+    """The chain at one energy, prepared once for every probe at it: the bare
+    segment wavevectors (of one spin channel, or none), the segment lengths,
+    the lead wavevectors and, on first use, the exit phase exp(-i k_R X),
+    which turns the fold's local t into solve's absolute t.
 
-    Propagating: k' = k_r + i xi/(2 k_r L) (amplitude decays for xi > 0);
-    evanescent:  k' = i kappa + xi/(2 kappa L) (pure phase shift).
+    Raises:
+        NoOpenChannelError: if E does not lie above both leads.
     """
-    seg = profile.segments[j]
-    L = seg.length
-    if _regime(profile, E, j) == "propagating":
-        kr = math.sqrt(E - seg.v_real)
-        return complex(kr, xi / (2.0 * kr * L))
-    kap = math.sqrt(seg.v_real - E)
-    return complex(xi / (2.0 * kap * L), kap)
+
+    def __init__(self, profile: PotentialProfile, E: float, spin: int | None = None):
+        self.profile = profile
+        self.ks = scatter._segment_ks(profile, E, spin)
+        self.ds = [seg.length for seg in profile.segments]
+        self.k_l, self.k_r = scatter._lead_wavevectors(profile, E)
+
+    @functools.cached_property
+    def exit_phase(self) -> complex:
+        return cmath.exp(-1j * self.k_r * self.profile.extent())
+
+    def fold(self, ks=(), prop_ks=None) -> tuple[complex, complex]:
+        """(local t, r) of one scatter._fold, with the (j, k) pairs of ks
+        replacing bare wavevectors, and those of prop_ks replacing only the
+        propagation wavevectors (the interfaces keep the bare k)."""
+        seg_ks = list(self.ks)
+        for j, k in ks:
+            seg_ks[j] = k
+        prop = None
+        if prop_ks is not None:
+            prop = list(seg_ks)
+            for j, k in prop_ks:
+                prop[j] = k
+        t, r, _, _ = scatter._fold(seg_ks, self.ds, self.k_l, self.k_r, prop)
+        return t, r
 
 
-def _dressed_solution(
-    profile: PotentialProfile, E: float, xi_by_segment: dict[int, float]
-) -> scatter.ScatteringSolution:
-    override = {
-        j: _dressed_wavevector(profile, E, j, xi) for j, xi in xi_by_segment.items()
-    }
-    return scatter.solve_with_propagation_override(profile, E, override)
+def _zero_strength_roots(
+    profile: PotentialProfile, E: float, segs: list[int], propagating: bool
+) -> list[tuple[int, float, float]]:
+    """(j, L_j, root) per segment, where root is k_j = sqrt(E - V_j) in a
+    propagating region and kappa_j = sqrt(V_j - E) in an evanescent one: the
+    real root that a paired-variable dressing shifts."""
+    out = []
+    for j in segs:
+        seg = profile.segments[j]
+        gap = E - seg.v_real if propagating else seg.v_real - E
+        out.append((j, seg.length, math.sqrt(gap)))
+    return out
 
 
 def _ladder(scale: float, centre: bool = False) -> tuple[float, list[float]]:
@@ -253,8 +291,8 @@ def wigner_delay(profile: PotentialProfile, E: float, channel: str = "transmissi
             raise ValidationError(
                 f"probe energies dip below an asymptotic potential; E = {E} is too close to a lead"
             )
-        sol = scatter.solve(profile, E + dE)
-        return sol.t_local if channel == "transmission" else sol.r
+        t, r = _Probe(profile, E + dE).fold()
+        return t if channel == "transmission" else r
 
     return _ladder_derivative(
         amplitude, _energy_scale(profile, E), "phase", f"{channel} amplitude", centre=True
@@ -380,13 +418,6 @@ def _larmor_detailed(
     profile: PotentialProfile, E: float, channel: str
 ) -> tuple[float, float, float]:
     _clock_region(profile)
-
-    def pair(omega: float) -> tuple[complex, complex]:
-        amps = scatter.solve_spinor(with_clock(profile, ClockSettings(ClockKind.LARMOR, omega)), E)
-        if channel == "reflection":
-            return amps.r_plus, amps.r_minus
-        return amps.t_plus, amps.t_minus
-
     clock_segs = profile.clock_indices()
     # A Zeeman field outside the clock region is not mirrored with the probe.
     mirrored = all(
@@ -395,6 +426,19 @@ def _larmor_detailed(
         if j not in clock_segs
     )
     scale = _energy_scale(profile, E, list(clock_segs))
+    probes = {spin: _Probe(profile, E, spin) for spin in (+1, -1)}
+    clocked = [(j, profile.segments[j]) for j in clock_segs]
+
+    def amplitude(spin: int, omega: float) -> complex:
+        probe = probes[spin]
+        t, r = probe.fold(
+            (j, scatter._k(E, seg.v_real, seg.v_imag, spin * omega / 2.0)) for j, seg in clocked
+        )
+        return r if channel == "reflection" else t * probe.exit_phase
+
+    def pair(omega: float) -> tuple[complex, complex]:
+        return amplitude(+1, omega), amplitude(-1, omega)
+
     h, spins = _spin_ladder(pair, scale, f"{channel} spinor amplitude", mirrored)
     d_sy = richardson([s_y for s_y, _ in spins], h)
     d_sz = richardson([s_z for _, s_z in spins], h)
@@ -426,13 +470,15 @@ def imag_clock_time(
     time L/(2k).
     """
     _clock_region(profile)
+    clock_segs = profile.clock_indices()
+    scale = _energy_scale(profile, E, list(clock_segs))
+    probe = _Probe(profile, E)
+    clocked = [(j, profile.segments[j]) for j in clock_segs]
 
     def amplitude(v_imag: float) -> complex:
-        clocked = with_clock(profile, ClockSettings(ClockKind.IMAGINARY_POTENTIAL, v_imag))
-        sol = scatter.solve(clocked, E)
-        return sol.t if channel == "transmission" else sol.r
+        t, r = probe.fold((j, scatter._k(E, seg.v_real, v_imag)) for j, seg in clocked)
+        return t * probe.exit_phase if channel == "transmission" else r
 
-    scale = _energy_scale(profile, E, list(profile.clock_indices()))
     return -0.5 * _ladder_derivative(amplitude, scale, "log", f"{channel} amplitude")
 
 
@@ -461,18 +507,27 @@ def _sojourn_detailed(
                 "reflection sojourn time is defined for a single contiguous region"
             )
         r12 = scatter.partial_waves(replace(profile, clock_region=region_list[0]), E).r12
+    probe = _Probe(profile, E)
 
     def branch_time(active: list[int], regime: str) -> float:
         L_act = sum(profile.segments[j].length for j in active)
-
-        def amplitude(xi: float) -> complex:
-            xis = {j: xi * profile.segments[j].length / L_act for j in active}
-            sol = _dressed_solution(profile, E, xis)
-            return sol.r - r12 if channel == "reflection" else sol.t_local
-
         # Propagating regions time the decay of |a|^2, evanescent ones the
         # phase the clock adds.
         propagating = regime == "propagating"
+        roots = _zero_strength_roots(profile, E, active, propagating)
+
+        def amplitude(xi: float) -> complex:
+            # The paired-variable propagation wavevector of each segment:
+            # k' = k + i xi_j/(2 k L_j) when propagating (amplitude decays for
+            # xi > 0), k' = i kappa + xi_j/(2 kappa L_j) when evanescent (a
+            # pure phase shift); its interfaces keep the bare k.
+            prop_ks = []
+            for j, L, root in roots:
+                shift = xi * L / L_act / (2.0 * root * L)
+                prop_ks.append((j, complex(root, shift) if propagating else complex(shift, root)))
+            t, r = probe.fold(prop_ks=prop_ks)
+            return r - r12 if channel == "reflection" else t
+
         derivative = _ladder_derivative(
             amplitude,
             _energy_scale(profile, E, active) * L_act,
@@ -530,35 +585,31 @@ def sojourn_via_larmor_pairing(profile: PotentialProfile, E: float, regions=None
         raise RegimeAmbiguityError(
             "Larmor pairing implemented for single-regime clock regions only"
         )
-    regime = regimes[segs[0]]
+    propagating = regimes[segs[0]] == "propagating"
     L_tot = sum(profile.segments[j].length for j in segs)
+    scale = _energy_scale(profile, E, segs) * L_tot
+    probe = _Probe(profile, E)
+    roots = _zero_strength_roots(profile, E, segs, propagating)
 
-    def channel_override(xi: float, sign: int) -> dict[int, complex]:
+    def amplitude(xi: float, sign: int) -> complex:
         # Zeeman shift of the internal propagation only: k'_+- from
         # kappa_+- ~ kappa -/+ xi_j/(4 kappa L_j) (and the propagating analogue).
-        out = {}
-        for j in segs:
-            seg = profile.segments[j]
-            xi_j = xi * seg.length / L_tot
-            if regime == "propagating":
-                kr = math.sqrt(E - seg.v_real)
-                out[j] = complex(kr + sign * xi_j / (4.0 * kr * seg.length), 0.0)
+        prop_ks = []
+        for j, L, root in roots:
+            xi_j = xi * L / L_tot
+            if propagating:
+                prop_ks.append((j, complex(root + sign * xi_j / (4.0 * root * L), 0.0)))
             else:
-                kap = math.sqrt(seg.v_real - E)
-                out[j] = complex(0.0, kap - sign * xi_j / (4.0 * kap * seg.length))
-        return out
+                prop_ks.append((j, complex(0.0, root - sign * xi_j / (4.0 * root * L))))
+        return probe.fold(prop_ks=prop_ks)[0] * probe.exit_phase
 
     def pair(xi: float) -> tuple[complex, complex]:
-        return tuple(
-            scatter.solve_with_propagation_override(profile, E, channel_override(xi, sign)).t
-            for sign in (+1, -1)
-        )
+        return amplitude(xi, +1), amplitude(xi, -1)
 
-    scale = _energy_scale(profile, E, segs) * L_tot
-    # The override solve ignores omega_larmor, so the pair always mirrors.
+    # The probes leave omega_larmor out of every k, so the pair always mirrors.
     h, spins = _spin_ladder(pair, scale, "dressed spinor amplitude", mirrored=True)
     # Precession (S_y) for propagating regions, rotation (S_z) for evanescent.
-    component = 0 if regime == "propagating" else 1
+    component = 0 if propagating else 1
     return abs(2.0 * L_tot * richardson([spin[component] for spin in spins], h))
 
 

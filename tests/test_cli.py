@@ -385,8 +385,8 @@ def valid_scenario_docs():
 # Values a hand-edited scenario could hold: YAML nulls, booleans, integers,
 # non-finite floats, strings, binary, dates and containers.  NUMBERISH values
 # replace a number and reach float(): among them an integer too large for a
-# float, and b"1" (YAML's !!binary), which float() parses.
-NUMBERISH = st.sampled_from([10**400, b"1", "1e3", True, -1])
+# float, and b"1" (YAML's !!binary) and the booleans, which float() parses.
+NUMBERISH = st.sampled_from([10**400, b"1", "1e3", True, False, -1])
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 5), st.floats(), st.text(max_size=6),
     st.binary(max_size=4), st.dates(),
@@ -429,6 +429,18 @@ def mutated_scenarios(draw):
     return doc
 
 
+def holds_boolean(node) -> bool:
+    """Whether a YAML boolean sits anywhere in the document, as a key or a
+    value.  No field of a scenario takes one, so such a document must not load."""
+    if isinstance(node, bool):
+        return True
+    if isinstance(node, dict):
+        return any(holds_boolean(k) or holds_boolean(v) for k, v in node.items())
+    if isinstance(node, list):
+        return any(map(holds_boolean, node))
+    return False
+
+
 class TestScenarioFuzz:
     @settings(derandomize=True, deadline=None, database=None, max_examples=500)
     @given(doc=mutated_scenarios())
@@ -437,10 +449,21 @@ class TestScenarioFuzz:
         # exception would end in a traceback.
         path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        if holds_boolean(doc):
+            with pytest.raises(ValidationError):
+                load_scenario(str(path))
+            return
         try:
             load_scenario(str(path))
         except ValidationError:
             pass
+
+    def test_boolean_schema_version_is_refused(self, tmp_path):
+        # True == 1, so the version check let it through.
+        path = timescale_scenario(tmp_path, extra={"schema_version": True})
+        res = CliRunner().invoke(main, ["validate", str(path)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("error: schema_version:")
 
     @pytest.mark.parametrize(
         "text, field",
@@ -448,18 +471,35 @@ class TestScenarioFuzz:
             ("{length: " + "1" * 400 + ", v_real: 2.0}", "profile.segments[0].length"),
             ('{length: !!binary "MQ==", v_real: 2.0}', "profile.segments[0].length"),
             ("{length: 1.0, v_real: 2.0, 1: a, b: c}", "profile.segments[0]"),
+            ("{length: true, v_real: false}", "profile.segments[0].length"),
         ],
-        ids=["int-beyond-float", "binary", "mixed-type-keys"],
+        ids=["int-beyond-float", "binary", "mixed-type-keys", "booleans"],
     )
     def test_fuzz_findings_are_named_errors(self, tmp_path, text, field):
-        # Each ended in a traceback (OverflowError, a TypeError from json, a
-        # TypeError from sorting the unknown keys) with exit 1.
+        # The first three ended in a traceback (OverflowError, a TypeError
+        # from json, a TypeError from sorting the unknown keys) with exit 1;
+        # the booleans loaded as a segment of length 1.0 at V = 0.
         path = tmp_path / "bad.yaml"
         path.write_text(timescale_scenario(tmp_path).read_text().replace(
             "- length: 1.0\n    v_real: 2.0", "- " + text))
         res = CliRunner().invoke(main, ["validate", str(path)])
         assert res.exit_code == 2, res.output
         assert res.stderr.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("field", ["span", "center"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_pulse_field_is_named_error(tmp_path, field, value):
+    # A NaN span or center validated, and every row was then reason-coded
+    # ZeroFluxError.
+    doc = em_sweep_doc("carrier", [8.0, 12.0])
+    doc["pulse"][field] = value
+    doc["output"] = {"path": str(tmp_path / "out.csv"), "format": "csv"}
+    path = tmp_path / "pulse.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    res = CliRunner().invoke(main, ["validate", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: pulse.{field}: must be finite")
 
 
 class TestCompare:

@@ -13,6 +13,7 @@ from wavetime.errors import (
     DivergentIntegrandError,
     LogSingularityError,
     RegimeAmbiguityError,
+    StepSizeError,
     ValidationError,
 )
 from wavetime.potentials import (
@@ -23,7 +24,7 @@ from wavetime.potentials import (
     make_rectangular_barrier,
     with_clock,
 )
-from wavetime import scatter, timescales
+from wavetime import potentials, scatter, timescales
 from wavetime.scatter import solve
 from wavetime.timescales import (
     bl_time,
@@ -43,6 +44,43 @@ STACK = PotentialProfile(
     segments=tuple(Segment(0.6, 5.0) if i % 2 == 0 else Segment(0.9, 1.0) for i in range(12)),
     clock_region=(4, 7),
 )
+
+
+def dressed_wavevector(profile, E, j, xi):
+    """The sojourn's paired-variable propagation wavevector of segment j at
+    clock strength xi: k + i xi/(2 k L) above the barrier top, i kappa +
+    xi/(2 kappa L) below it."""
+    seg = profile.segments[j]
+    if E > seg.v_real:
+        k = math.sqrt(E - seg.v_real)
+        return complex(k, xi / (2.0 * k * seg.length))
+    kappa = math.sqrt(seg.v_real - E)
+    return complex(xi / (2.0 * kappa * seg.length), kappa)
+
+
+def recording_probes(mp):
+    """Patch the probe ladders so that each records its probes in call order
+    as [offset, amplitude] (a spinor pair for a spin ladder), or [offset] for
+    a probe that raised.  Returns the list of ladders it fills."""
+    ladders = []
+    ladder_derivative, spin_ladder = timescales._ladder_derivative, timescales._spin_ladder
+
+    def recorded(probe):
+        calls = []
+        ladders.append(calls)
+
+        def wrapped(s):
+            calls.append([s])
+            calls[-1].append(probe(s))
+            return calls[-1][1]
+
+        return wrapped
+
+    mp.setattr(timescales, "_ladder_derivative",
+               lambda amplitude, *args, **kw: ladder_derivative(recorded(amplitude), *args, **kw))
+    mp.setattr(timescales, "_spin_ladder",
+               lambda pair, *args, **kw: spin_ladder(recorded(pair), *args, **kw))
+    return ladders
 
 
 class TestFreeSegment:
@@ -267,15 +305,21 @@ class TestClockIdentities:
 
 
 class TestSojourn:
-    def test_dressed_amplitude_reduces_to_bare(self, rng):
+    def test_dressed_amplitude_reduces_to_bare(self, rng, monkeypatch):
+        # The centre probe of every sojourn ladder dresses with xi = 0.
+        ladders = recording_probes(monkeypatch)
         for _ in range(10):
             prof = random_real_profile(rng, clock_region=True)
             e = safe_energy(rng, prof)
-            lo, hi = prof.clock_region
-            undressed = dict.fromkeys(range(lo, hi + 1), 0.0)
-            assert timescales._dressed_solution(prof, e, undressed).t == pytest.approx(
-                solve(prof, e).t, rel=1e-12
-            )
+            del ladders[:]
+            try:
+                sojourn_transmission(prof, e)
+            except (LogSingularityError, StepSizeError):
+                pass
+            assert ladders
+            for probes in ladders:
+                (centre,) = [amp for s, amp in probes if s == 0.0]
+                assert centre == pytest.approx(solve(prof, e).t_local, rel=1e-12)
 
     def test_reflection_minus_transmission_is_bl(self, rng):
         for _ in range(10):
@@ -371,22 +415,45 @@ class TestFullReport:
         assert "sojourn" not in rep.entries
         assert math.isfinite(rep.entries["wigner"])
 
-    @pytest.mark.parametrize("channel, chains", [("transmission", 27), ("reflection", 28)])
-    def test_chain_count_per_energy(self, monkeypatch, channel, chains):
-        # wigner 7 + dwell 1 + larmor 3 x 2 + imag_clock 6 + sojourn 7, plus
-        # the prompt-reflection partial_waves call for the reflection channel.
-        calls = []
-        for name in ("solve", "solve_with_propagation_override", "partial_waves"):
-            original = getattr(scatter, name)
+    @pytest.mark.parametrize("channel, folds", [("transmission", 29), ("reflection", 31)])
+    def test_fold_count_per_energy(self, monkeypatch, channel, folds):
+        # One fold per probe: wigner 7 + larmor 3 x 2 + imag_clock 6 +
+        # sojourn 7; the dwell time's solve and its two recorded folds; and
+        # the two stacks of the prompt-reflection partial_waves call in the
+        # reflection channel.  No probe goes through a public solve or
+        # builds a profile, a segment or a solution.
+        barrier = make_rectangular_barrier(4.0, 1.0)
+        counts = dict.fromkeys(("_fold", "PotentialProfile", "Segment", "ScatteringSolution"), 0)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(scatter, name, counted)
-        rep = full_report(make_rectangular_barrier(4.0, 1.0), 2.0, channel=channel)
+            return counted
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a clock went through the public clocked-solve path")
+
+        monkeypatch.setattr(scatter, "_fold", counting("_fold", scatter._fold))
+        monkeypatch.setattr(scatter, "ScatteringSolution",
+                            counting("ScatteringSolution", scatter.ScatteringSolution))
+        for cls in (PotentialProfile, Segment):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+        for module, name in ((potentials, "with_clock"), (timescales, "with_clock"),
+                             (scatter, "solve_spinor"),
+                             (scatter, "solve_with_propagation_override")):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+        rep = full_report(barrier, 2.0, channel=channel)
         assert rep.reasons == {}
-        assert len(calls) == chains
+        assert counts == {
+            "_fold": folds,
+            # the sojourn's region-marked copy for partial_waves
+            "PotentialProfile": 1 if channel == "reflection" else 0,
+            "Segment": 0,
+            # the dwell time's solve
+            "ScatteringSolution": 1,
+        }
 
     @pytest.mark.parametrize("channel, builds", [("transmission", 1), ("reflection", 1)])
     def test_prefix_chain_builds_per_energy(self, chain_builds, channel, builds):
@@ -403,6 +470,133 @@ class TestFullReport:
         rep = full_report(make_rectangular_barrier(4.0, 1.0), 2.0, channel="reflection")
         assert rep.channel == "reflection"
         assert math.isfinite(rep.entries["sojourn"])
+
+
+def spin_pair(amps, channel):
+    if channel == "reflection":
+        return amps.r_plus, amps.r_minus
+    return amps.t_plus, amps.t_minus
+
+
+def public_probes(profile, E, channel):
+    """Each clock's probe amplitude at clock strength s, through the public
+    solves of the clocked profile: (clock, [amplitude of s, one per ladder])."""
+    segs = list(profile.clock_indices())
+    try:
+        regimes = {timescales._regime(profile, E, j) for j in segs}
+    except RegimeAmbiguityError:
+        regimes = set()  # the sojourn clocks raise before their first probe
+
+    def wigner(s):
+        if E + s <= max(profile.v_left, profile.v_right):
+            raise ValidationError("probe below a lead")
+        sol = solve(profile, E + s)
+        return sol.t_local if channel == "transmission" else sol.r
+
+    def imag(s):
+        sol = solve(with_clock(profile, ClockSettings(ClockKind.IMAGINARY_POTENTIAL, s)), E)
+        return sol.t if channel == "transmission" else sol.r
+
+    def larmor(s):
+        clocked = with_clock(profile, ClockSettings(ClockKind.LARMOR, s))
+        return spin_pair(scatter.solve_spinor(clocked, E), channel)
+
+    def sojourn(active):
+        L = sum(profile.segments[j].length for j in active)
+
+        def amplitude(xi):
+            override = {j: dressed_wavevector(profile, E, j, xi * profile.segments[j].length / L)
+                        for j in active}
+            sol = scatter.solve_with_propagation_override(profile, E, override)
+            if channel == "reflection":
+                return sol.r - scatter.partial_waves(profile, E).r12
+            return sol.t_local
+
+        return amplitude
+
+    def pairing(xi):
+        L = sum(profile.segments[j].length for j in segs)
+
+        def shifted(j, sign):
+            # k + sign xi_j/(4 k L_j) above the top, i (kappa - sign
+            # xi_j/(4 kappa L_j)) below it
+            k, L_j = dressed_wavevector(profile, E, j, 0.0), profile.segments[j].length
+            shift = sign * (xi * L_j / L) / (4.0 * abs(k) * L_j)
+            return complex(k.real + shift, 0.0) if k.real else complex(0.0, k.imag - shift)
+
+        overrides = ({j: shifted(j, sign) for j in segs} for sign in (+1, -1))
+        return tuple(scatter.solve_with_propagation_override(profile, E, o).t for o in overrides)
+
+    branches = [segs] if len(regimes) == 1 else [[j] for j in segs]
+    return [
+        (lambda: wigner_delay(profile, E, channel), [wigner]),
+        (lambda: imag_clock_time(profile, E, channel), [imag]),
+        (lambda: larmor_times(profile, E, channel), [larmor]),
+        (lambda: timescales._sojourn_detailed(profile, E, None, channel),
+         [sojourn(active) for active in branches]),
+        (lambda: sojourn_via_larmor_pairing(profile, E), [pairing]),
+    ]
+
+
+@st.composite
+def probe_problems(draw):
+    """A clocked profile of 1-4 segments with absorption, gain, a Zeeman field
+    outside the clock region, unequal leads and k ~ 0 runs (segments at or
+    within 1e-12 of E), an energy above both leads, and a channel."""
+    E = draw(st.floats(0.3, 6.0))
+    n = draw(st.integers(1, 4))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    segments = []
+    for j in range(n):
+        length = draw(st.floats(0.1, 3.0))
+        kind = draw(st.sampled_from(["real", "absorbing", "gain", "flat", "near-flat"]))
+        if kind == "flat":
+            segments.append(Segment(length, E))
+            continue
+        if kind == "near-flat":
+            segments.append(Segment(length, E + draw(st.sampled_from([-1e-12, 1e-12]))))
+            continue
+        v_imag = 0.0
+        if kind == "absorbing":
+            v_imag = draw(st.floats(0.01, 1.0))
+        elif kind == "gain":
+            v_imag = draw(st.floats(-2.0, -0.01))
+        omega = 0.0
+        if not lo <= j <= hi and draw(st.booleans()):
+            omega = draw(st.floats(-1.0, 1.0))
+        segments.append(Segment(length, draw(st.floats(-2.0, 6.0)), v_imag, omega))
+    # A lead within 0.05 of E puts the widest Wigner probes below it.
+    leads = [draw(st.one_of(st.floats(-1.0, E - 0.05), st.floats(E - 0.05, E - 1e-3)))
+             for _ in range(2)]
+    profile = PotentialProfile(tuple(segments), (lo, hi), *leads)
+    return profile, E, draw(st.sampled_from(["transmission", "reflection"]))
+
+
+class TestProbeParity:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(problem=probe_problems())
+    def test_probe_amplitudes_equal_public_solves(self, problem):
+        # Every probe's amplitude is the public solve's amplitude of the
+        # clocked profile, to the bit, and a probe raises where that solve
+        # raises, with the same exception type.
+        profile, E, channel = problem
+        for clock, public in public_probes(profile, E, channel):
+            with pytest.MonkeyPatch.context() as mp:
+                ladders = recording_probes(mp)
+                try:
+                    clock()
+                    raised = None
+                except Exception as exc:
+                    raised = type(exc)
+            assert len(ladders) <= len(public)
+            for probes, amplitude in zip(ladders, public):
+                for probe in probes:
+                    if len(probe) == 2:
+                        assert amplitude(probe[0]) == probe[1]
+                    else:
+                        with pytest.raises(raised):
+                            amplitude(probe[0])
 
 
 class TestPositivity:
@@ -429,7 +623,9 @@ class TestBarrierTopLadderDefect:
         h = 1e-7
 
         def log_t2(xi):
-            return math.log(abs(timescales._dressed_solution(self.PROF, self.E, {0: xi}).t) ** 2)
+            override = {0: dressed_wavevector(self.PROF, self.E, 0, xi)}
+            sol = scatter.solve_with_propagation_override(self.PROF, self.E, override)
+            return math.log(abs(sol.t) ** 2)
 
         return -(1.0 / 2.0) * (log_t2(h) - log_t2(-h)) / (2.0 * h)
 
