@@ -307,12 +307,19 @@ def _run_timescale(scenario: Scenario) -> ResultTable:
     return ResultTable(columns=["energy", *METHOD_LABELS, "reason"], rows=rows)
 
 
+def _zeno_row(spec: first_passage.LatticeSpec, tau: float, t_fixed: float) -> list:
+    try:
+        ((_, survival),) = first_passage.zeno_scan(spec, [tau], t_fixed)
+    except WavetimeError as exc:
+        return [tau, None, f"{type(exc).__name__}: {exc}"]
+    return [tau, survival, None]
+
+
 def _run_first_passage(scenario: Scenario) -> ResultTable:
     spec = _parse_lattice(scenario.payload["lattice"])
     if scenario.sweep_parameter == "tau":
         t_fixed = _parse_t_fixed(scenario.payload, spec)
-        pairs = first_passage.zeno_scan(spec, list(scenario.sweep_grid), t_fixed)
-        rows = [[tau, s, None] for tau, s in pairs]
+        rows = [_zeno_row(spec, tau, t_fixed) for tau in scenario.sweep_grid]
         return ResultTable(columns=["tau", "survival", "reason"], rows=rows)
     # step sweep: indices into a single stroboscopic run
     record = first_passage.evolve_project(spec)

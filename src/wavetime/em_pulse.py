@@ -22,20 +22,27 @@ measure only grid aliasing.
 
 delay_decomposition is the per-row kernel of a sweep.  It takes each arrival
 time from the spectrum alone: with q = -i dE~/domega, the spectrum of the time
-moment t E(t), the centroid is Re <n E~, q> / Re <E~, n E~> (_p_operator).  A
-row makes 6 transforms, through scipy.fft under norm="forward" with dt applied
-in place.  n(omega) and dk/domega are cached once per sweep, and the slab
-factors exp(i k L) and exp(-Im k L) once per thickness, so a carrier sweep
-computes all of them once.  propagate, centroid_time and
-detector_absorption_time build their own factors: they are the independent
+moment t E(t), the centroid is Re <n E~, q> / Re <E~, n E~> (_p_operator).
+The entry spectrum of the Gaussian pulse and its moment are closed forms
+(_entry_spectrum), so the kernel never samples pulse.field(); the exit and
+attenuated moments take a round trip through the time domain each, so a row
+makes 4 transforms, through scipy.fft under norm="forward" with dt applied in
+place.  n(omega) and dk/domega are cached once per sweep, the entry delay
+factor exp(i omega t0) once per pulse window, and the slab factors
+exp(i k L) and exp(-Im k L) once per thickness, so a carrier sweep computes
+all of them once.  propagate, centroid_time and detector_absorption_time
+sample the field and build their own factors: they are the independent
 time-domain check of the kernel.
 
 The transforms are periodic in time, so a field that has not decayed by the
 edges of the window wraps around it, and no spectral check can see that.
-_time_moment reads the exit and attenuated fields at their first and last
-samples on its way through the time domain, and a row where either has not
-decayed is flagged window_truncated, not refused: the arrival times are then
-not converged in the window span.
+The closed-form entry spectrum is the sampled one only when the entry pulse
+fits its window, so delay_decomposition refuses (GridError) a pulse whose
+peak lies outside the window or whose |E|^2 at the first or last sample
+exceeds _EDGE_TOL of the peak.  _time_moment reads the exit and attenuated
+fields at their first and last samples on its way through the time domain,
+and a row where either has not decayed is flagged window_truncated, not
+refused: the arrival times are then not converged in the window span.
 """
 from __future__ import annotations
 
@@ -70,6 +77,8 @@ _ALIAS_TOL = 1e-6
 # |E|^2 at the first or last sample of the time window above this fraction of
 # its peak means the field wraps around the periodic window.
 _EDGE_TOL = 1e-12
+# A net flux at most this fraction of the flux without cancellation is zero.
+_FLUX_FLOOR = 1e-12
 
 
 class MediumKind(Enum):
@@ -97,6 +106,9 @@ class MediumSpec:
     damping: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("thickness", "resonance", "plasma_strength", "damping"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"medium.{name}: must be finite, got {getattr(self, name)}")
         if not self.thickness > 0:
             raise ValidationError(f"thickness must be positive, got {self.thickness}")
         if self.damping < 0:
@@ -374,13 +386,62 @@ def _p_operator(spectrum: np.ndarray, q: np.ndarray, n: np.ndarray) -> float:
     spectrum at a plane with local index n, given its time moment q = -i dE~/domega.
     The flux-weighted moment is Re sum conj(n E~) q over Re sum n |E~|^2, two
     vdots with no temporaries beyond n E~.  By discrete Parseval it equals
-    centroid_time of the plane's fields."""
+    centroid_time of the plane's fields.
+
+    The net flux Re sum n |E~|^2 is zero when it is at most _FLUX_FLOOR of
+    sum |n E~| |E~|, the flux the plane would carry with no cancellation: below
+    that it is rounding noise (a lossless slab whose spectrum lies under its
+    cutoff), and the centroid would be noise divided by noise.  That sum is
+    at most the product of the norms ||n E~|| ||E~|| (Cauchy-Schwarz, two more
+    vdots), so only a net flux below _FLUX_FLOOR of that product pays for the
+    elementwise moduli."""
     ns = n * spectrum
     num = np.vdot(ns, q).real
     den = np.vdot(spectrum, ns).real
-    if abs(den) < 1e-300 or not np.isfinite(den):
+    if not np.isfinite(den) or (
+        abs(den) <= _FLUX_FLOOR * math.sqrt(np.vdot(ns, ns).real * np.vdot(spectrum, spectrum).real)
+        and abs(den) <= _FLUX_FLOOR * np.dot(np.abs(ns), np.abs(spectrum))
+    ):
         raise ZeroFluxError("net energy flux through the plane vanishes")
     return float(num / den)
+
+
+@functools.lru_cache(maxsize=1)
+def _entry_phase(center: float, n_samples: int, span: float) -> np.ndarray:
+    """Read-only exp(i omega t0) on the FFT grid: the entry pulse's delay factor.
+    It depends on neither the carrier nor the medium, so a sweep computes it once."""
+    phase = np.exp(1j * center * _omegas(n_samples, span))
+    phase.flags.writeable = False
+    return phase
+
+
+def _entry_spectrum(pulse: PulseSpec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form entry spectrum of pulse.field() and its time moment on the grid w:
+    E~_in = T sqrt(2 pi) exp(-(w - w0)^2 T^2 / 2) exp(i w t0) and
+    q_in = -i dE~_in/domega = (t0 + i T^2 (w - w0)) E~_in.
+
+    Both equal the sampled DFTs of the field and of t E(t) only while the pulse
+    fits its window: the periodic DFT cuts off the Gaussian tails that the
+    closed form keeps.
+
+    Raises:
+        GridError: if the pulse peak lies outside the window, or |E|^2 at its
+            first or last sample exceeds _EDGE_TOL of the peak.
+    """
+    t0, T = pulse.center, pulse.duration
+    last = pulse.span - pulse.span / pulse.n_samples
+    edge = max(math.exp(-((t0 / T) ** 2)), math.exp(-(((last - t0) / T) ** 2)))
+    if not 0.0 <= t0 <= last or edge > _EDGE_TOL:
+        raise GridError(
+            f"entry pulse centred at {t0:.6g} does not fit the window [0, {last:.6g}]: "
+            f"enlarge the span or move the center"
+        )
+    detuning = w - pulse.carrier
+    envelope = np.exp(-0.5 * (T * detuning) ** 2)
+    envelope *= T * math.sqrt(2.0 * math.pi)
+    spec_in = envelope * _entry_phase(t0, pulse.n_samples, pulse.span)
+    q_in = (t0 + 1j * T**2 * detuning) * spec_in
+    return spec_in, q_in
 
 
 def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
@@ -389,22 +450,29 @@ def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
     Group part: flux-spectrum-weighted average of L d(Re k)/domega at the exit.
     Reshaping part: arrival-time shift of the entry pulse when its spectrum is
     attenuated by |exp(i k L)| with no phase applied.  Arrival times are
-    spectral centroids (_p_operator), so no field is transformed back in time.
+    spectral centroids (_p_operator), so no field is transformed back in time;
+    the entry spectrum and its moment are closed forms (_entry_spectrum).
+
+    Raises:
+        GridError: if the entry pulse does not fit its time window, or the
+            entry or exit spectrum leaks more than 1e-6 of its peak into the
+            grid edge.
+        ZeroFluxError: if the net energy flux through the entry, exit or
+            attenuated plane vanishes (a lossless slab whose spectrum lies
+            entirely under its cutoff).
     """
     key = (medium.kind, medium.resonance, medium.plasma_strength, medium.damping,
            pulse.n_samples, pulse.span)
     w, n, kprime = _grid_dispersion(*key)
     phase, attenuation = _slab_factors(*key, medium.thickness)
-    times = pulse.times()
-    field = pulse.field()
-    spec_in = to_spectrum(field, pulse)
+    spec_in, q_in = _entry_spectrum(pulse, w)
     _check_aliasing(spec_in, "entry spectrum")
     spec_out = spec_in * phase
     _check_aliasing(spec_out, "exit spectrum")
     spec_att = spec_in * attenuation
 
-    field *= times
-    t_in = _p_operator(spec_in, to_spectrum(field, pulse), n)
+    times = pulse.times()
+    t_in = _p_operator(spec_in, q_in, n)
     q_out, out_truncated = _time_moment(spec_out, pulse, times)
     t_out = _p_operator(spec_out, q_out, n)
     delta_t = t_out - t_in

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import SPLIT_SWEEPS, em_sweep_doc, run_sweep, whole_and_split_rows
 from wavetime.cli import (
+    METHOD_LABELS,
     ResultTable,
     Scenario,
     _reason_summary,
@@ -329,37 +330,103 @@ _MEDIA = [
 ]
 
 
+def _grid(draw, values):
+    """A strictly monotone grid of one to eight of the values, either way round."""
+    grid = sorted(draw(st.lists(values, min_size=1, max_size=8, unique=True)))
+    if draw(st.booleans()):
+        grid.reverse()
+    return tuple(grid)
+
+
 @st.composite
 def em_grids(draw):
     """An em_pulse scenario with a random, strictly monotone carrier or thickness
     grid that reaches zero, negative values and carriers past Nyquist."""
     parameter = draw(st.sampled_from(["carrier", "thickness"]))
     values = st.floats(-10.0, 40.0) if parameter == "carrier" else st.floats(-5.0, 60.0)
-    grid = sorted(draw(st.lists(values, min_size=1, max_size=8, unique=True)))
-    if draw(st.booleans()):
-        grid.reverse()
+    grid = _grid(draw, values)
     payload = {
         "pulse": {**_SMALL_PULSE, "carrier": draw(st.floats(0.5, 20.0))},
         "medium": draw(st.sampled_from(_MEDIA)),
     }
     return Scenario(kind="em_pulse", payload=payload, sweep_parameter=parameter,
-                    sweep_grid=tuple(grid), output_path="unused.csv", output_format="csv",
+                    sweep_grid=grid, output_path="unused.csv", output_format="csv",
                     digest="")
+
+
+# A barrier with unequal leads, a well-barrier pair with a Larmor field, and
+# an absorbing barrier.  The energy grids reach below the leads and the
+# segment tops, where rows are reason-coded.
+_PROFILES = [
+    {"segments": [{"length": 1.0, "v_real": 2.0}], "clock_region": [0, 0],
+     "v_left": 0.0, "v_right": -0.5},
+    {"segments": [{"length": 0.7, "v_real": -1.0, "omega_larmor": 0.2},
+                  {"length": 0.5, "v_real": 3.0}], "clock_region": [0, 1]},
+    {"segments": [{"length": 1.0, "v_real": 2.0, "v_imag": 0.1}], "clock_region": [0, 0]},
+]
+# The exact segment tops and lead levels of _PROFILES.
+_SPECIAL_ENERGIES = [-1.0, -0.5, 0.0, 2.0, 3.0]
+
+
+@st.composite
+def timescale_grids(draw):
+    """A timescale_sweep scenario with a random energy grid."""
+    energies = st.one_of(st.floats(-2.0, 12.0), st.sampled_from(_SPECIAL_ENERGIES))
+    payload = {"profile": draw(st.sampled_from(_PROFILES)),
+               "channel": draw(st.sampled_from(["transmission", "reflection"]))}
+    return Scenario(kind="timescale_sweep", payload=payload, sweep_parameter="energy",
+                    sweep_grid=_grid(draw, energies), output_path="unused.csv",
+                    output_format="csv", digest="")
+
+
+@st.composite
+def lattice_grids(draw):
+    """A first_passage scenario with a random tau grid, zero and negative taus
+    included, or a random step grid that reaches outside the run."""
+    parameter = draw(st.sampled_from(["tau", "step"]))
+    if parameter == "tau":
+        # Small positive taus are left out: a run takes t_fixed / tau steps.
+        values = st.floats(-2.0, 4.0).filter(lambda tau: tau <= 0.0 or tau >= 0.05)
+    else:
+        values = st.integers(-3, 9).map(float)
+    payload = {"lattice": zeno_doc(Path("."), parameter)["lattice"], "t_fixed": 5.0}
+    return Scenario(kind="first_passage", payload=payload, sweep_parameter=parameter,
+                    sweep_grid=_grid(draw, values), output_path="unused.csv",
+                    output_format="csv", digest="")
+
+
+def assert_one_row_per_value(scenario, n_values):
+    """Rows follow the grid; each row has n_values finite values, or a reason
+    for every value it lacks.  filterwarnings = error, so a warning escaping a
+    row fails here too."""
+    table = run_scenario(scenario)
+    assert [row[0] for row in table.rows] == list(scenario.sweep_grid)
+    for row in table.rows:
+        values, reason = row[1:1 + n_values], row[-1]
+        assert all(v is None or (isinstance(v, float) and math.isfinite(v)) for v in values)
+        assert (reason is None) == all(v is not None for v in values)
+        assert reason is None or reason
+    return table
 
 
 class TestRandomGrids:
     @settings(derandomize=True, deadline=None, database=None)
     @given(em_grids())
     def test_every_em_grid_value_is_one_row(self, scenario):
-        # filterwarnings = error: a warning escaping a row fails here too.
-        table = run_scenario(scenario)
-        assert [row[0] for row in table.rows] == list(scenario.sweep_grid)
-        for row in table.rows:
-            values, reason = row[1:7], row[-1]
-            if reason is None:
-                assert all(isinstance(v, float) and math.isfinite(v) for v in values)
-            else:
-                assert values == [None] * 6 and row[7] is None and reason
+        for row in assert_one_row_per_value(scenario, 6).rows:
+            if row[-1] is not None:
+                assert row[1:8] == [None] * 7
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(timescale_grids())
+    def test_every_energy_grid_value_is_one_row(self, scenario):
+        assert_one_row_per_value(scenario, len(METHOD_LABELS))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(lattice_grids())
+    def test_every_lattice_grid_value_is_one_row(self, scenario):
+        n_values = 1 if scenario.sweep_parameter == "tau" else 2
+        assert_one_row_per_value(scenario, n_values)
 
 
 def valid_scenario_docs():
@@ -500,6 +567,20 @@ def test_non_finite_pulse_field_is_named_error(tmp_path, field, value):
     res = CliRunner().invoke(main, ["validate", str(path)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith(f"error: pulse.{field}: must be finite")
+
+
+@pytest.mark.parametrize("field", ["thickness", "resonance", "plasma_strength", "damping"])
+def test_non_finite_medium_field_is_named_error(tmp_path, field):
+    # A NaN damping or plasma strength and an infinite thickness validated,
+    # and every row was then reason-coded ZeroFluxError.
+    doc = em_sweep_doc("carrier", [8.0, 12.0])
+    doc["medium"][field] = math.inf if field == "thickness" else math.nan
+    doc["output"] = {"path": str(tmp_path / "out.csv"), "format": "csv"}
+    path = tmp_path / "medium.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    res = CliRunner().invoke(main, ["validate", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: medium.{field}: must be finite")
 
 
 class TestCompare:

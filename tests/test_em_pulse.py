@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wavetime import em_pulse
 from wavetime.em_pulse import (
@@ -19,7 +21,7 @@ from wavetime.em_pulse import (
     to_spectrum,
     to_time,
 )
-from wavetime.errors import GridError, ValidationError
+from wavetime.errors import GridError, ValidationError, ZeroFluxError
 
 PULSE = PulseSpec(carrier=10.0, duration=2.0, center=30.0, n_samples=4096, span=120.0)
 VACUUM = MediumSpec(kind=MediumKind.VACUUM, thickness=5.0)
@@ -45,6 +47,14 @@ class TestSpecs:
     def test_medium_rejects_negative_damping(self):
         with pytest.raises(ValidationError):
             MediumSpec(kind=MediumKind.VACUUM, thickness=1.0, damping=-0.1)
+
+    @pytest.mark.parametrize("field", ["thickness", "resonance", "plasma_strength", "damping"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_medium_rejects_non_finite_field(self, field, value):
+        # nan < 0 is false, so a NaN damping or plasma strength and an
+        # infinite thickness passed the sign checks.
+        with pytest.raises(ValidationError, match=f"^medium.{field}: must be finite"):
+            replace(LORENTZ, **{field: value})
 
     def test_lorentz_needs_resonance(self):
         with pytest.raises(ValidationError):
@@ -186,9 +196,60 @@ class TestDecomposition:
         assert rep.residual_ok
 
     def test_plasma_evanescent_regime_is_flagged(self):
-        medium = MediumSpec(kind=MediumKind.PLASMA, thickness=0.5, plasma_strength=15.0)
+        # The carrier lies under the cutoff; the damping gives n a real part
+        # there, so the evanescent spectrum still carries a net flux.
+        medium = MediumSpec(kind=MediumKind.PLASMA, thickness=0.5, plasma_strength=15.0,
+                            damping=2.0)
         rep = delay_decomposition(PULSE, medium)
         assert rep.evanescent_regime
+        assert rep.residual_ok
+
+    def test_lossless_slab_under_its_cutoff_has_no_flux(self):
+        # Re n = 0 wherever the spectrum lives, so the net flux is rounding
+        # noise: the sampled entry spectrum gave t_in = -7.8e30, delta_t =
+        # 7.8e30 and residual_ok.
+        medium = MediumSpec(kind=MediumKind.PLASMA, thickness=0.5, plasma_strength=15.0)
+        with pytest.raises(ZeroFluxError):
+            delay_decomposition(PULSE, medium)
+
+    @pytest.mark.parametrize("center, fits", [(2.0, False), (10.0, False), (11.0, True)])
+    def test_entry_pulse_must_fit_its_window(self, center, fits):
+        # |E|^2 at the first sample is exp(-(t0/T)^2): 1.4e-11 at t0 = 10,
+        # 7.3e-14 at t0 = 11, against _EDGE_TOL = 1e-12.  The closed-form
+        # entry spectrum is the sampled one only once the pulse fits.
+        pulse = replace(PULSE, center=center)
+        if not fits:
+            with pytest.raises(GridError, match="entry pulse"):
+                delay_decomposition(pulse, PLASMA)
+        else:
+            rep = delay_decomposition(pulse, VACUUM)
+            assert rep.t_in == pytest.approx(center, abs=1e-9)
+            assert rep.delta_t == pytest.approx(VACUUM.thickness, abs=1e-9)
+
+    @pytest.mark.parametrize("center", [-30.0, 150.0])
+    def test_entry_pulse_outside_its_window_raises(self, center):
+        # Both edge samples are below _EDGE_TOL, but the window holds no pulse.
+        with pytest.raises(GridError, match="entry pulse"):
+            delay_decomposition(replace(PULSE, center=center), VACUUM)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=120)
+    @given(carrier=st.floats(0.5, 40.0), duration=st.floats(0.3, 4.0),
+           spans=st.floats(8.0, 60.0), place=st.floats(0.0, 1.0),
+           log2n=st.integers(9, 13))
+    def test_closed_form_entry_matches_sampled_dft(self, carrier, duration, spans, place, log2n):
+        span = spans * duration
+        try:
+            pulse = PulseSpec(carrier=carrier, duration=duration, center=place * span,
+                              n_samples=2**log2n, span=span)
+            w = em_pulse._omegas(pulse.n_samples, pulse.span)
+            spec_in, q_in = em_pulse._entry_spectrum(pulse, w)
+        except (ValidationError, GridError):
+            assume(False)
+        field = pulse.field()
+        spectrum = to_spectrum(field, pulse)
+        moment = to_spectrum(pulse.times() * field, pulse)
+        assert np.max(np.abs(spec_in - spectrum)) <= 1e-6 * np.max(np.abs(spectrum))
+        assert np.max(np.abs(q_in - moment)) <= 1e-6 * np.max(np.abs(moment))
 
     @pytest.mark.parametrize("carrier, truncated", [(5.81, True), (12.0, False)])
     def test_window_truncation_is_flagged(self, carrier, truncated):
@@ -218,15 +279,21 @@ class TestDecomposition:
         assert rep.t_in == pytest.approx(centroid_time(entry), rel=1e-12)
         assert rep.t_out == pytest.approx(centroid_time(exit_), rel=1e-12)
 
-    def test_each_row_transforms_six_times_and_sweep_disperses_once(self, monkeypatch):
+    def test_each_row_transforms_four_times_and_sweep_disperses_once(self, monkeypatch):
         calls = []
         for name in ("to_spectrum", "to_time"):
             original = getattr(em_pulse, name)
             monkeypatch.setattr(
                 em_pulse, name, lambda *args, _f=original: calls.append(_f) or _f(*args)
             )
+
+        def sampled_entry(self):
+            raise AssertionError("the kernel sampled the entry field")
+
+        monkeypatch.setattr(PulseSpec, "field", sampled_entry)
         em_pulse._grid_dispersion.cache_clear()
         em_pulse._slab_factors.cache_clear()
+        em_pulse._entry_phase.cache_clear()
         carrier_rows = [(replace(PULSE, carrier=c), PLASMA) for c in (9.0, 10.0, 11.0)]
         for pulse, medium in carrier_rows:
             delay_decomposition(pulse, medium)
@@ -234,13 +301,15 @@ class TestDecomposition:
         thicknesses = (0.5, 1.0)
         for t in thicknesses:
             delay_decomposition(PULSE, replace(PLASMA, thickness=t))
-        assert len(calls) == 6 * (len(carrier_rows) + len(thicknesses))
+        assert len(calls) == 4 * (len(carrier_rows) + len(thicknesses))
         assert em_pulse._grid_dispersion.cache_info().misses == 1
         assert em_pulse._slab_factors.cache_info().misses == 1 + len(thicknesses)
+        assert em_pulse._entry_phase.cache_info().misses == 1
         key = (PLASMA.kind, PLASMA.resonance, PLASMA.plasma_strength, PLASMA.damping,
                PULSE.n_samples, PULSE.span)
         for factor in em_pulse._slab_factors(*key, thicknesses[-1]):
             assert not factor.flags.writeable
+        assert not em_pulse._entry_phase(PULSE.center, PULSE.n_samples, PULSE.span).flags.writeable
 
     def test_luminal_total_for_propagating_spectra(self):
         for thickness in (0.5, 2.0, 5.0):
