@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# The most measure-and-project cycles one run may take: each keeps p(n) and
+# S(n), so 10**7 steps hold 160 MB and run for minutes.
+_MAX_STEPS = 10**7
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Stroboscopic detection run on an open chain.
@@ -44,7 +49,7 @@ class LatticeSpec:
         initial_site: site of the initial delta state.
         detector_sites: sites measured every step (may include initial_site).
         tau: measurement interval (> 0).
-        n_steps: number of measure-and-project cycles (>= 1).
+        n_steps: number of measure-and-project cycles (1 to _MAX_STEPS).
     """
 
     n_sites: int
@@ -63,6 +68,8 @@ class LatticeSpec:
             raise ValidationError(f"tau must be positive, got {self.tau}")
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.n_steps > _MAX_STEPS:
+            raise ValidationError(f"n_steps must be at most {_MAX_STEPS}, got {self.n_steps}")
         sites = set(self.detector_sites) | {self.initial_site}
         if not self.detector_sites:
             raise ValidationError("detector_sites must be non-empty")
@@ -199,11 +206,18 @@ def zeno_scan(
     """Survival at a fixed physical time versus measurement interval.
 
     For each tau the protocol runs n = round(t_fixed / tau) steps (at least
-    one); continuous measurement (tau -> 0) freezes the evolution when the
-    detector is off the initial site.
+    one, at most _MAX_STEPS); continuous measurement (tau -> 0) freezes the
+    evolution when the detector is off the initial site.
     """
     if any(t <= 0 for t in tau_list):
         raise ValidationError("all measurement intervals must be positive")
+    for tau in tau_list:
+        # Checked before round(), which overflows when t_fixed / tau is inf.
+        if not t_fixed / tau <= _MAX_STEPS:
+            raise ValidationError(
+                f"n_steps = t_fixed / tau = {t_fixed / tau:.6g} at tau = {tau:.6g} "
+                f"exceeds {_MAX_STEPS}"
+            )
 
     out = []
     for tau in tau_list:

@@ -6,13 +6,16 @@ product never mixes growing and decaying exponentials, so opaque barriers
 (|Im k| * length >> 1) are handled without overflow or cancellation.
 
 Every S-matrix comes from one composer, _fold: a left-to-right pass that
-keeps a running (t, r, t_rev, r_rev) and builds no element list.  solve()
-reads its amplitudes off one fold, and partial_waves folds the stacks on
+keeps a running (t, r, t_rev, r_rev), builds each element (an interface, or a
+merged k ~ 0 run) as a plain tuple and applies the one Redheffer star.  Every
+fold is prepared by one _Chain: the bare wavevectors, lengths and leads at one
+energy, and the exit phase.  solve() and solve_with_propagation_override read
+their amplitudes off one fold of it, and partial_waves folds the stacks on
 either side of the clock region.  The interior waves (wavefunction_at and the
 dwell time) are built on the first access to ScatteringSolution.segment_waves,
 from two folds that record their state at every segment: one over the chain,
 and one over its mirror image for the reflection off everything to the right.
-The clock probes in timescales call _fold directly, on wavevectors from _k
+The clock probes in timescales fold a _Chain directly, with wavevectors from _k
 (wavevector's k^2 and branch rule on bare numbers), so solve_spinor and
 solve_with_propagation_override stay public solves that no clock goes through.
 
@@ -28,8 +31,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .errors import (
     NoOpenChannelError,
@@ -87,34 +88,6 @@ def _k(E: float, v_real: float, v_imag: float, shift: float | None = None) -> co
     return 1j * cmath.sqrt(-k2)
 
 
-@dataclass(frozen=True)
-class SMatrix:
-    """Scalar 2-port scattering matrix.
-
-    out_left  = r * in_left + t_rev * in_right
-    out_right = t * in_left + r_rev * in_right
-    """
-
-    t: complex
-    r: complex
-    t_rev: complex
-    r_rev: complex
-
-
-def _star(a: SMatrix, b: SMatrix) -> SMatrix:
-    """Redheffer star product: a followed (to the right) by b."""
-    denom = 1.0 - a.r_rev * b.r
-    if abs(denom) < 1e-300:
-        raise ResummationDivergenceError("interface resummation diverges (unit-loop gain)")
-    inv = 1.0 / denom
-    return SMatrix(
-        t=b.t * a.t * inv,
-        r=a.r + a.t_rev * b.r * a.t * inv,
-        t_rev=a.t_rev * b.t_rev * inv,
-        r_rev=b.r_rev + b.t * a.r_rev * b.t_rev * inv,
-    )
-
-
 def _sinkd_over_k(k: complex, d: float) -> complex:
     """sin(k d)/k, stable through k -> 0."""
     kd = k * d
@@ -124,19 +97,21 @@ def _sinkd_over_k(k: complex, d: float) -> complex:
     return cmath.sin(kd) / k
 
 
-def _segment_transfer(k: complex, d: float) -> np.ndarray:
-    """(psi, psi') transfer matrix across one segment; exact for any k, det = 1."""
+def _segment_transfer(k: complex, d: float) -> tuple[complex, complex, complex, complex]:
+    """(psi, psi') transfer matrix across one segment, as (m11, m12, m21, m22);
+    exact for any k, det = 1."""
     c = cmath.cos(k * d)
     s = _sinkd_over_k(k, d)
-    return np.array([[c, s], [-k * k * s, c]], dtype=complex)
+    return c, s, -k * k * s, c
 
 
-def _block_smatrix(M: np.ndarray, ka: complex, kc: complex) -> SMatrix:
-    """Convert a (psi, psi') transfer matrix to an S-matrix between plane-wave
-    bases ka (left) and kc (right).  Used for near-zero-k segments only, where
-    M carries no large exponentials."""
-    m11, m12 = M[0, 0], M[0, 1]
-    m21, m22 = M[1, 0], M[1, 1]
+def _block_smatrix(
+    M: tuple[complex, complex, complex, complex], ka: complex, kc: complex
+) -> tuple[complex, complex, complex, complex]:
+    """Convert a (psi, psi') transfer matrix to the (t, r, t_rev, r_rev) of an
+    S-matrix between plane-wave bases ka (left) and kc (right).  Used for
+    near-zero-k segments only, where M carries no large exponentials."""
+    m11, m12, m21, m22 = M
     ika, ikc = 1j * ka, 1j * kc
     # Unknowns (C, B) for inputs (A, D); see continuity of psi and psi'.
     g11, g12 = 1.0 + 0j, -m11 + m12 * ika
@@ -152,7 +127,7 @@ def _block_smatrix(M: np.ndarray, ka: complex, kc: complex) -> SMatrix:
 
     t, r = _solve(m11 + m12 * ika, m21 + m22 * ika)
     r_rev, t_rev = _solve(-1.0 + 0j, ikc)
-    return SMatrix(t=t, r=r, t_rev=t_rev, r_rev=r_rev)
+    return t, r, t_rev, r_rev
 
 
 @dataclass(frozen=True)
@@ -202,12 +177,12 @@ def _degenerate_block(
     k_prev: complex,
     k_right: complex,
     prop_ks: list[complex],
-) -> tuple[SMatrix, int, complex]:
+) -> tuple[tuple[complex, complex, complex, complex], int, complex]:
     """Merge the run of consecutive k ~ 0 segments that starts at j into one
     block from medium k_prev into the medium after the run.  Returns the
-    block, the run's last segment index and that next medium's wavevector.
-    An override on any segment of the run is refused: the block has no
-    propagation factor to carry it."""
+    block's (t, r, t_rev, r_rev), the run's last segment index and that next
+    medium's wavevector.  An override on any segment of the run is refused:
+    the block has no propagation factor to carry it."""
     n = len(ks)
     m = j
     while m + 1 < n and _is_degenerate(ks[m + 1], ds[m + 1]):
@@ -216,11 +191,14 @@ def _degenerate_block(
         raise RegimeAmbiguityError(
             "cannot dress a segment at its barrier top (k ~ 0); offset E"
         )
-    M = _segment_transfer(ks[j], ds[j])
+    m11, m12, m21, m22 = _segment_transfer(ks[j], ds[j])
     for i in range(j + 1, m + 1):
-        M = _segment_transfer(ks[i], ds[i]) @ M
+        c, s, sk, _ = _segment_transfer(ks[i], ds[i])
+        m11, m12, m21, m22 = (
+            c * m11 + s * m21, c * m12 + s * m22, sk * m11 + c * m21, sk * m12 + c * m22
+        )
     kc = ks[m + 1] if m + 1 < n else k_right
-    return _block_smatrix(M, k_prev, kc), m, kc
+    return _block_smatrix((m11, m12, m21, m22), k_prev, kc), m, kc
 
 
 def _fold(
@@ -234,48 +212,45 @@ def _fold(
     """(t, r, t_rev, r_rev) of the whole chain, composed in one left-to-right
     pass of Redheffer stars with no element or prefix list.
 
-    Each interface is starred into the running S-matrix with _star's
-    arithmetic in _star's order.  A propagation factor has r = r_rev = 0, so
-    its star has denominator exactly 1 and reduces to the products below.
-    When states is given, the running (t, r_rev) is appended as the fold
-    enters each segment (after its interface, before its propagation), and
-    None for each segment of a k ~ 0 run.
+    Each step builds the element that enters the next medium, as a plain
+    (t, r, t_rev, r_rev): the interface from the previous medium, or a merged
+    k ~ 0 run, which enters the medium after the run.  It stars that element
+    into the running S-matrix, then the medium's propagation factor, which has
+    r = r_rev = 0, so its star has denominator exactly 1 and reduces to the
+    products below.  When states is given, the running (t, r_rev) is appended
+    as the fold enters each segment (after its interface, before its
+    propagation), and None for each segment of a k ~ 0 run.
     """
     n = len(ks)
     if prop_ks is None:
         prop_ks = ks
     t, r, t_rev, r_rev = 1.0 + 0j, 0j, 1.0 + 0j, 0j
     k_prev = k_left
-    interface_pending = True
     j = 0
     while True:
         if j < n and _is_degenerate(ks[j], ds[j]):
-            block, m, k_prev = _degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
-            full = _star(SMatrix(t, r, t_rev, r_rev), block)
-            t, r, t_rev, r_rev = full.t, full.r, full.t_rev, full.r_rev
+            (b_t, b_r, b_t_rev, b_r_rev), m, k = _degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
             if states is not None:
                 states.extend([None] * (m + 1 - j))
-            interface_pending = False
             j = m + 1
-            continue
-        k = ks[j] if j < n else k_right
-        if interface_pending:
-            # _star(state, interface from k_prev into k), inlined
+        else:
+            k = ks[j] if j < n else k_right
             s = k_prev + k
             if abs(s) < 1e-300:
                 raise ValidationError("degenerate interface: ka + kb = 0")
             b_t, b_r = 2.0 * k_prev / s, (k_prev - k) / s
             b_t_rev, b_r_rev = 2.0 * k / s, (k - k_prev) / s
-            denom = 1.0 - r_rev * b_r
-            if abs(denom) < 1e-300:
-                raise ResummationDivergenceError("interface resummation diverges (unit-loop gain)")
-            inv = 1.0 / denom
-            t, r, t_rev, r_rev = (
-                b_t * t * inv,
-                r + t_rev * b_r * t * inv,
-                t_rev * b_t_rev * inv,
-                b_r_rev + b_t * r_rev * b_t_rev * inv,
-            )
+        # The Redheffer star of the running S-matrix followed by the element.
+        denom = 1.0 - r_rev * b_r
+        if abs(denom) < 1e-300:
+            raise ResummationDivergenceError("interface resummation diverges (unit-loop gain)")
+        inv = 1.0 / denom
+        t, r, t_rev, r_rev = (
+            b_t * t * inv,
+            r + t_rev * b_r * t * inv,
+            t_rev * b_t_rev * inv,
+            b_r_rev + b_t * r_rev * b_t_rev * inv,
+        )
         if j == n:
             return t, r, t_rev, r_rev
         if states is not None:
@@ -283,7 +258,6 @@ def _fold(
         p = cmath.exp(1j * prop_ks[j] * ds[j])
         t, t_rev, r_rev = p * t, t_rev * p, p * r_rev * p
         k_prev = k
-        interface_pending = True
         j += 1
 
 
@@ -297,15 +271,17 @@ def _segment_waves(sol: ScatteringSolution) -> tuple[_SegmentWave, ...]:
     r_rev.  A uniform segment's transfer matrix is mirror-symmetric, so a
     k ~ 0 block mirrors like any other element.
     """
-    profile, ks, prop_ks = sol._profile, sol._ks, sol._prop_ks
-    ds = [s.length for s in profile.segments]
-    eff_ks = ks if prop_ks is None else prop_ks
+    chain = sol._chain
+    ks, ds = chain.ks, chain.ds
+    eff_ks = list(ks)
+    for j, k in sol._prop_ks:
+        eff_ks[j] = k
     forward: list = []
     mirrored: list = []
-    _fold(ks, ds, sol.k_left, sol.k_right, prop_ks, forward)
-    _fold(ks[::-1], ds[::-1], sol.k_right, sol.k_left, eff_ks[::-1], mirrored)
+    _fold(ks, ds, chain.k_l, chain.k_r, eff_ks, forward)
+    _fold(ks[::-1], ds[::-1], chain.k_r, chain.k_l, eff_ks[::-1], mirrored)
     mirrored.reverse()
-    edges = profile.edges()
+    edges = chain.profile.edges()
 
     waves: list[_SegmentWave] = []
     for j, (left, right) in enumerate(zip(forward, mirrored)):
@@ -351,10 +327,10 @@ class ScatteringSolution:
     k_left: complex
     k_right: complex
     extent: float
-    # The inputs segment_waves is built from, on first access.
-    _profile: PotentialProfile = field(repr=False, compare=False)
-    _ks: list[complex] = field(repr=False, compare=False)
-    _prop_ks: list[complex] | None = field(repr=False, compare=False)
+    # The chain and propagation overrides segment_waves is built from, on
+    # first access.
+    _chain: _Chain = field(repr=False, compare=False)
+    _prop_ks: tuple[tuple[int, complex], ...] = field(repr=False, compare=False)
 
     @property
     def incident_flux(self) -> float:
@@ -373,44 +349,65 @@ class ScatteringSolution:
         return _segment_waves(self)
 
 
-def _lead_wavevectors(profile: PotentialProfile, E: float) -> tuple[complex, complex]:
-    if not (E > profile.v_left and E > profile.v_right):
-        raise NoOpenChannelError(
-            f"E = {E} does not lie above both asymptotic potentials "
-            f"({profile.v_left}, {profile.v_right})"
+class _Chain:
+    """The chain at one energy, prepared once for every fold of it: the bare
+    segment wavevectors (of one Zeeman channel, or none), the segment lengths,
+    the lead wavevectors and, on first use, the exit phase exp(-i k_R X),
+    which turns a fold's local t into the absolute t.
+
+    Raises:
+        NoOpenChannelError: if E does not lie above both leads.
+    """
+
+    def __init__(self, profile: PotentialProfile, E: float, channel: int | None = None):
+        if not (E > profile.v_left and E > profile.v_right):
+            raise NoOpenChannelError(
+                f"E = {E} does not lie above both asymptotic potentials "
+                f"({profile.v_left}, {profile.v_right})"
+            )
+        self.profile = profile
+        self.energy = E
+        self.ks = [wavevector(E, seg, channel) for seg in profile.segments]
+        self.ds = [seg.length for seg in profile.segments]
+        self.k_l = complex(math.sqrt(E - profile.v_left))
+        self.k_r = complex(math.sqrt(E - profile.v_right))
+
+    @cached_property
+    def exit_phase(self) -> complex:
+        return cmath.exp(-1j * self.k_r * self.profile.extent())
+
+    def fold(self, ks=(), prop_ks=()) -> tuple[complex, complex, complex, complex]:
+        """(t, r, t_rev, r_rev) of one _fold, with the (j, k) pairs of ks
+        replacing bare wavevectors, and those of prop_ks replacing only the
+        propagation wavevectors (the interfaces keep the segment k)."""
+        seg_ks = list(self.ks)
+        for j, k in ks:
+            seg_ks[j] = k
+        prop = None
+        if prop_ks:
+            prop = list(seg_ks)
+            for j, k in prop_ks:
+                prop[j] = k
+        return _fold(seg_ks, self.ds, self.k_l, self.k_r, prop)
+
+    def solution(self, prop_ks: tuple[tuple[int, complex], ...] = ()) -> ScatteringSolution:
+        """The solution of one fold with prop_ks overriding propagation
+        wavevectors; it keeps the chain to build its interior waves from."""
+        t, r, t_rev, r_rev = self.fold(prop_ks=prop_ks)
+        phase = self.exit_phase
+        return ScatteringSolution(
+            energy=self.energy,
+            t=t * phase,
+            r=r,
+            t_rev=t_rev * phase,
+            r_rev=r_rev * phase * phase,
+            t_local=t,
+            k_left=self.k_l,
+            k_right=self.k_r,
+            extent=self.profile.extent(),
+            _chain=self,
+            _prop_ks=prop_ks,
         )
-    return complex(math.sqrt(E - profile.v_left)), complex(math.sqrt(E - profile.v_right))
-
-
-def _segment_ks(profile: PotentialProfile, E: float, channel: int | None) -> list[complex]:
-    return [wavevector(E, seg, channel) for seg in profile.segments]
-
-
-def _solve_prepared(
-    profile: PotentialProfile,
-    E: float,
-    ks: list[complex],
-    prop_ks: list[complex] | None = None,
-) -> ScatteringSolution:
-    k_l, k_r = _lead_wavevectors(profile, E)
-    ds = [s.length for s in profile.segments]
-    t, r, t_rev, r_rev = _fold(ks, ds, k_l, k_r, prop_ks)
-    X = profile.extent()
-    phase = cmath.exp(-1j * k_r * X)
-    return ScatteringSolution(
-        energy=E,
-        t=t * phase,
-        r=r,
-        t_rev=t_rev * phase,
-        r_rev=r_rev * phase * phase,
-        t_local=t,
-        k_left=k_l,
-        k_right=k_r,
-        extent=X,
-        _profile=profile,
-        _ks=ks,
-        _prop_ks=prop_ks,
-    )
 
 
 def solve(profile: PotentialProfile, E: float, channel: int | None = None) -> ScatteringSolution:
@@ -422,7 +419,7 @@ def solve(profile: PotentialProfile, E: float, channel: int | None = None) -> Sc
     Raises:
         NoOpenChannelError: if E does not lie above both asymptotic potentials.
     """
-    return _solve_prepared(profile, E, _segment_ks(profile, E, channel))
+    return _Chain(profile, E, channel).solution()
 
 
 def wavefunction_at(solution: ScatteringSolution, x: float) -> complex:
@@ -501,9 +498,8 @@ def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
     region = profile.clock_region
     if region is None:
         raise ValidationError("profile has no clock region")
-    ks = _segment_ks(profile, E, None)
-    k_l, k_r = _lead_wavevectors(profile, E)
-    ds = [s.length for s in profile.segments]
+    chain = _Chain(profile, E)
+    ks, ds = chain.ks, chain.ds
     lo, hi = region
     if _is_degenerate(ks[lo], ds[lo]) or _is_degenerate(ks[hi], ds[hi]):
         raise RegimeAmbiguityError(
@@ -511,10 +507,10 @@ def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
         )
     # The stacks on either side of the region, each folded on its own into
     # the region's edge media.
-    t12, r12, t21, r21 = _fold(ks[:lo], ds[:lo], k_l, ks[lo])
-    t23, r23, _, _ = _fold(ks[hi + 1 :], ds[hi + 1 :], ks[hi], k_r)
+    t12, r12, t21, r21 = _fold(ks[:lo], ds[:lo], chain.k_l, ks[lo])
+    t23, r23, _, _ = _fold(ks[hi + 1 :], ds[hi + 1 :], ks[hi], chain.k_r)
     k_inner = ks[lo] if lo == hi else None
-    length = sum(profile.segments[j].length for j in range(lo, hi + 1))
+    length = sum(ds[lo : hi + 1])
     if k_inner is not None:
         loop = r21 * r23 * cmath.exp(2j * k_inner * length)
         if abs(loop) >= 1.0 + 1e-12:
@@ -542,8 +538,4 @@ def solve_with_propagation_override(
     interface keeps the bare wavevector.  This realises the paired-variable
     dressing: interface scattering pinned at zero clock strength, internal
     propagation carrying the clock dependence."""
-    ks = _segment_ks(profile, E, None)
-    prop_ks = list(ks)
-    for j, kp in prop_override.items():
-        prop_ks[j] = kp
-    return _solve_prepared(profile, E, ks, prop_ks)
+    return _Chain(profile, E).solution(tuple(prop_override.items()))

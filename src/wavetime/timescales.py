@@ -25,20 +25,18 @@ ladder probes at +-h, +-h/2 and +-h/4, reduces the amplitudes to ln|a|^2 or
 unwrapped phases and applies one fixed Richardson stencil to the central
 differences.
 
-A clock builds the chain's inputs once per energy (_Probe): the bare segment
-wavevectors, the segment lengths, the lead wavevectors and the exit phase
-exp(-i k_R X).  Each probe copies the bare wavevectors, replaces the entries
-its parameter moves (the clock segments' k for the imaginary clock and the
-Larmor clock, their propagation wavevectors for the sojourn) and reads its
-amplitude off one scatter._fold; a Wigner probe prepares the chain anew at
-E + dE.  A moved k comes from scatter._k, the rule scatter.wavevector applies,
-so a probe gives the amplitude the public solve gives for the clocked
-profile, to the bit.
+A clock prepares the chain once per energy as a scatter._Chain: the bare
+segment wavevectors, the segment lengths, the lead wavevectors and the exit
+phase exp(-i k_R X).  Each probe is one _Chain.fold with the entries its
+parameter moves replaced (the clock segments' k for the imaginary clock and the
+Larmor clock, their propagation wavevectors for the sojourn); a Wigner probe
+prepares the chain anew at E + dE.  A moved k comes from scatter._k, the rule
+scatter.wavevector applies, and the public solves fold the same _Chain, so a
+probe gives the amplitude the public solve gives for the clocked profile, to
+the bit.
 """
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -163,42 +161,6 @@ def _regime(profile: PotentialProfile, E: float, j: int) -> str:
     )
 
 
-class _Probe:
-    """The chain at one energy, prepared once for every probe at it: the bare
-    segment wavevectors (of one spin channel, or none), the segment lengths,
-    the lead wavevectors and, on first use, the exit phase exp(-i k_R X),
-    which turns the fold's local t into solve's absolute t.
-
-    Raises:
-        NoOpenChannelError: if E does not lie above both leads.
-    """
-
-    def __init__(self, profile: PotentialProfile, E: float, spin: int | None = None):
-        self.profile = profile
-        self.ks = scatter._segment_ks(profile, E, spin)
-        self.ds = [seg.length for seg in profile.segments]
-        self.k_l, self.k_r = scatter._lead_wavevectors(profile, E)
-
-    @functools.cached_property
-    def exit_phase(self) -> complex:
-        return cmath.exp(-1j * self.k_r * self.profile.extent())
-
-    def fold(self, ks=(), prop_ks=None) -> tuple[complex, complex]:
-        """(local t, r) of one scatter._fold, with the (j, k) pairs of ks
-        replacing bare wavevectors, and those of prop_ks replacing only the
-        propagation wavevectors (the interfaces keep the bare k)."""
-        seg_ks = list(self.ks)
-        for j, k in ks:
-            seg_ks[j] = k
-        prop = None
-        if prop_ks is not None:
-            prop = list(seg_ks)
-            for j, k in prop_ks:
-                prop[j] = k
-        t, r, _, _ = scatter._fold(seg_ks, self.ds, self.k_l, self.k_r, prop)
-        return t, r
-
-
 def _zero_strength_roots(
     profile: PotentialProfile, E: float, segs: list[int], propagating: bool
 ) -> list[tuple[int, float, float]]:
@@ -291,7 +253,7 @@ def wigner_delay(profile: PotentialProfile, E: float, channel: str = "transmissi
             raise ValidationError(
                 f"probe energies dip below an asymptotic potential; E = {E} is too close to a lead"
             )
-        t, r = _Probe(profile, E + dE).fold()
+        t, r, _, _ = scatter._Chain(profile, E + dE).fold()
         return t if channel == "transmission" else r
 
     return _ladder_derivative(
@@ -426,15 +388,15 @@ def _larmor_detailed(
         if j not in clock_segs
     )
     scale = _energy_scale(profile, E, list(clock_segs))
-    probes = {spin: _Probe(profile, E, spin) for spin in (+1, -1)}
+    chains = {spin: scatter._Chain(profile, E, spin) for spin in (+1, -1)}
     clocked = [(j, profile.segments[j]) for j in clock_segs]
 
     def amplitude(spin: int, omega: float) -> complex:
-        probe = probes[spin]
-        t, r = probe.fold(
+        chain = chains[spin]
+        t, r, _, _ = chain.fold(
             (j, scatter._k(E, seg.v_real, seg.v_imag, spin * omega / 2.0)) for j, seg in clocked
         )
-        return r if channel == "reflection" else t * probe.exit_phase
+        return r if channel == "reflection" else t * chain.exit_phase
 
     def pair(omega: float) -> tuple[complex, complex]:
         return amplitude(+1, omega), amplitude(-1, omega)
@@ -472,12 +434,12 @@ def imag_clock_time(
     _clock_region(profile)
     clock_segs = profile.clock_indices()
     scale = _energy_scale(profile, E, list(clock_segs))
-    probe = _Probe(profile, E)
+    chain = scatter._Chain(profile, E)
     clocked = [(j, profile.segments[j]) for j in clock_segs]
 
     def amplitude(v_imag: float) -> complex:
-        t, r = probe.fold((j, scatter._k(E, seg.v_real, v_imag)) for j, seg in clocked)
-        return t * probe.exit_phase if channel == "transmission" else r
+        t, r, _, _ = chain.fold((j, scatter._k(E, seg.v_real, v_imag)) for j, seg in clocked)
+        return t * chain.exit_phase if channel == "transmission" else r
 
     return -0.5 * _ladder_derivative(amplitude, scale, "log", f"{channel} amplitude")
 
@@ -507,7 +469,7 @@ def _sojourn_detailed(
                 "reflection sojourn time is defined for a single contiguous region"
             )
         r12 = scatter.partial_waves(replace(profile, clock_region=region_list[0]), E).r12
-    probe = _Probe(profile, E)
+    chain = scatter._Chain(profile, E)
 
     def branch_time(active: list[int], regime: str) -> float:
         L_act = sum(profile.segments[j].length for j in active)
@@ -525,7 +487,7 @@ def _sojourn_detailed(
             for j, L, root in roots:
                 shift = xi * L / L_act / (2.0 * root * L)
                 prop_ks.append((j, complex(root, shift) if propagating else complex(shift, root)))
-            t, r = probe.fold(prop_ks=prop_ks)
+            t, r, _, _ = chain.fold(prop_ks=prop_ks)
             return r - r12 if channel == "reflection" else t
 
         derivative = _ladder_derivative(
@@ -588,7 +550,7 @@ def sojourn_via_larmor_pairing(profile: PotentialProfile, E: float, regions=None
     propagating = regimes[segs[0]] == "propagating"
     L_tot = sum(profile.segments[j].length for j in segs)
     scale = _energy_scale(profile, E, segs) * L_tot
-    probe = _Probe(profile, E)
+    chain = scatter._Chain(profile, E)
     roots = _zero_strength_roots(profile, E, segs, propagating)
 
     def amplitude(xi: float, sign: int) -> complex:
@@ -601,7 +563,7 @@ def sojourn_via_larmor_pairing(profile: PotentialProfile, E: float, regions=None
                 prop_ks.append((j, complex(root + sign * xi_j / (4.0 * root * L), 0.0)))
             else:
                 prop_ks.append((j, complex(0.0, root - sign * xi_j / (4.0 * root * L))))
-        return probe.fold(prop_ks=prop_ks)[0] * probe.exit_phase
+        return chain.fold(prop_ks=prop_ks)[0] * chain.exit_phase
 
     def pair(xi: float) -> tuple[complex, complex]:
         return amplitude(xi, +1), amplitude(xi, -1)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from wavetime import scatter
 from wavetime.cli import main as cli_main
-from wavetime.errors import ValidationError
+from wavetime.errors import ResummationDivergenceError, ValidationError
 from wavetime.potentials import PotentialProfile, Segment
 
 
@@ -124,6 +124,35 @@ def chain_builds(monkeypatch):
 
 
 @dataclass(frozen=True)
+class SMatrix:
+    """Scalar 2-port scattering matrix.
+
+    out_left  = r * in_left + t_rev * in_right
+    out_right = t * in_left + r_rev * in_right
+    """
+
+    t: complex
+    r: complex
+    t_rev: complex
+    r_rev: complex
+
+
+def star(a, b):
+    """Redheffer star product of SMatrix a followed (to the right) by b, in
+    the arithmetic order the kernel's fold uses."""
+    denom = 1.0 - a.r_rev * b.r
+    if abs(denom) < 1e-300:
+        raise ResummationDivergenceError("interface resummation diverges (unit-loop gain)")
+    inv = 1.0 / denom
+    return SMatrix(
+        t=b.t * a.t * inv,
+        r=a.r + a.t_rev * b.r * a.t * inv,
+        t_rev=a.t_rev * b.t_rev * inv,
+        r_rev=b.r_rev + b.t * a.r_rev * b.t_rev * inv,
+    )
+
+
+@dataclass(frozen=True)
 class OracleChain:
     """A scattering chain composed element by element, with every cut kept."""
 
@@ -136,7 +165,8 @@ class OracleChain:
 
 def oracle_chain(ks, ds, k_left, k_right, prop_ks=None):
     """The interface, propagation and k ~ 0 block elements of a chain, and
-    their prefix and suffix stars.  prop_ks, when given, replaces the
+    their prefix and suffix stars, composed with this module's own SMatrix and
+    star, not the kernel's fold.  prop_ks, when given, replaces the
     wavevector of each segment's propagation factor only."""
     n = len(ks)
     prop_ks = ks if prop_ks is None else prop_ks
@@ -146,14 +176,14 @@ def oracle_chain(ks, ds, k_left, k_right, prop_ks=None):
         s = ka + kb
         if abs(s) < 1e-300:
             raise ValidationError("degenerate interface: ka + kb = 0")
-        return scatter.SMatrix(2.0 * ka / s, (ka - kb) / s, 2.0 * kb / s, (kb - ka) / s)
+        return SMatrix(2.0 * ka / s, (ka - kb) / s, 2.0 * kb / s, (kb - ka) / s)
 
     elements, left_cut, right_start = [], [0] * n, [0] * n
     j, k_prev, interface_pending = 0, k_left, True
     while j < n:
         if degenerate[j]:
             block, m, k_prev = scatter._degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
-            elements.append(block)
+            elements.append(SMatrix(*block))
             for jj in range(j, m + 1):
                 left_cut[jj] = right_start[jj] = len(elements)
             interface_pending = False
@@ -163,19 +193,19 @@ def oracle_chain(ks, ds, k_left, k_right, prop_ks=None):
                 elements.append(interface(k_prev, ks[j]))
             left_cut[j] = len(elements)
             p = cmath.exp(1j * prop_ks[j] * ds[j])
-            elements.append(scatter.SMatrix(p, 0j, p, 0j))
+            elements.append(SMatrix(p, 0j, p, 0j))
             right_start[j] = len(elements)
             k_prev, interface_pending = ks[j], True
             j += 1
     if interface_pending:
         elements.append(interface(k_prev, k_right))
 
-    identity = scatter.SMatrix(1.0 + 0j, 0j, 1.0 + 0j, 0j)
+    identity = SMatrix(1.0 + 0j, 0j, 1.0 + 0j, 0j)
     prefix = [identity]
     for el in elements:
-        prefix.append(scatter._star(prefix[-1], el))
+        prefix.append(star(prefix[-1], el))
     suffix = [identity]
     for el in reversed(elements):
-        suffix.append(scatter._star(el, suffix[-1]))
+        suffix.append(star(el, suffix[-1]))
     suffix.reverse()
     return OracleChain(prefix, suffix, left_cut, right_start, degenerate)

@@ -145,6 +145,18 @@ class TestSchema:
         assert not (tmp_path / "bad.csv").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unbounded_n_steps_is_named_error(self, tmp_path, command):
+        # 1e300 steps validated, and the run then failed in np.empty.
+        doc = zeno_doc(tmp_path, "step")
+        doc["lattice"]["n_steps"] = 1.0e300
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        res = CliRunner().invoke(main, [command, str(path)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("error: n_steps must be at most")
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("bad", [None, "", 3], ids=["null", "empty", "integer"])
     def test_output_path_must_be_a_nonempty_string(self, tmp_path, command, bad):
         doc = yaml.safe_load(timescale_scenario(tmp_path).read_text())
@@ -296,6 +308,11 @@ class TestReasonSummary:
         doc = zeno_doc(tmp_path, "step")
         doc["sweep"]["grid"] = [1.0, 5.0, 6.0, 7.0]
         assert self.run(tmp_path, doc) == "reason-coded rows: 2 of 4 (other: 2)\n"
+
+    def test_lattice_tau_beyond_the_step_bound_is_reason_coded(self, tmp_path):
+        doc = zeno_doc(tmp_path, "tau")
+        doc["sweep"]["grid"] = [1.0, 1e-300, 5e-324]
+        assert self.run(tmp_path, doc) == "reason-coded rows: 2 of 3 (ValidationError: 2)\n"
 
     def test_whole_row_failure_counts_its_exception(self):
         table = ResultTable(columns=["energy", "wigner", "reason"], rows=[

@@ -158,6 +158,15 @@ class TestCentroid:
         _, exit_ = propagate(PULSE, LORENTZ)
         assert math.isfinite(centroid_time(exit_))
 
+    def test_lossless_slab_under_its_cutoff_has_no_flux(self):
+        # |sum S| / sum |S| is 1.3e-16 at both planes (1.0 for a propagating
+        # spectrum); the absolute 1e-300 test gave centroids of -1.38e16 and
+        # +1.32e16 where delay_decomposition raises.
+        medium = MediumSpec(kind=MediumKind.PLASMA, thickness=0.5, plasma_strength=15.0)
+        for plane in propagate(PULSE, medium):
+            with pytest.raises(ZeroFluxError):
+                centroid_time(plane)
+
 
 class TestDecomposition:
     def test_vacuum_budget(self):
@@ -211,6 +220,16 @@ class TestDecomposition:
         medium = MediumSpec(kind=MediumKind.PLASMA, thickness=0.5, plasma_strength=15.0)
         with pytest.raises(ZeroFluxError):
             delay_decomposition(PULSE, medium)
+
+    def test_cancelling_fluxes_cannot_widen_the_residual_tolerance(self):
+        # Just above the cutoff of a lossless slab the entry flux nearly
+        # cancels (1.1e-9 of the flux without cancellation): t_in = -1.43e8,
+        # delta_t = 1.43e8 and residual 0.64.  Scaling the tolerance by
+        # |delta_t| passed that as residual_ok.
+        medium = MediumSpec(kind=MediumKind.PLASMA, thickness=0.5, plasma_strength=15.0)
+        rep = delay_decomposition(replace(PULSE, carrier=13.0), medium)
+        assert abs(rep.delta_t) > 1e6
+        assert not rep.residual_ok
 
     @pytest.mark.parametrize("center, fits", [(2.0, False), (10.0, False), (11.0, True)])
     def test_entry_pulse_must_fit_its_window(self, center, fits):
@@ -327,3 +346,12 @@ class TestDetectorCrossCheck:
         t_det = detector_absorption_time(exit_)
         t_cen = centroid_time(exit_)
         assert abs(t_det - t_cen) / abs(t_cen) < 1e-3
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-16, 1e-18])
+    def test_absorption_below_rounding_has_no_flux(self, eta):
+        # The detection rate is the difference of two fluxes; with eta = 1e-16
+        # it is 2e-18 of them, rounding noise, and gave an arrival time of
+        # 26.6 for a pulse centred at 30 (38.4 at eta = 1e-18).
+        entry, _ = propagate(PULSE, VACUUM)
+        with pytest.raises(ZeroFluxError):
+            detector_absorption_time(entry, eta=eta)

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from wavetime.errors import ValidationError
 from wavetime.first_passage import (
+    _MAX_STEPS,
     DetectionRecord,
     LatticeSpec,
     _modes,
@@ -71,6 +72,12 @@ class TestValidation:
     def test_rejects_empty_detectors(self):
         with pytest.raises(ValidationError):
             LatticeSpec(5, 1.0, 0, frozenset(), 1.0, 1)
+
+    def test_rejects_unbounded_step_count(self):
+        LatticeSpec(5, 1.0, 0, frozenset({4}), 1.0, _MAX_STEPS)
+        for n_steps in (_MAX_STEPS + 1, int(1e300)):
+            with pytest.raises(ValidationError, match="^n_steps must be at most"):
+                LatticeSpec(5, 1.0, 0, frozenset({4}), 1.0, n_steps)
 
     def test_detector_may_sit_on_initial_site(self):
         spec = LatticeSpec(5, 1.0, 2, frozenset({2}), 1e-4, 1)
@@ -210,6 +217,14 @@ class TestZeno:
         spec = LatticeSpec(5, 1.0, 0, frozenset({4}), 1.0, 1)
         with pytest.raises(ValidationError):
             zeno_scan(spec, [0.1, 0.0], t_fixed=1.0)
+
+    @pytest.mark.parametrize("tau", [1e-300, 5e-324])
+    def test_rejects_tau_beyond_the_step_bound(self, tau):
+        # t_fixed / 5e-324 is inf, which round() cannot take; 1e-300 asked
+        # np.empty for 1e300 entries.
+        spec = LatticeSpec(5, 1.0, 0, frozenset({4}), 1.0, 1)
+        with pytest.raises(ValidationError, match="^n_steps = t_fixed / tau"):
+            zeno_scan(spec, [0.5, tau], t_fixed=1.0)
 
     def test_split_scan_matches_whole(self):
         # Each tau is an independent run: the two halves of the tau list,

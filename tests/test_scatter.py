@@ -32,6 +32,16 @@ from wavetime.scatter import (
 )
 
 
+def bare_ks(profile, E, channel=None):
+    """The segment wavevectors of profile at E, one wavevector call each."""
+    return [wavevector(E, seg, channel) for seg in profile.segments]
+
+
+def lead_ks(profile, E):
+    """The left and right lead wavevectors of profile at E."""
+    return complex(math.sqrt(E - profile.v_left)), complex(math.sqrt(E - profile.v_right))
+
+
 class TestWavevector:
     def test_free_propagation(self):
         assert wavevector(4.0, Segment(1.0, 0.0)) == pytest.approx(2.0)
@@ -310,8 +320,8 @@ class TestPartialWaves:
             e = safe_energy(rng, prof)
             pw = partial_waves(prof, e)
             assert chain_builds == []
-            ks = scatter._segment_ks(prof, e, None)
-            k_l, k_r = scatter._lead_wavevectors(prof, e)
+            ks = bare_ks(prof, e)
+            k_l, k_r = lead_ks(prof, e)
             chain = oracle_chain(ks, [s.length for s in prof.segments], k_l, k_r)
             lo, hi = prof.clock_region
             left = chain.prefix[chain.left_cut[lo]]
@@ -355,13 +365,13 @@ class TestPropagationOverride:
 def chain_amplitudes(profile, E, channel=None, prop_override=None):
     """(t, r, t_rev, r_rev, t_local) read off the last entry of the oracle's
     prefix chain, composed element by element."""
-    ks = scatter._segment_ks(profile, E, channel)
+    ks = bare_ks(profile, E, channel)
     prop_ks = None
     if prop_override is not None:
         prop_ks = list(ks)
         for j, kp in prop_override.items():
             prop_ks[j] = kp
-    k_l, k_r = scatter._lead_wavevectors(profile, E)
+    k_l, k_r = lead_ks(profile, E)
     ds = [s.length for s in profile.segments]
     full = oracle_chain(ks, ds, k_l, k_r, prop_ks).prefix[-1]
     phase = cmath.exp(-1j * k_r * profile.extent())
@@ -409,7 +419,7 @@ class TestFoldOracle:
     def test_propagation_override_equals_prefix_chain(self, rng, top_run):
         for _ in range(60):
             prof, e = self.random_problem(rng, top_run)
-            ks = scatter._segment_ks(prof, e, None)
+            ks = bare_ks(prof, e)
             dressable = [j for j, seg in enumerate(prof.segments) if seg.v_real != e]
             override = {
                 int(j): ks[j] + complex(*rng.normal(0.0, 0.1, size=2))
@@ -417,6 +427,18 @@ class TestFoldOracle:
             }
             sol = solve_with_propagation_override(prof, e, override)
             assert amplitudes(sol) == chain_amplitudes(prof, e, prop_override=override)
+
+    def test_barrier_top_run_matches_closed_form(self, rng):
+        # A run of segments with V = E between zero leads is one flat stretch
+        # of length d, where psi is linear: t_local = 2/(2 - ikd) and
+        # r = -ikd/(2 - ikd) with k = sqrt(E).
+        for _ in range(200):
+            e = float(rng.uniform(0.1, 8.0))
+            lengths = [float(v) for v in rng.uniform(0.05, 3.0, size=int(rng.integers(1, 5)))]
+            sol = solve(PotentialProfile(tuple(Segment(length, e) for length in lengths)), e)
+            ikd = 1j * math.sqrt(e) * sum(lengths)
+            assert sol.t_local == pytest.approx(2.0 / (2.0 - ikd), rel=1e-14)
+            assert sol.r == pytest.approx(-ikd / (2.0 - ikd), rel=1e-14)
 
     def test_empty_profile_equals_prefix_chain(self):
         for v_right in (0.0, 1.5):
@@ -455,7 +477,7 @@ class TestFoldOracle:
         ))
         with pytest.raises(RegimeAmbiguityError):
             solve_with_propagation_override(prof, 2.0, {dressed: 0.3 + 0.1j})
-        ks = scatter._segment_ks(prof, 2.0, None)
+        ks = bare_ks(prof, 2.0)
         prop_ks = list(ks)
         prop_ks[dressed] = 0.3 + 0.1j
         ds = [seg.length for seg in prof.segments]
@@ -486,17 +508,19 @@ def chains_with_top_runs(draw):
                            draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))]
     v_left, v_right = draw(st.floats(-2.0, e - 0.01)), draw(st.floats(-2.0, e - 0.01))
     prof = PotentialProfile(segments=tuple(segments), v_left=v_left, v_right=v_right)
-    k_l, k_r = scatter._lead_wavevectors(prof, e)
+    k_l, k_r = lead_ks(prof, e)
     return [wavevector(e, seg) for seg in segments], [seg.length for seg in segments], k_l, k_r
 
 
 def oracle_waves(sol):
     """Interior waves of a solution, read off the oracle's prefix and suffix
     chains around each segment."""
-    profile, ks, prop_ks = sol._profile, sol._ks, sol._prop_ks
+    profile, ks = sol._chain.profile, sol._chain.ks
+    eff_ks = list(ks)
+    for j, k in sol._prop_ks:
+        eff_ks[j] = k
     ds = [s.length for s in profile.segments]
-    chain = oracle_chain(ks, ds, sol.k_left, sol.k_right, prop_ks)
-    eff_ks = ks if prop_ks is None else prop_ks
+    chain = oracle_chain(ks, ds, sol.k_left, sol.k_right, eff_ks)
     edges = profile.edges()
     waves = []
     for j in range(len(ks)):
@@ -535,7 +559,7 @@ class TestMirroredFold:
             if rng.uniform() < 0.5:
                 sol = solve(prof, e, [None, +1, -1][int(rng.integers(0, 3))])
             else:
-                ks = scatter._segment_ks(prof, e, None)
+                ks = bare_ks(prof, e)
                 dressable = [j for j, seg in enumerate(prof.segments) if seg.v_real != e]
                 override = {int(j): ks[j] + 0.05j for j in dressable[:1]}
                 sol = solve_with_propagation_override(prof, e, override)
