@@ -16,15 +16,8 @@ from .errors import (
     WavetimeError,
     ZeroFluxError,
 )
-from .potentials import (
-    ClockKind,
-    ClockSettings,
-    PotentialProfile,
-    Segment,
-    make_rectangular_barrier,
-    with_clock,
-)
-from .scatter import ScatteringSolution, partial_waves, solve, solve_spinor, wavefunction_at
+from .potentials import PotentialProfile, Segment, make_rectangular_barrier
+from .scatter import ScatteringSolution, partial_waves, solve, wavefunction_at
 from .timescales import (
     TimescaleReport,
     bl_time,
@@ -52,13 +45,9 @@ __all__ = [
     "GridError",
     "Segment",
     "PotentialProfile",
-    "ClockKind",
-    "ClockSettings",
     "make_rectangular_barrier",
-    "with_clock",
     "ScatteringSolution",
     "solve",
-    "solve_spinor",
     "partial_waves",
     "wavefunction_at",
     "TimescaleReport",

@@ -10,19 +10,15 @@ test; see scatter.wavevector for the branch rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
 __all__ = [
     "Segment",
     "PotentialProfile",
-    "ClockKind",
-    "ClockSettings",
     "make_rectangular_barrier",
     "validate",
-    "with_clock",
 ]
 
 
@@ -79,19 +75,6 @@ class PotentialProfile:
         return tuple(range(lo, hi + 1))
 
 
-class ClockKind(Enum):
-    IMAGINARY_POTENTIAL = "imaginary_potential"
-    LARMOR = "larmor"
-
-
-@dataclass(frozen=True)
-class ClockSettings:
-    """Clock type and strength; strength is V_I or omega_L by kind."""
-
-    kind: ClockKind
-    strength: float
-
-
 def make_rectangular_barrier(v0: float, width: float) -> PotentialProfile:
     """Single rectangular barrier of height v0; the barrier is the clock region.
 
@@ -132,22 +115,3 @@ def validate(profile: PotentialProfile) -> list[str]:
     # further to check here.
     return violations
 
-
-def with_clock(profile: PotentialProfile, settings: ClockSettings) -> PotentialProfile:
-    """Return a copy whose clock-region segments carry the clock strength.
-
-    Setting strength 0 restores a previously unclocked profile exactly.
-
-    Raises:
-        ValidationError: if the profile has no clock region.
-    """
-    indices = profile.clock_indices()
-    if not indices:
-        raise ValidationError("profile has no clock region to attach a clock to")
-    new_segments = list(profile.segments)
-    for i in indices:
-        if settings.kind is ClockKind.IMAGINARY_POTENTIAL:
-            new_segments[i] = replace(new_segments[i], v_imag=settings.strength)
-        else:
-            new_segments[i] = replace(new_segments[i], omega_larmor=settings.strength)
-    return replace(profile, segments=tuple(new_segments))

@@ -16,8 +16,10 @@ dwell time) are built on the first access to ScatteringSolution.segment_waves,
 from two folds that record their state at every segment: one over the chain,
 and one over its mirror image for the reflection off everything to the right.
 The clock probes in timescales fold a _Chain directly, with wavevectors from _k
-(wavevector's k^2 and branch rule on bare numbers), so solve_spinor and
-solve_with_propagation_override stay public solves that no clock goes through.
+(wavevector's k^2 and branch rule on bare numbers), so a probe's amplitude is
+that of solve(profile, E, channel) for the clocked profile (channel +1 or -1
+for a Zeeman component), and no clock goes through
+solve_with_propagation_override.
 
 Amplitude conventions: the incident wave is exp(i k_L x) with unit amplitude in
 absolute coordinates, so the empty (zero-potential) profile gives t = 1, r = 0.
@@ -44,10 +46,8 @@ __all__ = [
     "wavevector",
     "solve",
     "wavefunction_at",
-    "solve_spinor",
     "partial_waves",
     "ScatteringSolution",
-    "SpinorAmplitudes",
     "PartialWaveSet",
 ]
 
@@ -440,32 +440,6 @@ def wavefunction_at(solution: ScatteringSolution, x: float) -> complex:
         if x < w.x0 + w.d:
             return w.value(x)
     return solution.segment_waves[-1].value(x)
-
-
-@dataclass(frozen=True)
-class SpinorAmplitudes:
-    """Transmission/reflection amplitudes of the two Zeeman components."""
-
-    t_plus: complex
-    t_minus: complex
-    r_plus: complex
-    r_minus: complex
-
-
-def solve_spinor(profile: PotentialProfile, E: float) -> SpinorAmplitudes:
-    """Solve the two decoupled Zeeman channels (sigma_z diagonal).
-
-    The spin-up channel sees V - omega_larmor/2, spin-down V + omega_larmor/2;
-    each channel is literally a scalar solve() with the shifted wavevectors.
-    """
-    up = solve(profile, E, channel=+1)
-    down = solve(profile, E, channel=-1)
-    return SpinorAmplitudes(
-        t_plus=up.t,
-        t_minus=down.t,
-        r_plus=up.r,
-        r_minus=down.r,
-    )
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,13 @@ Implemented clocks and delays (natural units, hbar = 1, 2m = 1):
   traversal time.  Prompt reflection r12 is subtracted before timing the
   reflected wave.
 
-Every zero-strength limit goes through one probe ladder: the clock names the
-parameter it probes, the amplitude it reads and the factor it applies; the
-ladder probes at +-h, +-h/2 and +-h/4, reduces the amplitudes to ln|a|^2 or
-unwrapped phases and applies one fixed Richardson stencil to the central
-differences.
+Every zero-strength limit goes through one probe ladder, _ladder: it evaluates
+the clock's probe at [-h, -h/2, -h/4, (0,) h/4, h/2, h], with h a fixed
+fraction of the local energy scale, and returns h and the values.  Wigner, the
+imaginary clock and the sojourn reduce the probe amplitudes to ln|a|^2 or
+unwrapped phases with _reduce, the Larmor clock reduces its spin pairs to
+<S_y> and <S_z> with _spin_expectations, and each applies one fixed Richardson
+stencil, richardson, to the central differences.
 
 A clock prepares the chain once per energy as a scatter._Chain: the bare
 segment wavevectors, the segment lengths, the lead wavevectors and the exit
@@ -38,6 +40,7 @@ the bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,7 +66,6 @@ __all__ = [
     "imag_clock_time",
     "sojourn_transmission",
     "sojourn_reflection",
-    "sojourn_via_larmor_pairing",
     "full_report",
 ]
 
@@ -81,6 +83,8 @@ _PROBE_STEP = 1e-2
 # Unwrapped phases of neighbouring probes further apart than this undersample
 # the phase.
 _MAX_PHASE_JUMP = math.pi / 2
+
+_CHANNELS = ("transmission", "reflection")
 
 
 @dataclass(frozen=True)
@@ -112,36 +116,64 @@ def _clock_region(profile: PotentialProfile) -> tuple[int, int]:
     return profile.clock_region
 
 
+def _check_channel(channel: str) -> None:
+    if channel not in _CHANNELS:
+        raise ValidationError(f"channel must be 'transmission' or 'reflection', got {channel!r}")
+
+
+def _index_pair(pair) -> tuple[int, int] | None:
+    """pair as (lo, hi) if it is a two-item sequence of integers, else None."""
+    try:
+        lo, hi = pair
+        if isinstance(lo, bool) or isinstance(hi, bool):
+            return None
+        return operator.index(lo), operator.index(hi)
+    except (TypeError, ValueError):
+        return None
+
+
 def _normalize_regions(
     profile: PotentialProfile, regions
 ) -> list[tuple[int, int]]:
     """Accept None (profile clock region), one (lo, hi) pair, or a sequence of
-    disjoint pairs; returns validated, sorted pairs."""
+    disjoint pairs, a pair being any two-item sequence of integers; returns
+    validated, sorted pairs.
+
+    Raises:
+        ValidationError: naming regions if it is none of these, or a pair
+            that is reversed or out of range, or pairs that overlap.
+    """
     if regions is None:
-        regions = [_clock_region(profile)]
-    elif isinstance(regions, tuple) and len(regions) == 2 and all(
-        isinstance(v, int) for v in regions
-    ):
-        regions = [regions]
+        regions = _clock_region(profile)
+    pair = _index_pair(regions)
+    if pair is not None:
+        pairs = [pair]
     else:
-        regions = list(regions)
+        try:
+            pairs = [_index_pair(p) for p in regions]
+        except TypeError:
+            pairs = []
+        if not pairs or None in pairs:
+            raise ValidationError(
+                f"region {regions!r} is neither a (lo, hi) pair of segment indices "
+                "nor a sequence of them"
+            )
     n = len(profile.segments)
-    out = []
-    for lo, hi in sorted(regions):
+    out = sorted(pairs)
+    for lo, hi in out:
         if not (0 <= lo <= hi < n):
             raise ValidationError(f"region ({lo}, {hi}) out of range for {n} segments")
-        out.append((int(lo), int(hi)))
     for (_, h1), (l2, _) in zip(out, out[1:]):
         if l2 <= h1:
             raise ValidationError("clock regions overlap")
     return out
 
 
-def _region_segments(regions: list[tuple[int, int]]) -> list[int]:
-    idx: list[int] = []
-    for lo, hi in regions:
-        idx.extend(range(lo, hi + 1))
-    return idx
+def _one_region(regions: list[tuple[int, int]], what: str) -> tuple[int, int]:
+    """The only pair of normalized regions, for a time defined on one region."""
+    if len(regions) > 1:
+        raise ValidationError(f"{what} is defined for a single contiguous region")
+    return regions[0]
 
 
 def _energy_scale(profile: PotentialProfile, E: float, segs: list[int] | None = None) -> float:
@@ -161,27 +193,13 @@ def _regime(profile: PotentialProfile, E: float, j: int) -> str:
     )
 
 
-def _zero_strength_roots(
-    profile: PotentialProfile, E: float, segs: list[int], propagating: bool
-) -> list[tuple[int, float, float]]:
-    """(j, L_j, root) per segment, where root is k_j = sqrt(E - V_j) in a
-    propagating region and kappa_j = sqrt(V_j - E) in an evanescent one: the
-    real root that a paired-variable dressing shifts."""
-    out = []
-    for j in segs:
-        seg = profile.segments[j]
-        gap = E - seg.v_real if propagating else seg.v_real - E
-        out.append((j, seg.length, math.sqrt(gap)))
-    return out
-
-
-def _ladder(scale: float, centre: bool = False) -> tuple[float, list[float]]:
-    """The largest probe h and the probe offsets laid out as
-    [-h, -h/2, -h/4, (0,) h/4, h/2, h]; the centre probe anchors phase
-    unwrapping."""
+def _ladder(probe, scale: float, centre: bool = False) -> tuple[float, list]:
+    """The largest probe h = _PROBE_STEP * scale and probe(s) at the offsets
+    [-h, -h/2, -h/4, (0,) h/4, h/2, h], evaluated in that order; the centre
+    probe anchors phase unwrapping."""
     h = _PROBE_STEP * scale
     hs = [h, 0.5 * h, 0.25 * h]
-    return h, [-s for s in hs] + ([0.0] if centre else []) + hs[::-1]
+    return h, [probe(s) for s in [-s for s in hs] + ([0.0] if centre else []) + hs[::-1]]
 
 
 def richardson(values, h: float) -> float:
@@ -228,14 +246,6 @@ def _reduce(amps: list[complex], kind: str, what: str):
     return phases
 
 
-def _ladder_derivative(
-    amplitude, scale: float, kind: str, what: str, centre: bool = False
-) -> float:
-    """d/ds of ln|a(s)|^2 or arg a(s) at s = 0 over the probe ladder."""
-    h, offsets = _ladder(scale, centre)
-    return richardson(_reduce([amplitude(s) for s in offsets], kind, what), h)
-
-
 # ---------------------------------------------------------------------------
 # group-delay and flux-based times
 
@@ -246,6 +256,7 @@ def wigner_delay(profile: PotentialProfile, E: float, channel: str = "transmissi
     With hbar = 1 the frequency is the energy, so this is literally
     d(Arg amplitude)/dE with continuous phase tracking across the probes.
     """
+    _check_channel(channel)
     lead = max(profile.v_left, profile.v_right)
 
     def amplitude(dE: float) -> complex:
@@ -256,9 +267,8 @@ def wigner_delay(profile: PotentialProfile, E: float, channel: str = "transmissi
         t, r, _, _ = scatter._Chain(profile, E + dE).fold()
         return t if channel == "transmission" else r
 
-    return _ladder_derivative(
-        amplitude, _energy_scale(profile, E), "phase", f"{channel} amplitude", centre=True
-    )
+    h, amps = _ladder(amplitude, _energy_scale(profile, E), centre=True)
+    return richardson(_reduce(amps, "phase", f"{channel} amplitude"), h)
 
 
 def _density_integral(w: scatter._SegmentWave) -> float:
@@ -298,16 +308,15 @@ def _density_integral(w: scatter._SegmentWave) -> float:
 def dwell_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None = None) -> float:
     """Smith dwell time: integral of |psi|^2 over the region / incident flux.
 
-    The region must carry a real potential (Hermitian problem); defaults to
-    the clock region, or the whole profile when none is marked.
+    The region, one (lo, hi) pair, must carry a real potential (Hermitian
+    problem); defaults to the clock region, or the whole profile when none is
+    marked.
     """
-    if region is None:
-        region = profile.clock_region if profile.clock_region is not None else (
-            (0, len(profile.segments) - 1) if profile.segments else None
-        )
-    if region is None:
-        return 0.0
-    lo, hi = region
+    if region is None and profile.clock_region is None:
+        if not profile.segments:
+            return 0.0
+        region = (0, len(profile.segments) - 1)
+    lo, hi = _one_region(_normalize_regions(profile, region), "dwell time")
     for j in range(lo, hi + 1):
         if profile.segments[j].v_imag != 0.0:
             raise ValidationError(
@@ -321,7 +330,8 @@ def dwell_time(profile: PotentialProfile, E: float, region: tuple[int, int] | No
 
 
 def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None = None) -> float:
-    """Buttiker-Landauer traversal time over the region (segment-wise additive).
+    """Buttiker-Landauer traversal time over the region, one (lo, hi) pair
+    defaulting to the clock region (segment-wise additive).
 
     Sub-barrier segments contribute d/(2 kappa); super-barrier segments the
     classical crossing d/(2 k_r).
@@ -329,9 +339,7 @@ def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None 
     Raises:
         DivergentIntegrandError: if E equals a segment potential exactly.
     """
-    if region is None:
-        region = _clock_region(profile)
-    lo, hi = region
+    lo, hi = _one_region(_normalize_regions(profile, region), "Buttiker-Landauer time")
     total = 0.0
     for j in range(lo, hi + 1):
         seg = profile.segments[j]
@@ -358,30 +366,15 @@ def _spin_expectations(a: complex, b: complex, what: str) -> tuple[float, float]
     return s_y, s_z
 
 
-def _spin_ladder(
-    pair, scale: float, what: str, mirrored: bool
-) -> tuple[float, list[tuple[float, float]]]:
-    """The largest probe and (<S_y>, <S_z>) at each probe offset, in ladder
-    order, for the Zeeman pair (spin-up, spin-down) = pair(s).
-
-    When the probed field is the only one the spinor sees, spin-down at +s
-    has the same k^2 shift as spin-up at -s (and vice versa); mirrored=True
-    then reads each -s probe off the +s pair swapped instead of solving it.
-    """
-    h, offsets = _ladder(scale)
-    pairs = {s: pair(s) for s in offsets if s > 0}
-    for s in offsets:
-        if s < 0:
-            pairs[s] = pairs[-s][::-1] if mirrored else pair(s)
-    return h, [_spin_expectations(*pairs[s], what) for s in offsets]
-
-
 def _larmor_detailed(
     profile: PotentialProfile, E: float, channel: str
 ) -> tuple[float, float, float]:
+    _check_channel(channel)
     _clock_region(profile)
     clock_segs = profile.clock_indices()
-    # A Zeeman field outside the clock region is not mirrored with the probe.
+    # With no Zeeman field outside the clock region, spin-down at +omega has
+    # the k^2 shift of spin-up at -omega (and vice versa), so the pair at
+    # -omega is the pair at +omega swapped, bit for bit.
     mirrored = all(
         seg.omega_larmor == 0.0
         for j, seg in enumerate(profile.segments)
@@ -398,10 +391,17 @@ def _larmor_detailed(
         )
         return r if channel == "reflection" else t * chain.exit_phase
 
-    def pair(omega: float) -> tuple[complex, complex]:
-        return amplitude(+1, omega), amplitude(-1, omega)
+    solved: dict[float, tuple[complex, complex]] = {}
 
-    h, spins = _spin_ladder(pair, scale, f"{channel} spinor amplitude", mirrored)
+    def pair(omega: float) -> tuple[complex, complex]:
+        if mirrored and omega < 0:
+            return pair(-omega)[::-1]
+        if omega not in solved:
+            solved[omega] = amplitude(+1, omega), amplitude(-1, omega)
+        return solved[omega]
+
+    h, pairs = _ladder(pair, scale)
+    spins = [_spin_expectations(a, b, f"{channel} spinor amplitude") for a, b in pairs]
     d_sy = richardson([s_y for s_y, _ in spins], h)
     d_sz = richardson([s_z for _, s_z in spins], h)
     sign_y = math.copysign(1.0, d_sy) if d_sy != 0.0 else 0.0
@@ -431,6 +431,7 @@ def imag_clock_time(
     logarithmic derivative; free propagation then clocks the literal crossing
     time L/(2k).
     """
+    _check_channel(channel)
     _clock_region(profile)
     clock_segs = profile.clock_indices()
     scale = _energy_scale(profile, E, list(clock_segs))
@@ -441,7 +442,8 @@ def imag_clock_time(
         t, r, _, _ = chain.fold((j, scatter._k(E, seg.v_real, v_imag)) for j, seg in clocked)
         return t * chain.exit_phase if channel == "transmission" else r
 
-    return -0.5 * _ladder_derivative(amplitude, scale, "log", f"{channel} amplitude")
+    h, amps = _ladder(amplitude, scale)
+    return -0.5 * richardson(_reduce(amps, "log", f"{channel} amplitude"), h)
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +461,13 @@ def _sojourn_detailed(
     Returns (time, mixed_regime).
     """
     region_list = _normalize_regions(profile, regions)
-    segs = _region_segments(region_list)
+    segs = [j for lo, hi in region_list for j in range(lo, hi + 1)]
     regimes = {j: _regime(profile, E, j) for j in segs}
 
     r12 = 0j
     if channel == "reflection":
-        if len(region_list) > 1:
-            raise ValidationError(
-                "reflection sojourn time is defined for a single contiguous region"
-            )
-        r12 = scatter.partial_waves(replace(profile, clock_region=region_list[0]), E).r12
+        region = _one_region(region_list, "reflection sojourn time")
+        r12 = scatter.partial_waves(replace(profile, clock_region=region), E).r12
     chain = scatter._Chain(profile, E)
 
     def branch_time(active: list[int], regime: str) -> float:
@@ -476,7 +475,14 @@ def _sojourn_detailed(
         # Propagating regions time the decay of |a|^2, evanescent ones the
         # phase the clock adds.
         propagating = regime == "propagating"
-        roots = _zero_strength_roots(profile, E, active, propagating)
+        # (j, L_j, root) per segment, root the real zero-strength root the
+        # dressing shifts: k_j = sqrt(E - V_j) when propagating, kappa_j =
+        # sqrt(V_j - E) when evanescent.
+        roots = []
+        for j in active:
+            seg = profile.segments[j]
+            gap = E - seg.v_real if propagating else seg.v_real - E
+            roots.append((j, seg.length, math.sqrt(gap)))
 
         def amplitude(xi: float) -> complex:
             # The paired-variable propagation wavevector of each segment:
@@ -490,12 +496,9 @@ def _sojourn_detailed(
             t, r, _, _ = chain.fold(prop_ks=prop_ks)
             return r - r12 if channel == "reflection" else t
 
-        derivative = _ladder_derivative(
-            amplitude,
-            _energy_scale(profile, E, active) * L_act,
-            "log" if propagating else "phase",
-            f"dressed {channel} amplitude",
-            centre=True,
+        h, amps = _ladder(amplitude, _energy_scale(profile, E, active) * L_act, centre=True)
+        derivative = richardson(
+            _reduce(amps, "log" if propagating else "phase", f"dressed {channel} amplitude"), h
         )
         factor = -(L_act / 2.0) if propagating else L_act
         return factor * derivative
@@ -533,48 +536,6 @@ def sojourn_reflection(
     return _sojourn_detailed(profile, E, region, "reflection")[0]
 
 
-def sojourn_via_larmor_pairing(profile: PotentialProfile, E: float, regions=None) -> float:
-    """Sojourn time from the Larmor clock with the paired variable xi = omega_L L.
-
-    Interfaces are pinned at zero field while the Zeeman-split internal
-    propagation carries xi; the spin precession (propagating) or spin rotation
-    (evanescent) derivative reproduces the imaginary-potential sojourn times.
-    """
-    region_list = _normalize_regions(profile, regions)
-    segs = _region_segments(region_list)
-    regimes = {j: _regime(profile, E, j) for j in segs}
-    if len(set(regimes.values())) != 1:
-        raise RegimeAmbiguityError(
-            "Larmor pairing implemented for single-regime clock regions only"
-        )
-    propagating = regimes[segs[0]] == "propagating"
-    L_tot = sum(profile.segments[j].length for j in segs)
-    scale = _energy_scale(profile, E, segs) * L_tot
-    chain = scatter._Chain(profile, E)
-    roots = _zero_strength_roots(profile, E, segs, propagating)
-
-    def amplitude(xi: float, sign: int) -> complex:
-        # Zeeman shift of the internal propagation only: k'_+- from
-        # kappa_+- ~ kappa -/+ xi_j/(4 kappa L_j) (and the propagating analogue).
-        prop_ks = []
-        for j, L, root in roots:
-            xi_j = xi * L / L_tot
-            if propagating:
-                prop_ks.append((j, complex(root + sign * xi_j / (4.0 * root * L), 0.0)))
-            else:
-                prop_ks.append((j, complex(0.0, root - sign * xi_j / (4.0 * root * L))))
-        return chain.fold(prop_ks=prop_ks)[0] * chain.exit_phase
-
-    def pair(xi: float) -> tuple[complex, complex]:
-        return amplitude(xi, +1), amplitude(xi, -1)
-
-    # The probes leave omega_larmor out of every k, so the pair always mirrors.
-    h, spins = _spin_ladder(pair, scale, "dressed spinor amplitude", mirrored=True)
-    # Precession (S_y) for propagating regions, rotation (S_z) for evanescent.
-    component = 0 if propagating else 1
-    return abs(2.0 * L_tot * richardson([spin[component] for spin in spins], h))
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -584,6 +545,7 @@ def full_report(
 ) -> TimescaleReport:
     """Compute every timescale at one energy; failed preconditions become
     reason-coded absences rather than errors."""
+    _check_channel(channel)
     entries: dict[str, float] = {}
     reasons: dict[str, str] = {}
     diagnostics: dict[str, dict] = {}

@@ -1,5 +1,5 @@
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -28,6 +28,16 @@ def random_real_profile(rng, max_segments=5, v_range=(-3.0, 6.0), clock_region=F
         hi = int(rng.integers(lo, n))
         region = (lo, hi)
     return PotentialProfile(segments=segments, clock_region=region)
+
+
+def set_clock(profile, **strength):
+    """profile with strength (v_imag= or omega_larmor=) set on every segment
+    of its clock region: the clocked profile whose public solve a clock probe
+    reproduces."""
+    segments = list(profile.segments)
+    for j in profile.clock_indices():
+        segments[j] = replace(segments[j], **strength)
+    return replace(profile, segments=tuple(segments))
 
 
 def random_complex_profile(rng, max_segments=5):

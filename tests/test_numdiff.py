@@ -1,5 +1,5 @@
-"""Numerical differentiation in timescales: the probe ladder's fixed Richardson
-stencil and its phase unwrapping."""
+"""Numerical differentiation in timescales: the probe ladder, its fixed
+Richardson stencil and its phase unwrapping."""
 import cmath
 import math
 
@@ -15,6 +15,22 @@ def ladder_values(f, h, centre=False):
     """f over the ladder offsets [-h, -h/2, -h/4, (0,) h/4, h/2, h]."""
     hs = [h, 0.5 * h, 0.25 * h]
     return [f(s) for s in [-s for s in hs] + ([0.0] if centre else []) + hs[::-1]]
+
+
+def phase_derivative(amplitude, scale):
+    """d arg a(s)/ds at s = 0 as the phase clocks take it: the centred ladder,
+    its unwrapped phases and the stencil."""
+    h, amps = timescales._ladder(amplitude, scale, centre=True)
+    return richardson(timescales._reduce(amps, "phase", "amplitude"), h)
+
+
+@pytest.mark.parametrize("centre", [False, True])
+def test_ladder_probes_in_offset_order(centre):
+    probed = []
+    h, values = timescales._ladder(lambda s: probed.append(s) or 2.0 * s, 0.5, centre)
+    assert h == timescales._PROBE_STEP * 0.5
+    assert probed == ladder_values(lambda s: s, h, centre)
+    assert values == [2.0 * s for s in probed]
 
 
 def test_polynomial_derivative_is_exact():
@@ -44,7 +60,7 @@ def test_unwrapped_phases_cross_branch_cut():
     def amplitude(s):
         return cmath.exp(1j * (math.pi - 0.01 + 3.0 * s))
 
-    value = timescales._ladder_derivative(amplitude, 1.0, "phase", "amplitude", centre=True)
+    value = phase_derivative(amplitude, 1.0)
     assert value == pytest.approx(3.0, rel=1e-10)
 
 
@@ -54,7 +70,7 @@ def test_undersampled_phase_raises():
         return cmath.exp(500j * s)
 
     with pytest.raises(StepSizeError, match="undersamples"):
-        timescales._ladder_derivative(amplitude, 1.0, "phase", "amplitude", centre=True)
+        phase_derivative(amplitude, 1.0)
 
 
 @pytest.mark.parametrize("channel", ["transmission", "reflection"])

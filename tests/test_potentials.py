@@ -3,15 +3,7 @@ import math
 import pytest
 
 from wavetime.errors import ValidationError
-from wavetime.potentials import (
-    ClockKind,
-    ClockSettings,
-    PotentialProfile,
-    Segment,
-    make_rectangular_barrier,
-    validate,
-    with_clock,
-)
+from wavetime.potentials import PotentialProfile, Segment, make_rectangular_barrier, validate
 
 
 def test_rectangular_barrier_layout():
@@ -52,22 +44,6 @@ def test_validate_accepts_good_profile():
         v_right=0.5,
     )
     assert validate(prof) == []
-
-
-def test_with_clock_roundtrip():
-    prof = make_rectangular_barrier(2.0, 1.0)
-    clocked = with_clock(prof, ClockSettings(ClockKind.IMAGINARY_POTENTIAL, 0.1))
-    assert clocked.segments[0].v_imag == 0.1
-    assert with_clock(clocked, ClockSettings(ClockKind.IMAGINARY_POTENTIAL, 0.0)) == prof
-    spun = with_clock(prof, ClockSettings(ClockKind.LARMOR, 0.2))
-    assert spun.segments[0].omega_larmor == 0.2
-    assert spun.segments[0].v_imag == 0.0
-
-
-def test_with_clock_requires_region():
-    prof = PotentialProfile(segments=(Segment(1.0, 1.0),))
-    with pytest.raises(ValidationError):
-        with_clock(prof, ClockSettings(ClockKind.LARMOR, 0.1))
 
 
 def test_edges_accumulate_lengths():

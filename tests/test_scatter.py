@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_chain, random_complex_profile, random_real_profile, safe_energy
+from conftest import (
+    oracle_chain,
+    random_complex_profile,
+    random_real_profile,
+    safe_energy,
+    set_clock,
+)
 from wavetime import scatter
 from wavetime.errors import (
     NoOpenChannelError,
@@ -14,18 +20,10 @@ from wavetime.errors import (
     ResummationDivergenceError,
     ValidationError,
 )
-from wavetime.potentials import (
-    ClockKind,
-    ClockSettings,
-    PotentialProfile,
-    Segment,
-    make_rectangular_barrier,
-    with_clock,
-)
+from wavetime.potentials import PotentialProfile, Segment, make_rectangular_barrier
 from wavetime.scatter import (
     partial_waves,
     solve,
-    solve_spinor,
     solve_with_propagation_override,
     wavefunction_at,
     wavevector,
@@ -243,19 +241,21 @@ class TestWavefunction:
 
 
 class TestSpinor:
+    """The two Zeeman components: solve(profile, E, +1) is spin-up (the barrier
+    lowered by omega_larmor/2), solve(profile, E, -1) spin-down."""
+
     def test_zero_field_channels_coincide(self):
         prof = make_rectangular_barrier(2.0, 1.0)
-        amps = solve_spinor(prof, 1.0)
-        assert amps.t_plus == amps.t_minus
-        assert amps.r_plus == amps.r_minus
+        up, down = solve(prof, 1.0, +1), solve(prof, 1.0, -1)
+        assert up.t == down.t
+        assert up.r == down.r
 
     def test_field_splits_channels(self):
         prof = PotentialProfile(
             segments=(Segment(1.0, 2.0, omega_larmor=0.3),), clock_region=(0, 0)
         )
-        amps = solve_spinor(prof, 1.0)
         # Spin-up sees the lower barrier, so it tunnels more easily.
-        assert abs(amps.t_plus) > abs(amps.t_minus)
+        assert abs(solve(prof, 1.0, +1).t) > abs(solve(prof, 1.0, -1).t)
 
     def test_mirrored_field_swaps_channels_bitwise(self, rng):
         # Spin-up at +omega and spin-down at -omega both shift k^2 by
@@ -268,8 +268,8 @@ class TestSpinor:
             prof = random_real_profile(rng, clock_region=True)
             e = safe_energy(rng, prof)
             h = float(rng.uniform(1e-4, 0.1))
-            up = solve(with_clock(prof, ClockSettings(ClockKind.LARMOR, h)), e, channel=+1)
-            down = solve(with_clock(prof, ClockSettings(ClockKind.LARMOR, -h)), e, channel=-1)
+            up = solve(set_clock(prof, omega_larmor=h), e, channel=+1)
+            down = solve(set_clock(prof, omega_larmor=-h), e, channel=-1)
             assert bits(up.t) == bits(down.t)
             assert bits(up.r) == bits(down.r)
 
@@ -580,7 +580,8 @@ class TestLazyWaves:
             prof = random_real_profile(rng, clock_region=True)
             e = safe_energy(rng, prof)
             solve(prof, e)
-            solve_spinor(prof, e)
+            solve(prof, e, +1)
+            solve(prof, e, -1)
             lo = prof.clock_region[0]
             solve_with_propagation_override(prof, e, {lo: wavevector(e, prof.segments[lo]) + 0.01j})
             wavefunction_at(solve(prof, e), -1.0)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import random_real_profile, safe_energy
+from conftest import random_real_profile, safe_energy, set_clock
 from wavetime.errors import (
     DivergentIntegrandError,
     LogSingularityError,
@@ -16,15 +16,8 @@ from wavetime.errors import (
     StepSizeError,
     ValidationError,
 )
-from wavetime.potentials import (
-    ClockKind,
-    ClockSettings,
-    PotentialProfile,
-    Segment,
-    make_rectangular_barrier,
-    with_clock,
-)
-from wavetime import potentials, scatter, timescales
+from wavetime.potentials import PotentialProfile, Segment, make_rectangular_barrier
+from wavetime import scatter, timescales
 from wavetime.scatter import solve
 from wavetime.timescales import (
     bl_time,
@@ -34,7 +27,6 @@ from wavetime.timescales import (
     larmor_times,
     sojourn_reflection,
     sojourn_transmission,
-    sojourn_via_larmor_pairing,
     wigner_delay,
 )
 
@@ -58,14 +50,60 @@ def dressed_wavevector(profile, E, j, xi):
     return complex(xi / (2.0 * kappa * seg.length), kappa)
 
 
-def recording_probes(mp):
-    """Patch the probe ladders so that each records its probes in call order
-    as [offset, amplitude] (a spinor pair for a spin ladder), or [offset] for
-    a probe that raised.  Returns the list of ladders it fills."""
-    ladders = []
-    ladder_derivative, spin_ladder = timescales._ladder_derivative, timescales._spin_ladder
+def larmor_paired_sojourn(profile, E, h):
+    """The sojourn time of a single-regime clock region through the Larmor
+    pairing (Sokolovski & Baskin, PRA 36, 4604 (1987)): the Zeeman pair
+    carries the paired variable xi = omega_L L on the internal propagation
+    only, interfaces pinned at zero field.  Segment j propagates spin-up
+    (sign +1) and spin-down (-1) at k + sign xi_j/(4 k L_j) above its barrier
+    top and at i (kappa - sign xi_j/(4 kappa L_j)) below it, with
+    xi_j = xi L_j / L.  The time is 2 L |d<S>/d xi| at xi = 0, the precession
+    S_y when propagating and the rotation S_z when evanescent, here by a
+    central difference at +-h."""
+    segs = list(profile.clock_indices())
+    L = sum(profile.segments[j].length for j in segs)
 
-    def recorded(probe):
+    def shifted(j, xi, sign):
+        k, L_j = dressed_wavevector(profile, E, j, 0.0), profile.segments[j].length
+        shift = sign * (xi * L_j / L) / (4.0 * abs(k) * L_j)
+        return complex(k.real + shift, 0.0) if k.real else complex(0.0, k.imag - shift)
+
+    def spin(xi):
+        up, down = (
+            scatter.solve_with_propagation_override(
+                profile, E, {j: shifted(j, xi, sign) for j in segs}
+            ).t
+            for sign in (+1, -1)
+        )
+        return spin_expectations(up, down)
+
+    component = 0 if E > profile.segments[segs[0]].v_real else 1
+    return abs(2.0 * L * (spin(h)[component] - spin(-h)[component]) / (2.0 * h))
+
+
+def spin_expectations(a, b):
+    """<S_y>, <S_z> of the spinor (a, b)."""
+    norm = abs(a) ** 2 + abs(b) ** 2
+    return (a.conjugate() * b).imag / norm, 0.5 * (abs(a) ** 2 - abs(b) ** 2) / norm
+
+
+def spin_pair(profile, E, channel):
+    """The (spin-up, spin-down) amplitudes of channel, from the public solves
+    of the two Zeeman components."""
+    up, down = solve(profile, E, +1), solve(profile, E, -1)
+    if channel == "reflection":
+        return up.r, down.r
+    return up.t, down.t
+
+
+def recording_probes(mp):
+    """Patch the probe ladder so that each ladder records its probes in call
+    order as [offset, value] (a spinor pair for the Larmor clock), or
+    [offset] for a probe that raised.  Returns the list of ladders it fills."""
+    ladders = []
+    ladder = timescales._ladder
+
+    def recorded(probe, *args, **kw):
         calls = []
         ladders.append(calls)
 
@@ -74,12 +112,9 @@ def recording_probes(mp):
             calls[-1].append(probe(s))
             return calls[-1][1]
 
-        return wrapped
+        return ladder(wrapped, *args, **kw)
 
-    mp.setattr(timescales, "_ladder_derivative",
-               lambda amplitude, *args, **kw: ladder_derivative(recorded(amplitude), *args, **kw))
-    mp.setattr(timescales, "_spin_ladder",
-               lambda pair, *args, **kw: spin_ladder(recorded(pair), *args, **kw))
+    mp.setattr(timescales, "_ladder", recorded)
     return ladders
 
 
@@ -276,15 +311,7 @@ class TestClockIdentities:
         )
 
         def spin(omega):
-            amps = scatter.solve_spinor(
-                with_clock(prof, ClockSettings(ClockKind.LARMOR, omega)), e
-            )
-            if channel == "transmission":
-                a, b = amps.t_plus, amps.t_minus
-            else:
-                a, b = amps.r_plus, amps.r_minus
-            norm = abs(a) ** 2 + abs(b) ** 2
-            return (a.conjugate() * b).imag / norm, 0.5 * (abs(a) ** 2 - abs(b) ** 2) / norm
+            return spin_expectations(*spin_pair(set_clock(prof, omega_larmor=omega), e, channel))
 
         h = 1e-6
         (sy_p, sz_p), (sy_m, sz_m) = spin(h), spin(-h)
@@ -335,13 +362,17 @@ class TestSojourn:
             assert s_r - s_t == pytest.approx(bl_time(prof, e), rel=1e-5, abs=1e-7)
 
     def test_larmor_pairing_agrees(self, rng):
+        # The paper's identity: the Larmor clock with the paired variable
+        # xi = omega_L L gives the imaginary-potential sojourn time.
         for _ in range(10):
             prof = random_real_profile(rng, max_segments=3, clock_region=True)
             lo = prof.clock_region[0]
             prof = PotentialProfile(segments=prof.segments, clock_region=(lo, lo))
             e = safe_energy(rng, prof)
             direct = sojourn_transmission(prof, e)
-            paired = sojourn_via_larmor_pairing(prof, e)
+            seg = prof.segments[lo]
+            h = 1e-5 * max(e, abs(seg.v_real - e)) * seg.length
+            paired = larmor_paired_sojourn(prof, e, h)
             assert paired == pytest.approx(abs(direct), rel=1e-6, abs=1e-9)
 
     def test_mixed_regime_region_is_segmentwise_sum(self):
@@ -440,10 +471,7 @@ class TestFullReport:
                             counting("ScatteringSolution", scatter.ScatteringSolution))
         for cls in (PotentialProfile, Segment):
             monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
-        for module, name in ((potentials, "with_clock"), (timescales, "with_clock"),
-                             (scatter, "solve_spinor"),
-                             (scatter, "solve_with_propagation_override")):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+        monkeypatch.setattr(scatter, "solve_with_propagation_override", forbidden)
         rep = full_report(barrier, 2.0, channel=channel)
         assert rep.reasons == {}
         assert counts == {
@@ -472,12 +500,6 @@ class TestFullReport:
         assert math.isfinite(rep.entries["sojourn"])
 
 
-def spin_pair(amps, channel):
-    if channel == "reflection":
-        return amps.r_plus, amps.r_minus
-    return amps.t_plus, amps.t_minus
-
-
 def public_probes(profile, E, channel):
     """Each clock's probe amplitude at clock strength s, through the public
     solves of the clocked profile: (clock, [amplitude of s, one per ladder])."""
@@ -494,12 +516,11 @@ def public_probes(profile, E, channel):
         return sol.t_local if channel == "transmission" else sol.r
 
     def imag(s):
-        sol = solve(with_clock(profile, ClockSettings(ClockKind.IMAGINARY_POTENTIAL, s)), E)
+        sol = solve(set_clock(profile, v_imag=s), E)
         return sol.t if channel == "transmission" else sol.r
 
     def larmor(s):
-        clocked = with_clock(profile, ClockSettings(ClockKind.LARMOR, s))
-        return spin_pair(scatter.solve_spinor(clocked, E), channel)
+        return spin_pair(set_clock(profile, omega_larmor=s), E, channel)
 
     def sojourn(active):
         L = sum(profile.segments[j].length for j in active)
@@ -514,19 +535,6 @@ def public_probes(profile, E, channel):
 
         return amplitude
 
-    def pairing(xi):
-        L = sum(profile.segments[j].length for j in segs)
-
-        def shifted(j, sign):
-            # k + sign xi_j/(4 k L_j) above the top, i (kappa - sign
-            # xi_j/(4 kappa L_j)) below it
-            k, L_j = dressed_wavevector(profile, E, j, 0.0), profile.segments[j].length
-            shift = sign * (xi * L_j / L) / (4.0 * abs(k) * L_j)
-            return complex(k.real + shift, 0.0) if k.real else complex(0.0, k.imag - shift)
-
-        overrides = ({j: shifted(j, sign) for j in segs} for sign in (+1, -1))
-        return tuple(scatter.solve_with_propagation_override(profile, E, o).t for o in overrides)
-
     branches = [segs] if len(regimes) == 1 else [[j] for j in segs]
     return [
         (lambda: wigner_delay(profile, E, channel), [wigner]),
@@ -534,7 +542,6 @@ def public_probes(profile, E, channel):
         (lambda: larmor_times(profile, E, channel), [larmor]),
         (lambda: timescales._sojourn_detailed(profile, E, None, channel),
          [sojourn(active) for active in branches]),
-        (lambda: sojourn_via_larmor_pairing(profile, E), [pairing]),
     ]
 
 
@@ -579,7 +586,9 @@ class TestProbeParity:
     def test_probe_amplitudes_equal_public_solves(self, problem):
         # Every probe's amplitude is the public solve's amplitude of the
         # clocked profile, to the bit, and a probe raises where that solve
-        # raises, with the same exception type.
+        # raises, with the same exception type.  A ladder stops only at a
+        # probe that raised; otherwise it records all its probes, the Larmor
+        # clock's mirrored ones (read off the +omega pair) included.
         profile, E, channel = problem
         for clock, public in public_probes(profile, E, channel):
             with pytest.MonkeyPatch.context() as mp:
@@ -591,12 +600,66 @@ class TestProbeParity:
                     raised = type(exc)
             assert len(ladders) <= len(public)
             for probes, amplitude in zip(ladders, public):
+                assert len(probes[-1]) == 1 or len(probes) in (6, 7)
                 for probe in probes:
                     if len(probe) == 2:
                         assert amplitude(probe[0]) == probe[1]
                     else:
                         with pytest.raises(raised):
                             amplitude(probe[0])
+
+
+BARRIER = make_rectangular_barrier(2.0, 1.0)
+
+
+@pytest.mark.parametrize("channel", ["transmision", "Transmission", "", None])
+@pytest.mark.parametrize(
+    "clock", [full_report, wigner_delay, larmor_times, imag_clock_time],
+    ids=lambda f: f.__name__,
+)
+def test_unknown_channel_rejected(clock, channel):
+    # A misspelt channel must not fall through to either amplitude.
+    with pytest.raises(ValidationError, match=repr(channel)):
+        clock(BARRIER, 1.5, channel)
+
+
+class TestRegions:
+    """Every clock that takes a region reads it through one parser."""
+
+    @pytest.mark.parametrize("region", [(0, 1), (0, 3), (1, 0), (-1, 0), (0, -1)])
+    @pytest.mark.parametrize("clock", [dwell_time, bl_time, sojourn_transmission,
+                                       sojourn_reflection], ids=lambda f: f.__name__)
+    def test_out_of_range_or_reversed_rejected(self, clock, region):
+        with pytest.raises(ValidationError, match="out of range"):
+            clock(BARRIER, 1.5, region)
+
+    @pytest.mark.parametrize("region", [[0, 0], (np.int64(0), np.int64(0)), np.array([0, 0]),
+                                        [(0, 0)], ((0, 0),)])
+    @pytest.mark.parametrize("clock", [dwell_time, bl_time, sojourn_transmission,
+                                       sojourn_reflection], ids=lambda f: f.__name__)
+    def test_any_integer_pair_is_one_region(self, clock, region):
+        assert clock(BARRIER, 1.5, region) == clock(BARRIER, 1.5, (0, 0))
+
+    @pytest.mark.parametrize("region", ["ab", (0.0, 0.0), (True, False), [], [(0, 0), 1], 3,
+                                        ((0, 0, 0),)])
+    @pytest.mark.parametrize("clock", [dwell_time, bl_time, sojourn_transmission,
+                                       sojourn_reflection], ids=lambda f: f.__name__)
+    def test_non_pair_is_named(self, clock, region):
+        with pytest.raises(ValidationError, match="neither a"):
+            clock(BARRIER, 1.5, region)
+
+    @pytest.mark.parametrize("clock", [dwell_time, bl_time], ids=lambda f: f.__name__)
+    def test_dwell_and_bl_take_one_pair(self, clock):
+        prof = PotentialProfile(
+            segments=(Segment(1.0, 1.0), Segment(1.0, 0.0), Segment(1.0, 1.0)),
+        )
+        with pytest.raises(ValidationError, match="single contiguous region"):
+            clock(prof, 3.0, [(0, 0), (2, 2)])
+
+    def test_dwell_defaults_to_whole_unmarked_profile(self):
+        prof = PotentialProfile(segments=(Segment(1.0, 1.0), Segment(1.0, 0.0)))
+        assert dwell_time(prof, 3.0) == dwell_time(prof, 3.0, (0, 1))
+        assert dwell_time(PotentialProfile(segments=()), 3.0) == 0.0
 
 
 class TestPositivity:
