@@ -29,7 +29,7 @@ import yaml
 
 from . import __version__, em_pulse, first_passage, timescales
 from .errors import ValidationError, WavetimeError
-from .potentials import PotentialProfile, Segment, validate as validate_profile
+from .potentials import PotentialProfile, Segment
 
 __all__ = ["Scenario", "ResultTable", "load_scenario", "run_scenario", "compare_tables", "main"]
 
@@ -113,6 +113,14 @@ def _scalars(cfg: dict, where: str, exclude: tuple[str, ...] = ()) -> dict:
             for k, v in cfg.items() if k not in exclude}
 
 
+def _build(cls, where: str, **fields):
+    """cls(**fields), a ValidationError ("field: why") prefixed with the YAML path."""
+    try:
+        return cls(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.{exc}") from None
+
+
 def _parse_profile(cfg: dict) -> PotentialProfile:
     _require_keys(cfg, {"segments", "clock_region", "v_left", "v_right"}, {"segments"}, "profile")
     segments = []
@@ -121,21 +129,10 @@ def _parse_profile(cfg: dict) -> PotentialProfile:
     for i, seg in enumerate(cfg["segments"]):
         where = f"profile.segments[{i}]"
         _require_keys(seg, {"length", "v_real", "v_imag", "omega_larmor"}, {"length", "v_real"}, where)
-        segments.append(Segment(**_scalars(seg, where)))
-    region = cfg.get("clock_region")
-    if region is not None:
-        region = tuple(_numbers(region, "profile.clock_region", integer=True))
-        if len(region) != 2:
-            raise ValidationError(f"profile.clock_region: expected [first, last], got {list(region)}")
-    profile = PotentialProfile(
-        segments=tuple(segments),
-        clock_region=region,
-        **_scalars(cfg, "profile", exclude=("segments", "clock_region")),
-    )
-    problems = validate_profile(profile)
-    if problems:
-        raise ValidationError("profile: " + "; ".join(problems))
-    return profile
+        segments.append(_build(Segment, where, **_scalars(seg, where)))
+    leads = _scalars(cfg, "profile", exclude=("segments", "clock_region"))
+    return _build(PotentialProfile, "profile", segments=segments,
+                  clock_region=cfg.get("clock_region"), **leads)
 
 
 def _parse_lattice(cfg: dict) -> first_passage.LatticeSpec:

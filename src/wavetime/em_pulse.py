@@ -26,7 +26,7 @@ moment t E(t), the centroid is Re <n E~, q> / Re <E~, n E~> (_p_operator).
 The entry spectrum of the Gaussian pulse and its moment are closed forms
 (_entry_spectrum), so the kernel never samples pulse.field(); the exit and
 attenuated moments take a round trip through the time domain each, so a row
-makes 4 transforms, through scipy.fft under norm="forward" with dt applied in
+makes 4 transforms, through numpy.fft under norm="forward" with dt applied in
 place.  n(omega) and dk/domega are cached once per sweep, the entry delay
 factor exp(i omega t0) once per pulse window, and the slab factors
 exp(i k L) and exp(-Im k L) once per thickness, so a carrier sweep computes
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridError, ValidationError, ZeroFluxError
 
@@ -289,16 +288,16 @@ def _slab_factors(kind: MediumKind, resonance: float, plasma_strength: float, da
 
 def to_spectrum(field: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     """E~ on the FFT grid: dt * sum_t E(t) exp(+i w t).  The unscaled sum is
-    scipy's inverse transform under norm="forward"; dt is applied in place."""
-    spectrum = scipy.fft.ifft(field, norm="forward")
+    numpy's inverse transform under norm="forward"; dt is applied in place."""
+    spectrum = np.fft.ifft(field, norm="forward")
     spectrum *= pulse.span / pulse.n_samples
     return spectrum
 
 
 def to_time(spectrum: np.ndarray, pulse: PulseSpec) -> np.ndarray:
-    """E(t) = sum_w E~(w) exp(-i w t) / (N dt): scipy's forward transform under
+    """E(t) = sum_w E~(w) exp(-i w t) / (N dt): numpy's forward transform under
     norm="forward" divides by N, and the division by dt is done in place."""
-    field = scipy.fft.fft(spectrum, norm="forward")
+    field = np.fft.fft(spectrum, norm="forward")
     field /= pulse.span / pulse.n_samples
     return field
 

@@ -14,7 +14,8 @@ class NoOpenChannelError(WavetimeError):
 
 
 class ResummationDivergenceError(WavetimeError):
-    """The geometric partial-wave series does not converge (|r21 r23 e^{2ik'L}| >= 1)."""
+    """The scattering series does not converge (|r21 r23 e^{2ik'L}| >= 1, a
+    unit-gain loop, or a propagation factor exp(i k d) beyond float range)."""
 
 
 class DerivativeError(WavetimeError):

@@ -10,6 +10,8 @@ test; see scatter.wavevector for the branch rule.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -18,13 +20,40 @@ __all__ = [
     "Segment",
     "PotentialProfile",
     "make_rectangular_barrier",
-    "validate",
 ]
+
+
+def _finite(value, name: str) -> float:
+    """value as a float; a ValidationError names the field unless it is a
+    finite real number (a boolean is not)."""
+    try:
+        out = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer beyond float range
+        out = math.nan
+    if not math.isfinite(out):
+        raise ValidationError(f"{name}: must be a finite real number, got {value!r}")
+    return out
+
+
+def _index_pair(pair, n_segments: int, name: str) -> tuple[int, int] | None:
+    """pair as (lo, hi) if it is a two-item sequence of integers (numpy
+    integers too, booleans not), else None; a ValidationError names the field
+    if such a pair is not 0 <= lo <= hi < n_segments."""
+    try:
+        lo, hi = pair
+        if isinstance(lo, bool) or isinstance(hi, bool):
+            return None
+        lo, hi = operator.index(lo), operator.index(hi)
+    except (TypeError, ValueError):
+        return None
+    if not 0 <= lo <= hi < n_segments:
+        raise ValidationError(f"{name}: ({lo}, {hi}) out of range for {n_segments} segments")
+    return lo, hi
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One constant-potential slab.
+    """One constant-potential slab, checked and stored as floats on construction.
 
     Attributes:
         length: Spatial extent (> 0).
@@ -39,13 +68,20 @@ class Segment:
     v_imag: float = 0.0
     omega_larmor: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("length", "v_real", "v_imag", "omega_larmor"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        if not self.length > 0.0:
+            raise ValidationError(f"length: must be > 0, got {self.length!r}")
+
 
 @dataclass(frozen=True)
 class PotentialProfile:
     """Ordered piecewise-constant potential with an optional clock region.
 
     The profile occupies x in [0, extent()].  clock_region is an inclusive
-    (start, stop) pair of segment indices, or None when no region is marked.
+    (start, stop) pair of segment indices, or None when no region is marked;
+    any in-range pair of integers is stored as a tuple of ints.
     Asymptotic leads are real constant potentials (default 0) extending to
     +/- infinity; they must support plane waves, so they carry no imaginary
     potential and no Larmor field by construction.
@@ -55,6 +91,20 @@ class PotentialProfile:
     clock_region: tuple[int, int] | None = None
     v_left: float = 0.0
     v_right: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.segments, (tuple, list))
+                and all(isinstance(seg, Segment) for seg in self.segments)):
+            raise ValidationError(f"segments: expected a sequence of Segments, got {self.segments!r}")
+        object.__setattr__(self, "segments", tuple(self.segments))
+        for name in ("v_left", "v_right"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        if self.clock_region is not None:
+            pair = _index_pair(self.clock_region, len(self.segments), "clock_region")
+            if pair is None:
+                raise ValidationError(f"clock_region: expected a [first, last] pair of integer "
+                                      f"segment indices, got {self.clock_region!r}")
+            object.__setattr__(self, "clock_region", pair)
 
     def extent(self) -> float:
         """Total length of the profile."""
@@ -74,44 +124,17 @@ class PotentialProfile:
         lo, hi = self.clock_region
         return tuple(range(lo, hi + 1))
 
+    def require_clock_region(self) -> tuple[int, int]:
+        """The clock region, for a clock that times it; a ValidationError if none."""
+        if self.clock_region is None:
+            raise ValidationError("profile has no clock region")
+        return self.clock_region
+
 
 def make_rectangular_barrier(v0: float, width: float) -> PotentialProfile:
     """Single rectangular barrier of height v0; the barrier is the clock region.
 
     Raises:
-        ValidationError: if width is not positive and finite.
+        ValidationError: if width is not positive and finite, or v0 not finite.
     """
-    if not (width > 0.0 and math.isfinite(width)):
-        raise ValidationError(f"barrier width must be positive and finite, got {width}")
-    if not math.isfinite(v0):
-        raise ValidationError(f"barrier height must be finite, got {v0}")
-    seg = Segment(length=width, v_real=v0)
-    return PotentialProfile(segments=(seg,), clock_region=(0, 0))
-
-
-def validate(profile: PotentialProfile) -> list[str]:
-    """Check all profile invariants; returns a list of violations (empty if valid).
-
-    Total: never raises for any finite-typed input.
-    """
-    violations: list[str] = []
-    for i, seg in enumerate(profile.segments):
-        if not (isinstance(seg.length, (int, float)) and math.isfinite(seg.length) and seg.length > 0):
-            violations.append(f"segment {i}: length must be positive and finite, got {seg.length}")
-        for name in ("v_real", "v_imag", "omega_larmor"):
-            val = getattr(seg, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val)):
-                violations.append(f"segment {i}: {name} must be finite, got {val}")
-    if profile.clock_region is not None:
-        lo, hi = profile.clock_region
-        n = len(profile.segments)
-        if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi < n):
-            violations.append(f"clock_region {profile.clock_region} out of range for {n} segments")
-    for side, val in (("left", profile.v_left), ("right", profile.v_right)):
-        if not (isinstance(val, (int, float)) and math.isfinite(val)):
-            violations.append(f"{side} asymptotic potential must be finite, got {val}")
-    # Leads are part of the type (real constants), so the asymptotic-region
-    # invariant can only be broken by segments pretending to be leads; nothing
-    # further to check here.
-    return violations
-
+    return PotentialProfile(segments=(Segment(length=width, v_real=v0),), clock_region=(0, 0))

@@ -60,11 +60,10 @@ def wavevector(E: float, segment: Segment, channel: int | None = None) -> comple
     """Complex wavevector k = sqrt(E - V_eff) in a segment.
 
     V_eff combines the real potential, the absorption term and (optionally)
-    the Zeeman shift: k^2 = E - v_real + i*v_imag -/+ omega_larmor/2 is wrong;
-    explicitly, k^2 = E - v_real + i*v_imag + channel*omega_larmor/2 where
-    channel is +1 for the spin-up Zeeman component (barrier lowered) and -1
-    for spin-down.  v_imag > 0 is absorption under the exp(-iEt) convention,
-    hence the +i sign in k^2.
+    the Zeeman shift: k^2 = E - v_real + i*v_imag + channel*omega_larmor/2,
+    where channel is +1 for the spin-up Zeeman component (barrier lowered) and
+    -1 for spin-down.  v_imag > 0 is absorption under the exp(-iEt)
+    convention, hence the +i sign in k^2.
 
     Branch: principal square root for propagating-dominant segments
     (Re k^2 >= 0, keeps Re k > 0 through the V_I -> 0 limit for both signs);
@@ -86,6 +85,11 @@ def _k(E: float, v_real: float, v_imag: float, shift: float | None = None) -> co
         return cmath.sqrt(k2)
     # i * sqrt(-k2) has Im >= 0 and continues k(V_I) smoothly through 0.
     return 1j * cmath.sqrt(-k2)
+
+
+def _check_energy(E: float) -> None:
+    if not math.isfinite(E):
+        raise ValidationError(f"E must be finite, got {E}")
 
 
 def _sinkd_over_k(k: complex, d: float) -> complex:
@@ -255,7 +259,10 @@ def _fold(
             return t, r, t_rev, r_rev
         if states is not None:
             states.append((t, r_rev))
-        p = cmath.exp(1j * prop_ks[j] * ds[j])
+        try:
+            p = cmath.exp(1j * prop_ks[j] * ds[j])
+        except (OverflowError, ValueError):  # a strong gain, or a phase beyond float range
+            raise ResummationDivergenceError(f"exp(i k d) of segment {j} lies beyond float range") from None
         t, t_rev, r_rev = p * t, t_rev * p, p * r_rev * p
         k_prev = k
         j += 1
@@ -356,10 +363,12 @@ class _Chain:
     which turns a fold's local t into the absolute t.
 
     Raises:
+        ValidationError: if E is not finite.
         NoOpenChannelError: if E does not lie above both leads.
     """
 
     def __init__(self, profile: PotentialProfile, E: float, channel: int | None = None):
+        _check_energy(E)
         if not (E > profile.v_left and E > profile.v_right):
             raise NoOpenChannelError(
                 f"E = {E} does not lie above both asymptotic potentials "
@@ -374,7 +383,10 @@ class _Chain:
 
     @cached_property
     def exit_phase(self) -> complex:
-        return cmath.exp(-1j * self.k_r * self.profile.extent())
+        try:
+            return cmath.exp(-1j * self.k_r * self.profile.extent())
+        except ValueError:
+            raise ResummationDivergenceError("exit phase k_R X lies beyond float range") from None
 
     def fold(self, ks=(), prop_ks=()) -> tuple[complex, complex, complex, complex]:
         """(t, r, t_rev, r_rev) of one _fold, with the (j, k) pairs of ks
@@ -417,6 +429,7 @@ def solve(profile: PotentialProfile, E: float, channel: int | None = None) -> Sc
     None ignores omega_larmor entirely.
 
     Raises:
+        ValidationError: if E is not finite.
         NoOpenChannelError: if E does not lie above both asymptotic potentials.
     """
     return _Chain(profile, E, channel).solution()
@@ -469,12 +482,9 @@ def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
         ValidationError: if the profile has no clock region.
         ResummationDivergenceError: if the internal geometric series diverges.
     """
-    region = profile.clock_region
-    if region is None:
-        raise ValidationError("profile has no clock region")
+    lo, hi = profile.require_clock_region()
     chain = _Chain(profile, E)
     ks, ds = chain.ks, chain.ds
-    lo, hi = region
     if _is_degenerate(ks[lo], ds[lo]) or _is_degenerate(ks[hi], ds[hi]):
         raise RegimeAmbiguityError(
             "clock region boundary sits at its barrier top (k ~ 0); offset E"
@@ -486,7 +496,10 @@ def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
     k_inner = ks[lo] if lo == hi else None
     length = sum(ds[lo : hi + 1])
     if k_inner is not None:
-        loop = r21 * r23 * cmath.exp(2j * k_inner * length)
+        try:
+            loop = r21 * r23 * cmath.exp(2j * k_inner * length)
+        except (OverflowError, ValueError):
+            raise ResummationDivergenceError("e^(2ik'L) lies beyond float range") from None
         if abs(loop) >= 1.0 + 1e-12:
             raise ResummationDivergenceError(
                 f"|r21 r23 e^(2ik'L)| = {abs(loop):.6g} >= 1; series diverges"

@@ -40,7 +40,6 @@ the bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +54,7 @@ from .errors import (
     ValidationError,
     WavetimeError,
 )
-from .potentials import PotentialProfile
+from .potentials import PotentialProfile, _index_pair
 
 __all__ = [
     "TimescaleReport",
@@ -110,59 +109,38 @@ class TimescaleReport:
 # helpers
 
 
-def _clock_region(profile: PotentialProfile) -> tuple[int, int]:
-    if profile.clock_region is None:
-        raise ValidationError("profile has no clock region")
-    return profile.clock_region
-
-
 def _check_channel(channel: str) -> None:
     if channel not in _CHANNELS:
         raise ValidationError(f"channel must be 'transmission' or 'reflection', got {channel!r}")
-
-
-def _index_pair(pair) -> tuple[int, int] | None:
-    """pair as (lo, hi) if it is a two-item sequence of integers, else None."""
-    try:
-        lo, hi = pair
-        if isinstance(lo, bool) or isinstance(hi, bool):
-            return None
-        return operator.index(lo), operator.index(hi)
-    except (TypeError, ValueError):
-        return None
 
 
 def _normalize_regions(
     profile: PotentialProfile, regions
 ) -> list[tuple[int, int]]:
     """Accept None (profile clock region), one (lo, hi) pair, or a sequence of
-    disjoint pairs, a pair being any two-item sequence of integers; returns
-    validated, sorted pairs.
+    disjoint pairs, a pair being any two-item sequence of integers (the pair
+    rule of PotentialProfile.clock_region); returns validated, sorted pairs.
 
     Raises:
         ValidationError: naming regions if it is none of these, or a pair
             that is reversed or out of range, or pairs that overlap.
     """
     if regions is None:
-        regions = _clock_region(profile)
-    pair = _index_pair(regions)
-    if pair is not None:
-        pairs = [pair]
-    else:
-        try:
-            pairs = [_index_pair(p) for p in regions]
-        except TypeError:
-            pairs = []
-        if not pairs or None in pairs:
-            raise ValidationError(
-                f"region {regions!r} is neither a (lo, hi) pair of segment indices "
-                "nor a sequence of them"
-            )
+        return [profile.require_clock_region()]
     n = len(profile.segments)
+    pair = _index_pair(regions, n, "region")
+    if pair is not None:
+        return [pair]
+    try:
+        pairs = [_index_pair(p, n, "region") for p in regions]
+    except TypeError:
+        pairs = []
+    if not pairs or None in pairs:
+        raise ValidationError(
+            f"region {regions!r} is neither a (lo, hi) pair of segment indices "
+            "nor a sequence of them"
+        )
     out = sorted(pairs)
-    for lo, hi in out:
-        if not (0 <= lo <= hi < n):
-            raise ValidationError(f"region ({lo}, {hi}) out of range for {n} segments")
     for (_, h1), (l2, _) in zip(out, out[1:]):
         if l2 <= h1:
             raise ValidationError("clock regions overlap")
@@ -176,7 +154,15 @@ def _one_region(regions: list[tuple[int, int]], what: str) -> tuple[int, int]:
     return regions[0]
 
 
+def _finite_time(value: float, what: str) -> float:
+    """value, a closed-form time; DivergentIntegrandError if it is not finite."""
+    if not math.isfinite(value):
+        raise DivergentIntegrandError(f"{what} lies beyond float range")
+    return value
+
+
 def _energy_scale(profile: PotentialProfile, E: float, segs: list[int] | None = None) -> float:
+    scatter._check_energy(E)
     vs = [profile.segments[j].v_real for j in (segs if segs is not None else range(len(profile.segments)))]
     gap = max((abs(v - E) for v in vs), default=E)
     return max(E, gap, 1e-12)
@@ -196,8 +182,11 @@ def _regime(profile: PotentialProfile, E: float, j: int) -> str:
 def _ladder(probe, scale: float, centre: bool = False) -> tuple[float, list]:
     """The largest probe h = _PROBE_STEP * scale and probe(s) at the offsets
     [-h, -h/2, -h/4, (0,) h/4, h/2, h], evaluated in that order; the centre
-    probe anchors phase unwrapping."""
+    probe anchors phase unwrapping.  DerivativeError if h/4 underflows to
+    zero or h is not finite."""
     h = _PROBE_STEP * scale
+    if not 0.0 < 0.25 * h < math.inf:
+        raise DerivativeError(f"probe step h = {h:g} is not a usable float")
     hs = [h, 0.5 * h, 0.25 * h]
     return h, [probe(s) for s in [-s for s in hs] + ([0.0] if centre else []) + hs[::-1]]
 
@@ -231,12 +220,16 @@ def _reduce(amps: list[complex], kind: str, what: str):
             than _MAX_PHASE_JUMP.
     """
     floor = _AMPLITUDE_FLOOR if kind == "log" else _PHASE_FLOOR
-    if min(abs(a) for a in amps) < floor:
+    # Written so that a NaN amplitude fails it too.
+    if not all(abs(a) >= floor for a in amps):
         raise LogSingularityError(
-            f"{what} ~ 0 within the probe ladder; log-derivative singular"
+            f"{what} ~ 0 or undefined within the probe ladder; log-derivative singular"
         )
     if kind == "log":
-        return [math.log(abs(a) ** 2) for a in amps]
+        try:
+            return [math.log(abs(a) ** 2) for a in amps]
+        except OverflowError:
+            raise DerivativeError(f"|{what}|^2 lies beyond float range") from None
     phases = np.unwrap(np.angle(np.asarray(amps, dtype=complex)))
     if np.max(np.abs(np.diff(phases))) > _MAX_PHASE_JUMP:
         raise StepSizeError(
@@ -323,10 +316,11 @@ def dwell_time(profile: PotentialProfile, E: float, region: tuple[int, int] | No
                 f"dwell time requires a real potential in the region; segment {j} is absorptive"
             )
     sol = scatter.solve(profile, E)
-    J = sol.incident_flux
-    if J == 0.0:
-        raise ValidationError("incident flux vanishes")
-    return sum(_density_integral(w) for w in sol.segment_waves[lo : hi + 1]) / J
+    try:
+        density = sum(_density_integral(w) for w in sol.segment_waves[lo : hi + 1])
+    except (OverflowError, ValueError):  # a power or a sine of a huge length
+        density = math.inf
+    return _finite_time(density / sol.incident_flux, "dwell time")
 
 
 def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None = None) -> float:
@@ -337,8 +331,10 @@ def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None 
     classical crossing d/(2 k_r).
 
     Raises:
+        ValidationError: if E is not finite.
         DivergentIntegrandError: if E equals a segment potential exactly.
     """
+    scatter._check_energy(E)
     lo, hi = _one_region(_normalize_regions(profile, region), "Buttiker-Landauer time")
     total = 0.0
     for j in range(lo, hi + 1):
@@ -349,7 +345,7 @@ def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None 
                 f"E equals the potential of segment {j}; 1/kappa diverges"
             )
         total += seg.length / (2.0 * math.sqrt(gap))
-    return total
+    return _finite_time(total, "Buttiker-Landauer time")
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +354,10 @@ def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None 
 
 def _spin_expectations(a: complex, b: complex, what: str) -> tuple[float, float]:
     """<S_y>, <S_z> of the spinor (a, b) after scattering."""
-    norm = abs(a) ** 2 + abs(b) ** 2
+    try:
+        norm = abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        raise DerivativeError(f"{what} lies beyond float range") from None
     if norm < _AMPLITUDE_FLOOR**2:
         raise LogSingularityError(f"{what} vanishes")
     s_y = (a.conjugate() * b).imag / norm
@@ -370,7 +369,7 @@ def _larmor_detailed(
     profile: PotentialProfile, E: float, channel: str
 ) -> tuple[float, float, float]:
     _check_channel(channel)
-    _clock_region(profile)
+    profile.require_clock_region()
     clock_segs = profile.clock_indices()
     # With no Zeeman field outside the clock region, spin-down at +omega has
     # the k^2 shift of spin-up at -omega (and vice versa), so the pair at
@@ -432,7 +431,7 @@ def imag_clock_time(
     time L/(2k).
     """
     _check_channel(channel)
-    _clock_region(profile)
+    profile.require_clock_region()
     clock_segs = profile.clock_indices()
     scale = _energy_scale(profile, E, list(clock_segs))
     chain = scatter._Chain(profile, E)
@@ -461,28 +460,33 @@ def _sojourn_detailed(
     Returns (time, mixed_regime).
     """
     region_list = _normalize_regions(profile, regions)
+    chain = scatter._Chain(profile, E)
     segs = [j for lo, hi in region_list for j in range(lo, hi + 1)]
     regimes = {j: _regime(profile, E, j) for j in segs}
 
     r12 = 0j
     if channel == "reflection":
         region = _one_region(region_list, "reflection sojourn time")
-        r12 = scatter.partial_waves(replace(profile, clock_region=region), E).r12
-    chain = scatter._Chain(profile, E)
+        # partial_waves splits the chain at the profile's own clock region.
+        marked = profile if region == profile.clock_region else replace(profile, clock_region=region)
+        r12 = scatter.partial_waves(marked, E).r12
 
     def branch_time(active: list[int], regime: str) -> float:
         L_act = sum(profile.segments[j].length for j in active)
         # Propagating regions time the decay of |a|^2, evanescent ones the
         # phase the clock adds.
         propagating = regime == "propagating"
-        # (j, L_j, root) per segment, root the real zero-strength root the
-        # dressing shifts: k_j = sqrt(E - V_j) when propagating, kappa_j =
-        # sqrt(V_j - E) when evanescent.
+        # (j, L_j, root, 2 root L_j) per segment, root the real zero-strength
+        # root the dressing shifts: k_j = sqrt(E - V_j) when propagating,
+        # kappa_j = sqrt(V_j - E) when evanescent.
         roots = []
         for j in active:
             seg = profile.segments[j]
             gap = E - seg.v_real if propagating else seg.v_real - E
-            roots.append((j, seg.length, math.sqrt(gap)))
+            root = math.sqrt(gap)
+            if not 2.0 * root * seg.length > 0.0:
+                raise DerivativeError(f"2 k L of segment {j} underflows; its dressing is undefined")
+            roots.append((j, seg.length, root, 2.0 * root * seg.length))
 
         def amplitude(xi: float) -> complex:
             # The paired-variable propagation wavevector of each segment:
@@ -490,8 +494,8 @@ def _sojourn_detailed(
             # xi > 0), k' = i kappa + xi_j/(2 kappa L_j) when evanescent (a
             # pure phase shift); its interfaces keep the bare k.
             prop_ks = []
-            for j, L, root in roots:
-                shift = xi * L / L_act / (2.0 * root * L)
+            for j, L, root, two_root_L in roots:
+                shift = xi * L / L_act / two_root_L
                 prop_ks.append((j, complex(root, shift) if propagating else complex(shift, root)))
             t, r, _, _ = chain.fold(prop_ks=prop_ks)
             return r - r12 if channel == "reflection" else t

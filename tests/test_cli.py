@@ -113,6 +113,14 @@ class TestSchema:
             ("energy", lambda d: d["profile"].update(clock_region=[0, 0.5]),
              "profile.clock_region", "integer"),
             ("energy", lambda d: d["profile"].update(v_left=[1]), "profile.v_left", "number"),
+            ("energy", lambda d: d["profile"]["segments"][0].update(length=-1.0),
+             "profile.segments[0].length", "> 0"),
+            ("energy", lambda d: d["profile"]["segments"][0].update(v_imag=float("inf")),
+             "profile.segments[0].v_imag", "finite"),
+            ("energy", lambda d: d["profile"].update(clock_region=[0, 3]),
+             "profile.clock_region", "out of range"),
+            ("energy", lambda d: d["profile"].update(v_right=float("nan")), "profile.v_right",
+             "finite"),
             ("step", lambda d: d["sweep"].update(grid=[1.0, 1.5]), "sweep.grid", "integer"),
             ("tau", lambda d: d["lattice"].update(hopping="fast"), "lattice.hopping", "number"),
             ("tau", lambda d: d["lattice"].update(detector_sites=[15.5]),
@@ -123,7 +131,8 @@ class TestSchema:
             ("carrier", lambda d: d["medium"].update(thickness="thick"), "medium.thickness", "number"),
         ],
         ids=["nan", "nan-first", "inf", "grid-not-list", "length-abc", "region-one-index",
-             "region-fraction", "v_left-list", "step-fraction", "hopping", "detector-fraction",
+             "region-fraction", "v_left-list", "length-negative", "v_imag-inf",
+             "region-out-of-range", "v_right-nan", "step-fraction", "hopping", "detector-fraction",
              "t_fixed-abc", "t_fixed-nan", "n_samples-fraction", "thickness-abc"],
     )
     def test_malformed_field_is_named_error(self, tmp_path, sweep, edit, field, why):
@@ -198,6 +207,26 @@ class TestRun:
         assert "bl" in reason and "sojourn" in reason
         assert row[table.columns.index("wigner")] is not None
         assert row[table.columns.index("bl")] is None
+
+    def test_energies_beyond_the_kernel_are_reason_coded(self, tmp_path):
+        # Both ended the run with exit 1 and no table: at 1e10 a NaN probe
+        # amplitude passed the amplitude floor and math.log(0.0) raised; at
+        # 1e12 a gain probe's propagation factor overflowed in cmath.exp.
+        doc = {**SPLIT_SWEEPS["energy"],
+               "sweep": {"parameter": "energy", "grid": [1.5, 1.0e10, 1.0e12]}}
+        rows = list(csv.reader(line.decode() for line in run_sweep(tmp_path, doc, "far")))
+        assert len(rows) == 3
+        assert rows[0][-1] == ""
+        for row in rows[1:]:
+            reason = row[-1]
+            for label, cell in zip(METHOD_LABELS, row[1:-1]):
+                if cell:
+                    assert math.isfinite(float(cell))
+                else:
+                    assert ("larmor" if label.startswith("larmor") else label) + ": " in reason
+        assert "imag_clock: LogSingularityError" in rows[1][-1]
+        for label in ("imag_clock", "sojourn"):
+            assert f"{label}: ResummationDivergenceError" in rows[2][-1]
 
     def test_cli_run_writes_csv_and_json_mirror(self, tmp_path):
         runner = CliRunner()

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -408,7 +408,77 @@ class TestSojourn:
             sojourn_reflection(prof, 3.0, region=[(0, 0), (2, 2)])
 
 
+# Every finite float, with moderate values drawn as often as the extremes.
+ANY_FINITE = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+ANY_LENGTH = st.one_of(st.floats(0.01, 5.0),
+                       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+
+@st.composite
+def constructible_profiles(draw):
+    """Any profile that constructs: up to 4 segments with every field any
+    float the type accepts, any in-range clock region or none, any leads."""
+    segments = draw(st.lists(st.builds(Segment, ANY_LENGTH, ANY_FINITE, ANY_FINITE, ANY_FINITE),
+                             max_size=4))
+    region = None
+    if segments and draw(st.booleans()):
+        lo = draw(st.integers(0, len(segments) - 1))
+        region = (lo, draw(st.integers(lo, len(segments) - 1)))
+    return PotentialProfile(tuple(segments), region, draw(ANY_FINITE), draw(ANY_FINITE))
+
+
+def _one_segment(length, v_real=0.0, region=(0, 0), leads=(0.0, 0.0)):
+    return PotentialProfile((Segment(length, v_real),), region, *leads)
+
+
 class TestFullReport:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(profile=constructible_profiles(),
+           E=st.one_of(st.floats(-1.0, 20.0), st.floats()),
+           channel=st.sampled_from(["transmission", "reflection"]))
+    # Each example exercises one refusal that keeps the report total; at
+    # the parent each ended in a raw float error or a non-finite entry.
+    # A NaN E (bl was NaN)
+    @example(make_rectangular_barrier(2.0, 1.0), math.nan, "transmission")
+    # bl beyond float range
+    @example(_one_segment(1.7e308, 1.0), 1.01, "transmission")
+    # dwell beyond float range
+    @example(_one_segment(2.2730697889164928e302, region=None), 3.9970025796044184e-13,
+             "transmission")
+    # exp(i k d) with k d = inf in the fold
+    @example(_one_segment(2.2730697889155015e302), 619275938771.0, "transmission")
+    # exp(2 i k L) beyond float range in partial_waves
+    @example(_one_segment(8.98846567431158e307), 1.0, "reflection")
+    # the exit phase exp(-i k_R X) with k_R X = inf
+    @example(_one_segment(7.339051490861633e307, region=None, leads=(-1.0, -6.0)), 0.0,
+             "transmission")
+    # d**3 beyond float range in the dwell integral of a k = 0 segment
+    @example(_one_segment(5.6e102, region=None, leads=(-1.0, -1.0)), 0.0, "transmission")
+    # a probe step h that underflows to 0
+    @example(_one_segment(5e-324, -1.0, leads=(-1.0, -1.0)), 0.0, "transmission")
+    # 2 k L underflowing to 0 in the sojourn dressing
+    @example(PotentialProfile((Segment(1.0, 0.0), Segment(5e-324, 0.0)), (0, 1)), 0.0625,
+             "transmission")
+    # |a|^2 beyond float range for a spinor amplitude, and for a dressed
+    # amplitude, past an absorber 5e-324 long
+    @example(PotentialProfile((Segment(5e-324, 0.0, 2.0483336071938364e46),), (0, 0)), 1.0,
+             "transmission")
+    @example(PotentialProfile((Segment(5e-324, 0.0, 1e47), Segment(1.0, 0.0)), (1, 1)), 1.0,
+             "transmission")
+    def test_report_is_total(self, profile, E, channel):
+        try:
+            rep = full_report(profile, E, channel)
+        except ValidationError:
+            return
+        assert all(math.isfinite(v) for v in rep.entries.values()), rep
+
+    @pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_is_refused_by_every_clock(self, E):
+        rep = full_report(make_rectangular_barrier(2.0, 1.0), E)
+        assert rep.entries == {}
+        assert set(rep.reasons) == {"wigner", "dwell", "bl", "larmor", "imag_clock", "sojourn"}
+        assert all(why.startswith("ValidationError: E must be finite") for why in rep.reasons.values())
+
     def test_all_methods_present_for_generic_barrier(self):
         rep = full_report(make_rectangular_barrier(4.0, 1.0), 2.0)
         assert set(rep.entries) == {
@@ -476,8 +546,8 @@ class TestFullReport:
         assert rep.reasons == {}
         assert counts == {
             "_fold": folds,
-            # the sojourn's region-marked copy for partial_waves
-            "PotentialProfile": 1 if channel == "reflection" else 0,
+            # the reflection sojourn hands the profile itself to partial_waves
+            "PotentialProfile": 0,
             "Segment": 0,
             # the dwell time's solve
             "ScatteringSolution": 1,
