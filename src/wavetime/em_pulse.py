@@ -24,25 +24,37 @@ delay_decomposition is the per-row kernel of a sweep.  It takes each arrival
 time from the spectrum alone: with q = -i dE~/domega, the spectrum of the time
 moment t E(t), the centroid is Re <n E~, q> / Re <E~, n E~> (_p_operator).
 The entry spectrum of the Gaussian pulse and its moment are closed forms
-(_entry_spectrum), so the kernel never samples pulse.field(); the exit and
-attenuated moments take a round trip through the time domain each, so a row
-makes 4 transforms, through numpy.fft under norm="forward" with dt applied in
-place.  n(omega) and dk/domega are cached once per sweep, the entry delay
-factor exp(i omega t0) once per pulse window, and the slab factors
-exp(i k L) and exp(-Im k L) once per thickness, so a carrier sweep computes
-all of them once.  propagate, centroid_time and detector_absorption_time
-sample the field and build their own factors: they are the independent
-time-domain check of the kernel.
+(_entry_spectrum), so the kernel never samples pulse.field().  Every spectrum
+of a row is exactly zero outside the entry spectrum's band, the B samples
+within _BAND_REACH/T of the carrier (about 1240 of the 16384 on a 200-long
+window at T = 2), so every sum of the row runs over that band alone.
+
+The exit and attenuated moments are those of the N-point window.  On it the
+round trip to_spectrum(t to_time(S)) is a circulant in frequency,
+q_a = (dt/N) sum_b G(a - b) S_b with G(0) = N(N - 1)/2 and
+G(l) = N(-1/2 - (i/2) cot(pi l/N)).  On a band of B samples it is a circular
+convolution of length m >= 2B (or the whole circulant, m = N), so each moment
+takes two m-point FFTs (_moment_kernel, _band_centroid): a row makes 4 FFTs of
+length m (4096 on that window) and none of length N.  The result is the
+N-point round trip's to rounding, not an approximation of it: the same
+periodic window and the same sums, with the zeros left out.  n(omega) and
+dk/domega are cached once per sweep, the slab factors exp(i k L) and
+exp(-Im k L) once per thickness, and the circulant's spectrum once per (N, m),
+so a carrier sweep computes all of them once.  propagate, centroid_time and
+detector_absorption_time sample the field and transform on the whole grid:
+they are the independent time-domain check of the kernel.
 
 The transforms are periodic in time, so a field that has not decayed by the
 edges of the window wraps around it, and no spectral check can see that.
 The closed-form entry spectrum is the sampled one only when the entry pulse
 fits its window, so delay_decomposition refuses (GridError) a pulse whose
 peak lies outside the window or whose |E|^2 at the first or last sample
-exceeds _EDGE_TOL of the peak.  _time_moment reads the exit and attenuated
-fields at their first and last samples on its way through the time domain,
-and a row where either has not decayed is flagged window_truncated, not
-refused: the arrival times are then not converged in the window span.
+exceeds _EDGE_TOL of the peak.  Up to one phase and scale, the m-point FFT of
+a band spectrum is its field at every (N/m)-th time sample, and the field at
+the last sample is one dot product over the band.  A row whose exit or
+attenuated |E|^2 at the first or last sample exceeds _EDGE_TOL of the peak on
+that subgrid is flagged window_truncated, not refused: the arrival times are
+then not converged in the window span.
 """
 from __future__ import annotations
 
@@ -78,6 +90,9 @@ _ALIAS_TOL = 1e-6
 _EDGE_TOL = 1e-12
 # A net flux at most this fraction of the flux without cancellation is zero.
 _FLUX_FLOOR = 1e-12
+# exp(-x^2/2) is exactly 0.0 in double precision beyond x = 38.6, so the entry
+# spectrum vanishes at every sample more than this many 1/T from the carrier.
+_BAND_REACH = 39.0
 
 
 class MediumKind(Enum):
@@ -262,10 +277,12 @@ def _omegas(n_samples: int, span: float) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _grid_dispersion(kind: MediumKind, resonance: float, plasma_strength: float, damping: float,
                      n_samples: int, span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (omega, n, dk/domega) on the FFT grid.  They depend on neither
-    the carrier nor the slab thickness, so a sweep over either computes them once."""
+    """Read-only (omega, n, dk/domega) on the FFT grid in ascending frequency
+    order (fftshift), so that a spectral band is one slice of each.  They depend
+    on neither the carrier nor the slab thickness, so a sweep over either
+    computes them once."""
     medium = MediumSpec(kind, 1.0, resonance, plasma_strength, damping)
-    w = _omegas(n_samples, span)
+    w = np.fft.fftshift(_omegas(n_samples, span))
     out = (w, _on_grid(refractive_index, medium, w), _on_grid(group_wavevector_derivative, medium, w))
     for a in out:
         a.flags.writeable = False
@@ -275,12 +292,35 @@ def _grid_dispersion(kind: MediumKind, resonance: float, plasma_strength: float,
 @functools.lru_cache(maxsize=1)
 def _slab_factors(kind: MediumKind, resonance: float, plasma_strength: float, damping: float,
                   n_samples: int, span: float, thickness: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only slab factors exp(i k L) and exp(-Im k L), k = n omega, on the FFT
-    grid.  A carrier sweep never changes them, so it computes them once; the
-    dispersion itself stays keyed without L, so a thickness sweep reuses it."""
+    """Read-only slab factors exp(i k L) and exp(-Im k L), k = n omega, on the
+    grid of _grid_dispersion.  A carrier sweep never changes them, so it
+    computes them once; the dispersion itself stays keyed without L, so a
+    thickness sweep reuses it."""
     w, n, _ = _grid_dispersion(kind, resonance, plasma_strength, damping, n_samples, span)
     k = n * w
     out = (np.exp(1j * k * thickness), np.exp(-np.imag(k) * thickness))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _moment_kernel(n_samples: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only spectrum K that applies the window's circulant G (module
+    docstring) to a band as an m-point circular convolution, and the phases
+    exp(2 pi i j/N), j < m, that read a band's field at the window's last sample.
+
+    A band of B samples meets only the lags |l| < B, so for m >= 2B (or m = N,
+    the whole circulant) sum_a conj(U_a) q_a = dt sum_k conj(U^_k) S^_k K_k,
+    where U^ and S^ are the m-point FFTs of the zero-padded bands and
+    K = fft(g)/m with g[l mod m] = G(l)/N.  The cot form keeps G(l) to
+    rounding at small l, where N/(exp(2 pi i l/N) - 1) cancels."""
+    lag = np.arange(m)
+    lag[m // 2 :] -= m
+    g = np.empty(m, dtype=complex)
+    g[0] = 0.5 * (n_samples - 1)
+    g[1:] = -0.5 - 0.5j / np.tan(np.pi * lag[1:] / n_samples)
+    out = (np.fft.fft(g) / m, np.exp(2j * np.pi * np.arange(m) / n_samples))
     for a in out:
         a.flags.writeable = False
     return out
@@ -302,25 +342,17 @@ def to_time(spectrum: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     return field
 
 
-def _time_moment(
-    spectrum: np.ndarray, pulse: PulseSpec, times: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """q = -i dE~/domega, the spectrum of the time moment t E(t) (exact duality),
-    and whether |E(t)|^2 at the window's first or last sample exceeds _EDGE_TOL
-    of its peak."""
-    field = to_time(spectrum, pulse)
-    edge = max(abs(field[0]), abs(field[-1])) ** 2
-    truncated = bool(edge > _EDGE_TOL * float(np.max(np.abs(field))) ** 2)
-    field *= times
-    return to_spectrum(field, pulse), truncated
-
-
 def _check_aliasing(spectrum: np.ndarray, what: str) -> None:
-    peak = float(np.max(np.abs(spectrum)))
+    n = len(spectrum)
+    _check_leakage(float(np.max(np.abs(spectrum))),
+                   float(np.max(np.abs(spectrum[n // 2 - 1 : n // 2 + 2]))), what)
+
+
+def _check_leakage(peak: float, edge: float, what: str) -> None:
+    """Refuse a spectrum whose largest modulus at the three samples next to the
+    Nyquist frequency exceeds _ALIAS_TOL of its peak modulus."""
     if peak == 0.0:
         raise ZeroFluxError(f"{what} is identically zero")
-    n = len(spectrum)
-    edge = float(np.max(np.abs(spectrum[n // 2 - 1 : n // 2 + 2])))
     if edge / peak > _ALIAS_TOL:
         raise GridError(
             f"{what}: relative spectral leakage {edge / peak:.3g} at the grid edge "
@@ -381,43 +413,39 @@ def centroid_time(fields: PlaneFields) -> float:
     return float(np.sum(fields.pulse.times() * s) / total)
 
 
-def _p_operator(spectrum: np.ndarray, q: np.ndarray, n: np.ndarray) -> float:
-    """Spectral form of the Poynting centroid: the arrival-time functional of a
-    spectrum at a plane with local index n, given its time moment q = -i dE~/domega.
-    The flux-weighted moment is Re sum conj(n E~) q over Re sum n |E~|^2, two
-    vdots with no temporaries beyond n E~.  By discrete Parseval it equals
-    centroid_time of the plane's fields.
+def _p_operator(spectrum: np.ndarray, ns: np.ndarray, moment: float) -> float:
+    """Spectral form of the Poynting centroid at a plane with local index n,
+    given ns = n E~ and moment = Re sum conj(n E~) q, where q = -i dE~/domega is
+    the spectrum of the time moment t E(t).  The centroid is the moment over the
+    net flux Re sum n |E~|^2; by discrete Parseval it equals centroid_time of
+    the plane's fields.
 
-    The net flux Re sum n |E~|^2 is zero when it is at most _FLUX_FLOOR of
-    sum |n E~| |E~|, the flux the plane would carry with no cancellation: below
-    that it is rounding noise (a lossless slab whose spectrum lies under its
-    cutoff), and the centroid would be noise divided by noise.  That sum is
-    at most the product of the norms ||n E~|| ||E~|| (Cauchy-Schwarz, two more
-    vdots), so only a net flux below _FLUX_FLOOR of that product pays for the
-    elementwise moduli."""
-    ns = n * spectrum
-    num = np.vdot(ns, q).real
+    The net flux is zero when it is at most _FLUX_FLOOR of sum |n E~| |E~|,
+    the flux the plane would carry with no cancellation: below that it is
+    rounding noise (a lossless slab whose spectrum lies under its cutoff), and
+    the centroid would be noise divided by noise.  That sum is at most the
+    product of the norms ||n E~|| ||E~|| (Cauchy-Schwarz, two more vdots), so
+    only a net flux below _FLUX_FLOOR of that product pays for the elementwise
+    moduli."""
     den = np.vdot(spectrum, ns).real
     if not np.isfinite(den) or (
         abs(den) <= _FLUX_FLOOR * math.sqrt(np.vdot(ns, ns).real * np.vdot(spectrum, spectrum).real)
         and abs(den) <= _FLUX_FLOOR * np.dot(np.abs(ns), np.abs(spectrum))
     ):
         raise ZeroFluxError("net energy flux through the plane vanishes")
-    return float(num / den)
+    return float(moment / den)
 
 
-@functools.lru_cache(maxsize=1)
-def _entry_phase(center: float, n_samples: int, span: float) -> np.ndarray:
-    """Read-only exp(i omega t0) on the FFT grid: the entry pulse's delay factor.
-    It depends on neither the carrier nor the medium, so a sweep computes it once."""
-    phase = np.exp(1j * center * _omegas(n_samples, span))
-    phase.flags.writeable = False
-    return phase
+def _envelope(pulse: PulseSpec, w: np.ndarray) -> np.ndarray:
+    """|E~_in| = T sqrt(2 pi) exp(-(w - w0)^2 T^2 / 2), the entry spectrum's modulus."""
+    envelope = np.exp(-0.5 * (pulse.duration * (w - pulse.carrier)) ** 2)
+    envelope *= pulse.duration * math.sqrt(2.0 * math.pi)
+    return envelope
 
 
 def _entry_spectrum(pulse: PulseSpec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form entry spectrum of pulse.field() and its time moment on the grid w:
-    E~_in = T sqrt(2 pi) exp(-(w - w0)^2 T^2 / 2) exp(i w t0) and
+    """Closed-form entry spectrum of pulse.field() and its time moment on the
+    frequencies w: E~_in = T sqrt(2 pi) exp(-(w - w0)^2 T^2 / 2) exp(i w t0) and
     q_in = -i dE~_in/domega = (t0 + i T^2 (w - w0)) E~_in.
 
     Both equal the sampled DFTs of the field and of t E(t) only while the pulse
@@ -436,12 +464,35 @@ def _entry_spectrum(pulse: PulseSpec, w: np.ndarray) -> tuple[np.ndarray, np.nda
             f"entry pulse centred at {t0:.6g} does not fit the window [0, {last:.6g}]: "
             f"enlarge the span or move the center"
         )
-    detuning = w - pulse.carrier
-    envelope = np.exp(-0.5 * (T * detuning) ** 2)
-    envelope *= T * math.sqrt(2.0 * math.pi)
-    spec_in = envelope * _entry_phase(t0, pulse.n_samples, pulse.span)
-    q_in = (t0 + 1j * T**2 * detuning) * spec_in
+    spec_in = _envelope(pulse, w) * np.exp(1j * t0 * w)
+    q_in = (t0 + 1j * T**2 * (w - pulse.carrier)) * spec_in
     return spec_in, q_in
+
+
+def _band_centroid(spectrum: np.ndarray, n: np.ndarray, pulse: PulseSpec,
+                   m: int) -> tuple[float, bool]:
+    """Poynting centroid of a band spectrum with local index n, its time moment
+    taken on the pulse's N-sample window (_moment_kernel), and whether |E|^2 at
+    the window's first or last sample exceeds _EDGE_TOL of its peak.
+
+    The peak is read on every (N/m)-th sample (_window_edges)."""
+    kernel, last = _moment_kernel(pulse.n_samples, m)
+    ns = n * spectrum
+    s_hat = np.fft.fft(spectrum, m)
+    moment = np.vdot(np.fft.fft(ns, m), s_hat * kernel).real * (pulse.span / pulse.n_samples)
+    first, final, peak = _window_edges(spectrum, s_hat, last)
+    truncated = bool(max(first, final) ** 2 > _EDGE_TOL * peak**2)
+    return _p_operator(spectrum, ns, moment), truncated
+
+
+def _window_edges(spectrum: np.ndarray, s_hat: np.ndarray,
+                  last: np.ndarray) -> tuple[float, float, float]:
+    """|E| at the window's first and last samples, and its peak on every
+    (N/m)-th sample, all times N dt, of a band spectrum with m-point FFT s_hat.
+    Up to one phase, s_hat[k] is N dt E at sample k N/m, and N dt E at the
+    last sample is the band's dot product with last = exp(2 pi i j/N)."""
+    final = abs(np.dot(spectrum, last[: len(spectrum)]))
+    return float(abs(s_hat[0])), float(final), float(np.max(np.abs(s_hat)))
 
 
 def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
@@ -452,6 +503,14 @@ def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
     attenuated by |exp(i k L)| with no phase applied.  Arrival times are
     spectral centroids (_p_operator), so no field is transformed back in time;
     the entry spectrum and its moment are closed forms (_entry_spectrum).
+
+    Every sum runs over the entry spectrum's band, outside which every
+    spectrum of the row is exactly zero.  The exit and attenuated moments are
+    the N-point window's circulant on the band (_moment_kernel): 4 FFTs of
+    length m, the least power of two that holds twice the widest band, or N.
+    They equal the N-point round trip through the time domain to rounding.
+    The aliasing checks read the three samples next to the Nyquist frequency
+    in closed form.
 
     Raises:
         GridError: if the entry pulse does not fit its time window, or the
@@ -465,24 +524,33 @@ def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
            pulse.n_samples, pulse.span)
     w, n, kprime = _grid_dispersion(*key)
     phase, attenuation = _slab_factors(*key, medium.thickness)
-    spec_in, q_in = _entry_spectrum(pulse, w)
-    _check_aliasing(spec_in, "entry spectrum")
-    spec_out = spec_in * phase
-    _check_aliasing(spec_out, "exit spectrum")
-    spec_att = spec_in * attenuation
+    reach = _BAND_REACH / pulse.duration
+    band = slice(*np.searchsorted(w, (pulse.carrier - reach, pulse.carrier + reach)))
+    widest = int(reach * pulse.span / math.pi) + 2  # no band holds more samples
+    m = min(pulse.n_samples, 1 << (2 * widest - 1).bit_length())
 
-    times = pulse.times()
-    t_in = _p_operator(spec_in, q_in, n)
-    q_out, out_truncated = _time_moment(spec_out, pulse, times)
-    t_out = _p_operator(spec_out, q_out, n)
+    spec_in, q_in = _entry_spectrum(pulse, w[band])
+    # The samples next to the Nyquist frequency open and close the ascending grid.
+    nyquist = [0, 1, -1]
+    edge_in = _envelope(pulse, w[nyquist])
+    _check_leakage(float(np.max(np.abs(spec_in))), float(np.max(edge_in)), "entry spectrum")
+    spec_out = spec_in * phase[band]
+    _check_leakage(float(np.max(np.abs(spec_out))),
+                   float(np.max(edge_in * np.abs(phase[nyquist]))), "exit spectrum")
+    spec_att = spec_in * attenuation[band]
+    n = n[band]
+
+    ns_in = n * spec_in
+    t_in = _p_operator(spec_in, ns_in, np.vdot(ns_in, q_in).real)
+    t_out, out_truncated = _band_centroid(spec_out, n, pulse, m)
     delta_t = t_out - t_in
 
     weight = np.real(n) * np.abs(spec_att) ** 2
     dt_group = float(
-        medium.thickness * np.sum(np.real(kprime) * weight) / np.sum(weight)
+        medium.thickness * np.sum(np.real(kprime[band]) * weight) / np.sum(weight)
     )
-    q_att, att_truncated = _time_moment(spec_att, pulse, times)
-    dt_reshape = _p_operator(spec_att, q_att, n) - t_in
+    t_att, att_truncated = _band_centroid(spec_att, n, pulse, m)
+    dt_reshape = t_att - t_in
 
     residual = delta_t - (dt_group + dt_reshape)
     # A delta_t of nearly cancelling fluxes must not widen its own tolerance,
@@ -492,7 +560,7 @@ def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
 
     evanescent = False
     if medium.kind is MediumKind.PLASMA:
-        below = np.abs(w) < medium.plasma_strength
+        below = np.abs(w[band]) < medium.plasma_strength
         frac = np.sum(np.abs(spec_in[below]) ** 2) / np.sum(np.abs(spec_in) ** 2)
         evanescent = bool(frac > 1e-9)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ValidationError
 
@@ -135,6 +134,9 @@ def evolve_nonhermitian(spec: LatticeSpec, gamma: float) -> np.ndarray:
     """
     if not gamma > 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
+    # The only scipy user: importing it here keeps scipy out of every other run.
+    from scipy.linalg import expm
+
     rows, energies = _modes(spec, [spec.initial_site, *sorted(spec.detector_sites)])
     c, v_d = rows[0].astype(complex), rows[1:]
     step = expm(-1j * spec.tau * (np.diag(energies) - 1j * gamma * (v_d.T @ v_d)))

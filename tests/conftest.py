@@ -133,6 +133,23 @@ def chain_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """Records the length of every numpy.fft and scipy.fft fft or ifft call."""
+    import scipy.fft
+
+    lengths = []
+    for module in (scipy.fft, np.fft):
+        for name in ("fft", "ifft"):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda a, n=None, *args, _f=original, **kw:
+                    lengths.append(len(a) if n is None else n) or _f(a, n, *args, **kw),
+            )
+    return lengths
+
+
 @dataclass(frozen=True)
 class SMatrix:
     """Scalar 2-port scattering matrix.

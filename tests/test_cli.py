@@ -706,16 +706,25 @@ class TestCompare:
             compare_tables(a, b, {}, 1e-9)
 
 
-def test_import_leaves_out_integrate_and_optimize():
-    # Nothing the command line imports needs scipy's quadrature or optimisers.
+def test_import_leaves_out_integrate_and_optimize(tmp_path):
+    # Nothing the command line imports or parses needs scipy: only
+    # first_passage.evolve_nonhermitian does, and it imports it itself.
+    paths = [str(timescale_scenario(tmp_path))]
+    for name, doc in (("zeno", zeno_doc(tmp_path, "tau")),
+                      ("pulse", {**em_sweep_doc("carrier", [9.0, 10.0]),
+                                 "output": {"path": str(tmp_path / "pulse.csv"),
+                                            "format": "csv"}})):
+        paths.append(str(tmp_path / f"{name}.yaml"))
+        Path(paths[-1]).write_text(yaml.safe_dump(doc))
     code = (
-        "import sys, wavetime.cli; print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+        "import sys, wavetime.cli as cli\n"
+        "kinds = [cli.load_scenario(p).kind for p in sys.argv[1:]]\n"
+        "print(kinds, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(wavetime.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *paths],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "['timescale_sweep', 'first_passage', 'em_pulse'] []"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wavetime import em_pulse
@@ -298,7 +298,11 @@ class TestDecomposition:
         assert rep.t_in == pytest.approx(centroid_time(entry), rel=1e-12)
         assert rep.t_out == pytest.approx(centroid_time(exit_), rel=1e-12)
 
-    def test_each_row_transforms_four_times_and_sweep_disperses_once(self, monkeypatch):
+    def test_each_row_transforms_four_times_and_sweep_disperses_once(self, monkeypatch,
+                                                                     fft_lengths):
+        # A row's spectra live on a band of the N-point grid, so it makes
+        # exactly 4 numpy FFTs, each of the band's length m < N, and no
+        # N-point transform; building the moment kernel takes one more.
         calls = []
         for name in ("to_spectrum", "to_time"):
             original = getattr(em_pulse, name)
@@ -312,7 +316,7 @@ class TestDecomposition:
         monkeypatch.setattr(PulseSpec, "field", sampled_entry)
         em_pulse._grid_dispersion.cache_clear()
         em_pulse._slab_factors.cache_clear()
-        em_pulse._entry_phase.cache_clear()
+        em_pulse._moment_kernel.cache_clear()
         carrier_rows = [(replace(PULSE, carrier=c), PLASMA) for c in (9.0, 10.0, 11.0)]
         for pulse, medium in carrier_rows:
             delay_decomposition(pulse, medium)
@@ -320,15 +324,18 @@ class TestDecomposition:
         thicknesses = (0.5, 1.0)
         for t in thicknesses:
             delay_decomposition(PULSE, replace(PLASMA, thickness=t))
-        assert len(calls) == 4 * (len(carrier_rows) + len(thicknesses))
+        assert calls == []
+        assert em_pulse._moment_kernel.cache_info().misses == 1
+        assert len(fft_lengths) == 4 * (len(carrier_rows) + len(thicknesses)) + 1
+        assert set(fft_lengths) == {PULSE.n_samples // 2}
         assert em_pulse._grid_dispersion.cache_info().misses == 1
         assert em_pulse._slab_factors.cache_info().misses == 1 + len(thicknesses)
-        assert em_pulse._entry_phase.cache_info().misses == 1
         key = (PLASMA.kind, PLASMA.resonance, PLASMA.plasma_strength, PLASMA.damping,
                PULSE.n_samples, PULSE.span)
         for factor in em_pulse._slab_factors(*key, thicknesses[-1]):
             assert not factor.flags.writeable
-        assert not em_pulse._entry_phase(PULSE.center, PULSE.n_samples, PULSE.span).flags.writeable
+        for factor in em_pulse._moment_kernel(PULSE.n_samples, PULSE.n_samples // 2):
+            assert not factor.flags.writeable
 
     def test_luminal_total_for_propagating_spectra(self):
         for thickness in (0.5, 2.0, 5.0):
@@ -338,6 +345,144 @@ class TestDecomposition:
             )
             rep = delay_decomposition(PULSE, medium)
             assert rep.t_out >= rep.t_in
+
+
+def reference_decomposition(pulse, medium):
+    """delay_decomposition on the whole N-point grid: the exit and attenuated
+    time moments by the round trip to_time, times t, to_spectrum, the window
+    edges and peak read on every time sample, and the guards on the sampled
+    spectra.  Returns the five times and two flags, or the error's type and
+    message."""
+    w = em_pulse._omegas(pulse.n_samples, pulse.span)
+    n = em_pulse._on_grid(refractive_index, medium, w)
+    kprime = em_pulse._on_grid(group_wavevector_derivative, medium, w)
+    times = pulse.times()
+
+    def centroid(spectrum, q):
+        ns = n * spectrum
+        return em_pulse._p_operator(spectrum, ns, np.vdot(ns, q).real)
+
+    def time_moment(spectrum):
+        field = to_time(spectrum, pulse)
+        edge = max(abs(field[0]), abs(field[-1])) ** 2
+        wraps = bool(edge > em_pulse._EDGE_TOL * float(np.max(np.abs(field))) ** 2)
+        return to_spectrum(times * field, pulse), wraps
+
+    try:
+        spec_in, q_in = em_pulse._entry_spectrum(pulse, w)
+        em_pulse._check_aliasing(spec_in, "entry spectrum")
+        spec_out = spec_in * np.exp(1j * n * w * medium.thickness)
+        em_pulse._check_aliasing(spec_out, "exit spectrum")
+        spec_att = spec_in * np.exp(-np.imag(n * w) * medium.thickness)
+        t_in = centroid(spec_in, q_in)
+        q_out, out_wraps = time_moment(spec_out)
+        t_out = centroid(spec_out, q_out)
+        weight = np.real(n) * np.abs(spec_att) ** 2
+        group = medium.thickness * np.sum(np.real(kprime) * weight) / np.sum(weight)
+        q_att, att_wraps = time_moment(spec_att)
+        reshape = centroid(spec_att, q_att) - t_in
+    except (GridError, ZeroFluxError) as exc:
+        return type(exc), str(exc)
+    evanescent = False
+    if medium.kind is MediumKind.PLASMA:
+        below = np.abs(w) < medium.plasma_strength
+        frac = np.sum(np.abs(spec_in[below]) ** 2) / np.sum(np.abs(spec_in) ** 2)
+        evanescent = bool(frac > 1e-9)
+    return {"t_in": t_in, "t_out": t_out, "delta_t": t_out - t_in, "delta_t_group": group,
+            "delta_t_reshape": reshape, "evanescent_regime": evanescent,
+            "window_truncated": out_wraps or att_wraps}
+
+
+def band_decomposition(pulse, medium):
+    try:
+        return vars(delay_decomposition(pulse, medium))
+    except (GridError, ZeroFluxError) as exc:
+        return type(exc), str(exc)
+
+
+def disagreements(band, reference):
+    """The fields where the band kernel and the N-point reference differ.  An
+    error must agree in type and message, which carries the leakage ratio."""
+    if isinstance(band, tuple) or isinstance(reference, tuple):
+        return [] if band == reference else ["error"]
+    bad = [f for f in ("evanescent_regime", "window_truncated") if band[f] != reference[f]]
+    return bad + [f for f in ("t_in", "t_out", "delta_t", "delta_t_group", "delta_t_reshape")
+                  if not abs(band[f] - reference[f]) <= 1e-11 + 1e-11 * abs(reference[f])]
+
+
+BENCHMARK_PULSE = PulseSpec(carrier=10.0, duration=2.0, center=60.0, n_samples=16384, span=200.0)
+
+
+class TestBandKernel:
+    """delay_decomposition sums over the entry spectrum's band with the
+    window's circulant time moment; the N-point round trip it replaced is the
+    oracle.  Both see the same periodic window, so they agree to rounding."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=250)
+    @given(kind=st.sampled_from(list(MediumKind)), duration=st.floats(0.3, 4.0),
+           spans=st.floats(8.0, 80.0), place=st.floats(0.0, 1.0), log2n=st.integers(9, 13),
+           carrier=st.floats(0.0, 1.0), thickness=st.floats(0.05, 6.0),
+           strength=st.floats(0.5, 20.0), damping=st.sampled_from([0.0, 0.05, 2.0]))
+    # The band reaches the top of the grid, and the band covers the whole grid.
+    @example(kind=MediumKind.LORENTZ, duration=1.0, spans=12.0, place=0.5, log2n=9,
+             carrier=0.999, thickness=1.0, strength=5.0, damping=0.05)
+    @example(kind=MediumKind.PLASMA, duration=2.0, spans=60.0, place=0.5, log2n=9,
+             carrier=0.9, thickness=1.0, strength=2.0, damping=0.05)
+    def test_band_kernel_matches_the_n_point_round_trip(
+        self, kind, duration, spans, place, log2n, carrier, thickness, strength, damping
+    ):
+        # carrier is a fraction of the widest carrier the grid admits, and the
+        # pulse fits its window (|E|^2 < 1e-12 at the edges) from spans = 11 on.
+        span = spans * duration
+        top = math.pi * 2**log2n / span - 6.0 / duration
+        try:
+            pulse = PulseSpec(carrier=max(carrier * top, 1e-3), duration=duration,
+                              center=duration * (5.5 + place * (spans - 11.0)),
+                              n_samples=2**log2n, span=span)
+            medium = MediumSpec(kind=kind, thickness=thickness, resonance=strength,
+                                plasma_strength=strength, damping=damping)
+        except ValidationError:
+            assume(False)
+        band = band_decomposition(pulse, medium)
+        assert disagreements(band, reference_decomposition(pulse, medium)) == []
+
+    @pytest.mark.parametrize("offset, width", [(0, 64), (40, 300), (200, 56), (0, 512)])
+    def test_window_edges_are_the_sampled_field(self, offset, width):
+        # A random spectrum on `width` samples from frequency index `offset`
+        # of a 512-point grid, against its N-point field N dt E = fft(S).
+        n_samples, m = 512, 512 if width > 128 else 128
+        rng = np.random.default_rng(offset + width)
+        spectrum = rng.normal(size=width) + 1j * rng.normal(size=width)
+        full = np.zeros(n_samples, dtype=complex)
+        full[(offset + np.arange(width)) % n_samples] = spectrum
+        field = np.abs(np.fft.fft(full))
+        _, last = em_pulse._moment_kernel(n_samples, m)
+        edges = em_pulse._window_edges(spectrum, np.fft.fft(spectrum, m), last)
+        expected = (field[0], field[-1], np.max(field[:: n_samples // m]))
+        assert edges == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("carrier", [5.81, 12.0])
+    def test_benchmark_rows_match_the_n_point_round_trip(self, carrier):
+        pulse = replace(BENCHMARK_PULSE, carrier=carrier)
+        band = band_decomposition(pulse, PLASMA)
+        assert disagreements(band, reference_decomposition(pulse, PLASMA)) == []
+
+    def test_infinite_window_kernel_fails_the_oracle(self, monkeypatch):
+        # The periodic part of the circulant, cot(pi l/N), replaced by its
+        # infinite-window limit N/(pi l): the attenuated field that wraps the
+        # window at carrier 5.81 then moves delta_t_reshape by 1.8e-9.
+        def infinite_window_kernel(n_samples, m):
+            lag = np.arange(m)
+            lag[m // 2 :] -= m
+            g = np.empty(m, dtype=complex)
+            g[0] = 0.5 * (n_samples - 1)
+            g[1:] = -0.5 - 0.5j * n_samples / (np.pi * lag[1:])
+            return np.fft.fft(g) / m, np.exp(2j * np.pi * np.arange(m) / n_samples)
+
+        monkeypatch.setattr(em_pulse, "_moment_kernel", infinite_window_kernel)
+        pulse = replace(BENCHMARK_PULSE, carrier=5.81)
+        band = band_decomposition(pulse, PLASMA)
+        assert disagreements(band, reference_decomposition(pulse, PLASMA)) == ["delta_t_reshape"]
 
 
 class TestDetectorCrossCheck:

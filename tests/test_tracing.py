@@ -5,12 +5,10 @@ tracer is loaded from its file; the tests that install it uninstall it."""
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
-import scipy.fft
 
 from conftest import em_sweep_doc
-from wavetime import cli
+from wavetime import cli, em_pulse
 from wavetime.cli import Scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -34,20 +32,17 @@ def test_every_wrapped_function_exists(module, attr):
 
 @pytest.mark.parametrize("parameter, grid", [("carrier", [9.0, 10.0, 11.0]),
                                              ("thickness", [0.5, 1.0])])
-def test_transform_counter_sees_every_fft_of_a_row(monkeypatch, parameter, grid):
-    # em_pulse.transforms counts to_spectrum and to_time calls, so an FFT
-    # made any other way would be invisible to it.
-    ffts = []
-    for module in (scipy.fft, np.fft):
-        for name in ("fft", "ifft"):
-            original = getattr(module, name)
-            monkeypatch.setattr(
-                module, name, lambda *a, _f=original, **k: ffts.append(_f) or _f(*a, **k)
-            )
+def test_band_rows_make_no_counted_transform(fft_lengths, parameter, grid):
+    # em_pulse.transforms counts to_spectrum and to_time calls.  A row of the
+    # benchmark grid (N = 16384) makes none: its 4 FFTs are of its band, of
+    # length 4096, through numpy.fft, and the counter does not see them.
     tracing = load_tracing()
-    scenario = Scenario(kind="em_pulse", payload=em_sweep_doc(parameter, grid),
+    scenario = Scenario(kind="em_pulse",
+                        payload=em_sweep_doc(parameter, grid, n_samples=16384, span=200.0),
                         sweep_parameter=parameter, sweep_grid=tuple(grid),
                         output_path="unused.csv", output_format="csv", digest="")
+    em_pulse._grid_dispersion.cache_clear()
+    em_pulse._moment_kernel.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -57,4 +52,8 @@ def test_transform_counter_sees_every_fft_of_a_row(monkeypatch, parameter, grid)
     assert all(row[-1] is None for row in table.rows)
     metrics = tracing.layer_metrics(tracer.spans, passes=1, rows=len(grid))
     assert metrics["em_pulse.delay_decomposition.calls"] == len(grid)
-    assert metrics["em_pulse.transforms"] == len(ffts) == 4 * len(grid)
+    assert metrics["em_pulse.transforms"] == 0
+    # One more FFT builds the moment kernel, once per sweep.
+    assert len(fft_lengths) == 4 * len(grid) + 1
+    assert set(fft_lengths) == {4096}
+    assert em_pulse._grid_dispersion.cache_info().misses == 1
