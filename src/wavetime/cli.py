@@ -1,7 +1,10 @@
 """Batch front end: scenario files in, deterministic sweep tables out.
 
-A scenario is one YAML file with a versioned schema.  Unknown keys are hard
-errors (silent typos corrupt physics parameters).  Sweep rows run in grid
+A scenario is one YAML file with a versioned schema, parsed once, when it
+loads: every spec is built from its YAML mapping by _build and checks itself,
+and Scenario carries the built specs to the sweep.  Unknown keys are hard
+errors (silent typos corrupt physics parameters), and every field error
+names its YAML path ("lattice.tau: why").  Sweep rows run in grid
 order on the calling thread, each row an independent kernel call, so a sweep
 split into parts writes the same rows as the whole.  Per-point failures become
 reason-coded rows instead of aborting the sweep.
@@ -14,6 +17,7 @@ Verbs:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -28,7 +32,7 @@ import click
 import yaml
 
 from . import __version__, em_pulse, first_passage, timescales
-from .errors import ValidationError, WavetimeError
+from .errors import ValidationError, WavetimeError, _finite
 from .potentials import PotentialProfile, Segment
 
 __all__ = ["Scenario", "ResultTable", "load_scenario", "run_scenario", "compare_tables", "main"]
@@ -50,13 +54,23 @@ METHOD_LABELS = (
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario: its sweep, its output, and the specs of its kind,
+    built and checked (the profile and channel of a timescale sweep, the
+    lattice and t_fixed of a first-passage sweep, the pulse and medium of an
+    em_pulse sweep).  t_fixed is None where a step sweep sets none."""
+
     kind: str
-    payload: dict
     sweep_parameter: str
     sweep_grid: tuple[float, ...]
     output_path: str
     output_format: str
     digest: str
+    profile: PotentialProfile | None = None
+    channel: str = "transmission"
+    lattice: first_passage.LatticeSpec | None = None
+    t_fixed: float | None = None
+    pulse: em_pulse.PulseSpec | None = None
+    medium: em_pulse.MediumSpec | None = None
 
 
 @dataclass
@@ -83,101 +97,53 @@ def _require_keys(mapping: dict, allowed: set[str], required: set[str], where: s
         raise ValidationError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-_INTEGER_FIELDS = frozenset({"n_samples", "n_sites", "initial_site", "n_steps"})
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: must be a list, got {value!r}")
+    return value
 
 
-def _number(value, where: str, integer: bool = False) -> float | int:
-    """A scalar field as a float, or as an int; a ValidationError names the field."""
+def _unquoted(value):
+    """value, or the float a string spells: PyYAML reads 1e3 (no dot) as a string."""
     try:
-        # YAML's !!binary, which float() would parse (b"1"), and booleans,
-        # which are ints to Python
-        if isinstance(value, (bytes, bool)):
-            raise TypeError
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where}: expected a number, got {value!r}") from None
-    if integer and not out.is_integer():
-        raise ValidationError(f"{where}: expected an integer, got {value!r}")
-    return int(out) if integer else out
+        return float(value) if isinstance(value, str) else value
+    except ValueError:
+        return value
 
 
-def _numbers(values, where: str, integer: bool = False) -> list:
-    if not isinstance(values, list):
-        raise ValidationError(f"{where}: must be a list, got {values!r}")
-    return [_number(v, where, integer) for v in values]
+def _numbers(values, where: str) -> list:
+    return [_unquoted(v) for v in _list(values, where)]
 
 
-def _scalars(cfg: dict, where: str, exclude: tuple[str, ...] = ()) -> dict:
-    """The scalar fields of cfg as numbers, keyed by their dataclass field names."""
-    return {k: _number(v, f"{where}.{k}", integer=k in _INTEGER_FIELDS)
-            for k, v in cfg.items() if k not in exclude}
+def _build(cls, cfg, where: str, **parse):
+    """cls built from the YAML mapping cfg at the path where.
 
-
-def _build(cls, where: str, **fields):
-    """cls(**fields), a ValidationError ("field: why") prefixed with the YAML path."""
+    The keys of cfg are the fields of cls (MediumSpec.kind is medium.model),
+    and a field with no default is required.  The value of a key in parse is
+    parse[key](value, path); any other value goes to cls as a number if a
+    string spells one, else as YAML read it.  cls checks its fields itself,
+    and its ValidationError ("field: why") comes out prefixed with where.
+    """
+    fields = {"model" if f.name == "kind" else f.name: f for f in dataclasses.fields(cls)}
+    required = {key for key, f in fields.items() if f.default is dataclasses.MISSING}
+    _require_keys(cfg, set(fields), required, where)
+    values = {fields[key].name: parse[key](value, f"{where}.{key}") if key in parse else _unquoted(value)
+              for key, value in cfg.items()}
     try:
-        return cls(**fields)
+        return cls(**values)
     except ValidationError as exc:
         raise ValidationError(f"{where}.{exc}") from None
 
 
-def _parse_profile(cfg: dict) -> PotentialProfile:
-    _require_keys(cfg, {"segments", "clock_region", "v_left", "v_right"}, {"segments"}, "profile")
-    segments = []
-    if not isinstance(cfg["segments"], list):
-        raise ValidationError(f"profile.segments: must be a list, got {cfg['segments']!r}")
-    for i, seg in enumerate(cfg["segments"]):
-        where = f"profile.segments[{i}]"
-        _require_keys(seg, {"length", "v_real", "v_imag", "omega_larmor"}, {"length", "v_real"}, where)
-        segments.append(_build(Segment, where, **_scalars(seg, where)))
-    leads = _scalars(cfg, "profile", exclude=("segments", "clock_region"))
-    return _build(PotentialProfile, "profile", segments=segments,
-                  clock_region=cfg.get("clock_region"), **leads)
+def _segments(cfg, where: str) -> list[Segment]:
+    return [_build(Segment, seg, f"{where}[{i}]") for i, seg in enumerate(_list(cfg, where))]
 
 
-def _parse_lattice(cfg: dict) -> first_passage.LatticeSpec:
-    _require_keys(
-        cfg,
-        {"n_sites", "hopping", "initial_site", "detector_sites", "tau", "n_steps"},
-        {"n_sites", "hopping", "initial_site", "detector_sites", "tau", "n_steps"},
-        "lattice",
-    )
-    sites = _numbers(cfg["detector_sites"], "lattice.detector_sites", integer=True)
-    return first_passage.LatticeSpec(
-        detector_sites=frozenset(sites),
-        **_scalars(cfg, "lattice", exclude=("detector_sites",)),
-    )
-
-
-def _parse_t_fixed(payload: dict, spec: first_passage.LatticeSpec) -> float:
-    t_fixed = _number(payload.get("t_fixed", 5.0 / spec.hopping), "t_fixed")
-    if not (math.isfinite(t_fixed) and t_fixed > 0):
-        raise ValidationError(f"t_fixed: must be positive and finite, got {t_fixed}")
-    return t_fixed
-
-
-def _parse_pulse(cfg: dict) -> em_pulse.PulseSpec:
-    _require_keys(
-        cfg,
-        {"carrier", "duration", "center", "n_samples", "span"},
-        {"carrier", "duration", "center", "n_samples", "span"},
-        "pulse",
-    )
-    return em_pulse.PulseSpec(**_scalars(cfg, "pulse"))
-
-
-def _parse_medium(cfg: dict) -> em_pulse.MediumSpec:
-    _require_keys(
-        cfg,
-        {"model", "thickness", "resonance", "plasma_strength", "damping"},
-        {"model", "thickness"},
-        "medium",
-    )
+def _medium_kind(model, where: str) -> em_pulse.MediumKind:
     try:
-        kind = em_pulse.MediumKind(cfg["model"])
+        return em_pulse.MediumKind(model)
     except ValueError:
-        raise ValidationError(f"medium.model: unknown model {cfg['model']!r}") from None
-    return em_pulse.MediumSpec(kind=kind, **_scalars(cfg, "medium", exclude=("model",)))
+        raise ValidationError(f"{where}: unknown model {model!r}") from None
 
 
 _SWEEP_PARAMS = {
@@ -237,11 +203,9 @@ def load_scenario(path: str) -> Scenario:
             f"(allowed: {sorted(_SWEEP_PARAMS[kind])})"
         )
     step = sweep["parameter"] == "step"
-    grid = [float(v) for v in _numbers(sweep["grid"], "sweep.grid", integer=step)]
+    grid = [float(_finite(v, "sweep.grid", step)) for v in _numbers(sweep["grid"], "sweep.grid")]
     if not grid:
         raise ValidationError("sweep.grid: must be non-empty")
-    if not all(map(math.isfinite, grid)):
-        raise ValidationError(f"sweep.grid: values must be finite, got {grid}")
     if not (all(a < b for a, b in zip(grid, grid[1:])) or all(a > b for a, b in zip(grid, grid[1:]))):
         raise ValidationError("sweep.grid: must be strictly monotone")
 
@@ -252,19 +216,24 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(output["path"], str) or not output["path"]:
         raise ValidationError(f"output.path: must be a non-empty string, got {output['path']!r}")
 
-    payload = {k: raw[k] for k in allowed if k in raw}
-    # Parse eagerly so validation failures surface in `validate`.
     if kind == "timescale_sweep":
-        _parse_profile(payload["profile"])
-        channel = payload.get("channel", "transmission")
-        if channel not in ("transmission", "reflection"):
-            raise ValidationError(f"channel: must be transmission or reflection, got {channel!r}")
+        specs = {"profile": _build(PotentialProfile, raw["profile"], "profile", segments=_segments),
+                 "channel": raw.get("channel", "transmission")}
+        timescales._check_channel(specs["channel"])
     elif kind == "first_passage":
-        _parse_t_fixed(payload, _parse_lattice(payload["lattice"]))
+        lattice = _build(first_passage.LatticeSpec, raw["lattice"], "lattice", detector_sites=_numbers)
+        specs = {"lattice": lattice}
+        # Only a tau sweep reads t_fixed, but a t_fixed that is set is checked.
+        if "t_fixed" in raw or sweep["parameter"] == "tau":
+            t_fixed = _finite(_unquoted(raw.get("t_fixed", 5.0 / lattice.hopping)), "t_fixed")
+            if not t_fixed > 0:
+                raise ValidationError(f"t_fixed: must be positive, got {t_fixed}")
+            specs["t_fixed"] = t_fixed
     else:
-        _parse_pulse(payload["pulse"])
-        _parse_medium(payload["medium"])
+        specs = {"pulse": _build(em_pulse.PulseSpec, raw["pulse"], "pulse"),
+                 "medium": _build(em_pulse.MediumSpec, raw["medium"], "medium", model=_medium_kind)}
 
+    payload = {k: raw[k] for k in allowed if k in raw}
     digest_src = json.dumps(
         {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload,
          "sweep": {"parameter": sweep["parameter"], "grid": grid}},
@@ -272,12 +241,12 @@ def load_scenario(path: str) -> Scenario:
     )
     return Scenario(
         kind=kind,
-        payload=payload,
         sweep_parameter=sweep["parameter"],
         sweep_grid=tuple(grid),
         output_path=output["path"],
         output_format=output["format"],
         digest=hashlib.sha256(digest_src.encode()).hexdigest()[:16],
+        **specs,
     )
 
 
@@ -298,9 +267,7 @@ def _timescale_row(profile: PotentialProfile, channel: str, energy: float) -> li
 
 
 def _run_timescale(scenario: Scenario) -> ResultTable:
-    profile = _parse_profile(scenario.payload["profile"])
-    channel = scenario.payload.get("channel", "transmission")
-    rows = [_timescale_row(profile, channel, e) for e in scenario.sweep_grid]
+    rows = [_timescale_row(scenario.profile, scenario.channel, e) for e in scenario.sweep_grid]
     return ResultTable(columns=["energy", *METHOD_LABELS, "reason"], rows=rows)
 
 
@@ -313,10 +280,9 @@ def _zeno_row(spec: first_passage.LatticeSpec, tau: float, t_fixed: float) -> li
 
 
 def _run_first_passage(scenario: Scenario) -> ResultTable:
-    spec = _parse_lattice(scenario.payload["lattice"])
+    spec = scenario.lattice
     if scenario.sweep_parameter == "tau":
-        t_fixed = _parse_t_fixed(scenario.payload, spec)
-        rows = [_zeno_row(spec, tau, t_fixed) for tau in scenario.sweep_grid]
+        rows = [_zeno_row(spec, tau, scenario.t_fixed) for tau in scenario.sweep_grid]
         return ResultTable(columns=["tau", "survival", "reason"], rows=rows)
     # step sweep: indices into a single stroboscopic run
     record = first_passage.evolve_project(spec)
@@ -354,9 +320,8 @@ def _em_row(pulse: em_pulse.PulseSpec, medium: em_pulse.MediumSpec, parameter: s
 
 
 def _run_em(scenario: Scenario) -> ResultTable:
-    pulse = _parse_pulse(scenario.payload["pulse"])
-    medium = _parse_medium(scenario.payload["medium"])
-    rows = [_em_row(pulse, medium, scenario.sweep_parameter, v) for v in scenario.sweep_grid]
+    rows = [_em_row(scenario.pulse, scenario.medium, scenario.sweep_parameter, v)
+            for v in scenario.sweep_grid]
     return ResultTable(
         columns=[scenario.sweep_parameter, "t_in", "t_out", "delta_t",
                  "delta_t_group", "delta_t_reshape", "residual", "flags", "reason"],
@@ -548,7 +513,10 @@ def compare_cmd(table_a: str, table_b: str, tols: tuple[str, ...]) -> None:
     try:
         for spec in tols:
             col, sep, val = spec.rpartition("=")
-            tol = _number(val, "--tol")
+            try:
+                tol = float(val)
+            except ValueError:
+                tol = math.nan
             if not tol >= 0:
                 raise ValidationError(f"--tol: must be a number >= 0, got {val!r}")
             if sep:

@@ -65,7 +65,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GridError, ValidationError, ZeroFluxError
+from .errors import GridError, ValidationError, ZeroFluxError, _finite
 
 __all__ = [
     "MediumKind",
@@ -120,17 +120,18 @@ class MediumSpec:
     damping: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, MediumKind):
+            raise ValidationError(f"kind: expected a MediumKind, got {self.kind!r}")
         for name in ("thickness", "resonance", "plasma_strength", "damping"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"medium.{name}: must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not self.thickness > 0:
-            raise ValidationError(f"thickness must be positive, got {self.thickness}")
+            raise ValidationError(f"thickness: must be positive, got {self.thickness}")
         if self.damping < 0:
-            raise ValidationError(f"damping must be >= 0, got {self.damping}")
+            raise ValidationError(f"damping: must be >= 0, got {self.damping}")
         if self.plasma_strength < 0:
-            raise ValidationError(f"plasma strength must be >= 0, got {self.plasma_strength}")
+            raise ValidationError(f"plasma_strength: must be >= 0, got {self.plasma_strength}")
         if self.kind is MediumKind.LORENTZ and not self.resonance > 0:
-            raise ValidationError("lorentz medium needs a positive resonance frequency")
+            raise ValidationError(f"resonance: must be positive in a lorentz medium, got {self.resonance}")
 
 
 @dataclass(frozen=True)
@@ -155,21 +156,20 @@ class PulseSpec:
     span: float
 
     def __post_init__(self) -> None:
+        for name in ("carrier", "duration", "center", "n_samples", "span"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name, name == "n_samples"))
         if not self.carrier > 0:
-            raise ValidationError(f"carrier must be positive, got {self.carrier}")
+            raise ValidationError(f"carrier: must be positive, got {self.carrier}")
         if not self.duration > 0:
-            raise ValidationError(f"duration must be positive, got {self.duration}")
-        for name in ("center", "span"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"pulse.{name}: must be finite, got {getattr(self, name)}")
+            raise ValidationError(f"duration: must be positive, got {self.duration}")
         if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
-            raise ValidationError(f"n_samples must be a power of two, got {self.n_samples}")
+            raise ValidationError(f"n_samples: must be a power of two, got {self.n_samples}")
         if self.span < 8 * self.duration:
-            raise ValidationError("time span must cover at least 8 pulse durations")
+            raise ValidationError(f"span: must cover at least 8 pulse durations, got {self.span}")
         nyquist = math.pi * self.n_samples / self.span
         if nyquist <= self.carrier + 6.0 / self.duration:
             raise ValidationError(
-                f"Nyquist frequency {nyquist:.4g} does not clear the spectral band "
+                f"n_samples: Nyquist frequency {nyquist:.4g} does not clear the spectral band "
                 f"{self.carrier + 6.0 / self.duration:.4g}"
             )
 

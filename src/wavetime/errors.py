@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check that every
+spec runs on construction."""
+import math
+import numbers
 
 
 class WavetimeError(Exception):
@@ -44,3 +47,20 @@ class ZeroFluxError(WavetimeError):
 
 class GridError(WavetimeError):
     """Sampling grid is inadequate (aliasing or spectral leakage detected)."""
+
+
+def _finite(value, name: str, integer: bool = False) -> float | int:
+    """value as a float, or as an int when integer is set; a ValidationError
+    ("name: why") unless it is a finite real number (a boolean is not) and,
+    when integer is set, integral (41.0 is 41)."""
+    try:
+        out = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer beyond float range
+        out = math.nan
+    if not math.isfinite(out):
+        raise ValidationError(f"{name}: must be a finite real number, got {value!r}")
+    if not integer:
+        return out
+    if not out.is_integer():
+        raise ValidationError(f"{name}: must be an integer, got {value!r}")
+    return int(out)

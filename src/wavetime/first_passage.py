@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite
 
 __all__ = [
     "LatticeSpec",
@@ -59,24 +59,30 @@ class LatticeSpec:
     n_steps: int
 
     def __post_init__(self) -> None:
+        for name in ("n_sites", "hopping", "initial_site", "tau", "n_steps"):
+            integer = name not in ("hopping", "tau")
+            object.__setattr__(self, name, _finite(getattr(self, name), name, integer))
+        try:
+            sites = frozenset(_finite(s, "detector_sites", integer=True) for s in self.detector_sites)
+        except TypeError:
+            raise ValidationError(f"detector_sites: expected sites, got {self.detector_sites!r}") from None
+        object.__setattr__(self, "detector_sites", sites)
         if self.n_sites < 3:
-            raise ValidationError(f"n_sites must be >= 3, got {self.n_sites}")
+            raise ValidationError(f"n_sites: must be >= 3, got {self.n_sites}")
         if not self.hopping > 0:
-            raise ValidationError(f"hopping must be positive, got {self.hopping}")
+            raise ValidationError(f"hopping: must be positive, got {self.hopping}")
         if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+            raise ValidationError(f"tau: must be positive, got {self.tau}")
         if self.n_steps < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
+            raise ValidationError(f"n_steps: must be >= 1, got {self.n_steps}")
         if self.n_steps > _MAX_STEPS:
-            raise ValidationError(f"n_steps must be at most {_MAX_STEPS}, got {self.n_steps}")
-        sites = set(self.detector_sites) | {self.initial_site}
-        if not self.detector_sites:
-            raise ValidationError("detector_sites must be non-empty")
-        for s in sites:
-            if not (0 <= s < self.n_sites):
-                raise ValidationError(f"site index {s} out of range [0, {self.n_sites})")
-        # frozenset from any iterable the caller passed
-        object.__setattr__(self, "detector_sites", frozenset(self.detector_sites))
+            raise ValidationError(f"n_steps: must be at most {_MAX_STEPS}, got {self.n_steps}")
+        if not sites:
+            raise ValidationError("detector_sites: must be non-empty")
+        for name, group in (("initial_site", {self.initial_site}), ("detector_sites", sites)):
+            for site in sorted(group):
+                if not 0 <= site < self.n_sites:
+                    raise ValidationError(f"{name}: site {site} out of range [0, {self.n_sites})")
 
 
 @dataclass(frozen=True)

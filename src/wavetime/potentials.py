@@ -9,30 +9,16 @@ test; see scatter.wavevector for the branch rule.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import operator
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite
 
 __all__ = [
     "Segment",
     "PotentialProfile",
     "make_rectangular_barrier",
 ]
-
-
-def _finite(value, name: str) -> float:
-    """value as a float; a ValidationError names the field unless it is a
-    finite real number (a boolean is not)."""
-    try:
-        out = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:  # an integer beyond float range
-        out = math.nan
-    if not math.isfinite(out):
-        raise ValidationError(f"{name}: must be a finite real number, got {value!r}")
-    return out
 
 
 def _index_pair(pair, n_segments: int, name: str) -> tuple[int, int] | None:

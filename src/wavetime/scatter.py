@@ -51,9 +51,14 @@ __all__ = [
     "PartialWaveSet",
 ]
 
-# Below this |k|*(1+d) a segment is treated by the linear-solution (k -> 0)
-# limit to avoid catastrophic cancellation in the resonance denominator.
-_DEGENERATE_KD = 1e-5
+# Below this |k|*d a segment takes the transfer-matrix block, entire in k^2 and
+# bounded there, where plane-wave interfaces nearly cancel (flux is lost just
+# above a segment top, and a thin strong absorber overflows).
+_DEGENERATE_KD = 1e-2
+# Below this |k|*(1+d) a segment sits at its barrier top.  A propagation
+# override is defined on plane waves (interfaces at the bare k), so a dressed
+# fold keeps them on every segment above its barrier top.
+_BARRIER_TOP_K = 1e-5
 
 
 def wavevector(E: float, segment: Segment, channel: int | None = None) -> complex:
@@ -170,8 +175,10 @@ class _SegmentWave:
         )
 
 
-def _is_degenerate(k: complex, d: float) -> bool:
-    return abs(k) * (1.0 + d) < _DEGENERATE_KD
+def _is_degenerate(k: complex, d: float, dressed: bool) -> bool:
+    """Whether a segment takes the k ~ 0 block: in a fold with propagation
+    overrides, only at its barrier top."""
+    return abs(k) * (1.0 + d) < _BARRIER_TOP_K if dressed else abs(k) * d < _DEGENERATE_KD
 
 
 def _degenerate_block(
@@ -181,6 +188,7 @@ def _degenerate_block(
     k_prev: complex,
     k_right: complex,
     prop_ks: list[complex],
+    dressed: bool,
 ) -> tuple[tuple[complex, complex, complex, complex], int, complex]:
     """Merge the run of consecutive k ~ 0 segments that starts at j into one
     block from medium k_prev into the medium after the run.  Returns the
@@ -189,7 +197,7 @@ def _degenerate_block(
     the block has no propagation factor to carry it."""
     n = len(ks)
     m = j
-    while m + 1 < n and _is_degenerate(ks[m + 1], ds[m + 1]):
+    while m + 1 < n and _is_degenerate(ks[m + 1], ds[m + 1], dressed):
         m += 1
     if any(prop_ks[i] != ks[i] for i in range(j, m + 1)):
         raise RegimeAmbiguityError(
@@ -226,14 +234,16 @@ def _fold(
     propagation), and None for each segment of a k ~ 0 run.
     """
     n = len(ks)
-    if prop_ks is None:
+    dressed = prop_ks is not None
+    if not dressed:
         prop_ks = ks
     t, r, t_rev, r_rev = 1.0 + 0j, 0j, 1.0 + 0j, 0j
     k_prev = k_left
     j = 0
     while True:
-        if j < n and _is_degenerate(ks[j], ds[j]):
-            (b_t, b_r, b_t_rev, b_r_rev), m, k = _degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
+        if j < n and _is_degenerate(ks[j], ds[j], dressed):
+            (b_t, b_r, b_t_rev, b_r_rev), m, k = _degenerate_block(
+                ks, ds, j, k_prev, k_right, prop_ks, dressed)
             if states is not None:
                 states.extend([None] * (m + 1 - j))
             j = m + 1
@@ -285,8 +295,9 @@ def _segment_waves(sol: ScatteringSolution) -> tuple[_SegmentWave, ...]:
         eff_ks[j] = k
     forward: list = []
     mirrored: list = []
-    _fold(ks, ds, chain.k_l, chain.k_r, eff_ks, forward)
-    _fold(ks[::-1], ds[::-1], chain.k_r, chain.k_l, eff_ks[::-1], mirrored)
+    dressed = bool(sol._prop_ks)
+    _fold(ks, ds, chain.k_l, chain.k_r, eff_ks if dressed else None, forward)
+    _fold(ks[::-1], ds[::-1], chain.k_r, chain.k_l, eff_ks[::-1] if dressed else None, mirrored)
     mirrored.reverse()
     edges = chain.profile.edges()
 
@@ -485,7 +496,7 @@ def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
     lo, hi = profile.require_clock_region()
     chain = _Chain(profile, E)
     ks, ds = chain.ks, chain.ds
-    if _is_degenerate(ks[lo], ds[lo]) or _is_degenerate(ks[hi], ds[hi]):
+    if any(abs(ks[i]) * (1.0 + ds[i]) < _BARRIER_TOP_K for i in (lo, hi)):
         raise RegimeAmbiguityError(
             "clock region boundary sits at its barrier top (k ~ 0); offset E"
         )

@@ -111,7 +111,7 @@ class TimescaleReport:
 
 def _check_channel(channel: str) -> None:
     if channel not in _CHANNELS:
-        raise ValidationError(f"channel must be 'transmission' or 'reflection', got {channel!r}")
+        raise ValidationError(f"channel: must be 'transmission' or 'reflection', got {channel!r}")
 
 
 def _normalize_regions(
@@ -272,18 +272,21 @@ def _density_integral(w: scatter._SegmentWave) -> float:
     real k and [-expm1(-2 kappa d)/(2 kappa)] |a+b|^2 + 2 Re(a b*) e^{-kappa d} D
     for k = i kappa, with D = d - sin(kd)/k; e^{-kappa d} D is taken as
     d e^{-kappa d} - [-expm1(-2 kappa d)/(2 kappa)], which cannot overflow.  A
-    "lin" wave a cos(ku) + b sin(ku)/k (|k| d < 1e-5) is a + bu minus
-    k^2 (a u^2/2 + b u^3/6) to first order; the rest is below (kd)^4 < 1e-20.
+    "lin" wave a cos(ku) + b sin(ku)/k (|k| d < 1e-2) gives
+    |a|^2 (d/2)(1 + sinc z) + Re(a b*) d^2 sinc^2(z/2) + |b|^2 (2d^3/z^2)(1 - sinc z)
+    with z = 2kd, each by its series in z^2 to z^6: the next terms are below
+    1e-19 of the first.
     """
     a, b, d = w.a, w.b, w.d
     kr, kap = w.k.real, w.k.imag  # one of the two is zero
     k2 = kr * kr - kap * kap
     ab = (a * b.conjugate()).real
     if w.kind == "lin":
-        aa, bb = abs(a) ** 2, abs(b) ** 2
+        z2 = 4.0 * k2 * d * d
         return (
-            aa * d + ab * d**2 + bb * d**3 / 3.0
-            - k2 * (aa * d**3 + ab * d**4 + bb * d**5 / 5.0) / 3.0
+            abs(a) ** 2 * d * (1.0 - z2 * (1 / 12 - z2 * (1 / 240 - z2 / 10080)))
+            + ab * d**2 * (1.0 - z2 * (1 / 12 - z2 * (1 / 360 - z2 / 20160)))
+            + abs(b) ** 2 * d**3 * (1 / 3 - z2 * (1 / 60 - z2 * (1 / 2520 - z2 / 181440)))
         )
     s2 = abs(a + b) ** 2
     x2 = k2 * d * d

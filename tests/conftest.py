@@ -196,8 +196,9 @@ def oracle_chain(ks, ds, k_left, k_right, prop_ks=None):
     star, not the kernel's fold.  prop_ks, when given, replaces the
     wavevector of each segment's propagation factor only."""
     n = len(ks)
-    prop_ks = ks if prop_ks is None else prop_ks
-    degenerate = [scatter._is_degenerate(ks[j], ds[j]) for j in range(n)]
+    dressed = prop_ks is not None
+    prop_ks = prop_ks if dressed else ks
+    degenerate = [scatter._is_degenerate(ks[j], ds[j], dressed) for j in range(n)]
 
     def interface(ka, kb):
         s = ka + kb
@@ -209,7 +210,7 @@ def oracle_chain(ks, ds, k_left, k_right, prop_ks=None):
     j, k_prev, interface_pending = 0, k_left, True
     while j < n:
         if degenerate[j]:
-            block, m, k_prev = scatter._degenerate_block(ks, ds, j, k_prev, k_right, prop_ks)
+            block, m, k_prev = scatter._degenerate_block(ks, ds, j, k_prev, k_right, prop_ks, dressed)
             elements.append(SMatrix(*block))
             for jj in range(j, m + 1):
                 left_cut[jj] = right_start[jj] = len(elements)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SPLIT_SWEEPS, em_sweep_doc, run_sweep, whole_and_split_rows
@@ -25,7 +25,11 @@ from wavetime.cli import (
     run_scenario,
 )
 import wavetime
+from wavetime import first_passage
+from wavetime.em_pulse import MediumKind, MediumSpec, PulseSpec
 from wavetime.errors import ValidationError
+from wavetime.first_passage import LatticeSpec
+from wavetime.potentials import PotentialProfile, Segment
 
 
 def timescale_scenario(tmp_path, grid=(0.5, 1.0, 3.0), extra=None):
@@ -60,6 +64,49 @@ def zeno_doc(tmp_path, parameter):
                   "grid": [1.0, 0.1, 0.01] if parameter == "tau" else [1.0, 2.0, 3.0]},
         "output": {"path": str(tmp_path / "zeno.csv"), "format": "csv"},
     }
+
+
+def _set(section, key, value, **beside):
+    """An edit that sets section.key to value (a detector_sites list to [value])."""
+    def edit(doc):
+        doc[section].update({key: [value] if key == "detector_sites" else value, **beside})
+    return edit
+
+
+# Every field of LatticeSpec, PulseSpec and MediumSpec: the sweep of the
+# document that sets it, its YAML section and key, a value of the wrong sign
+# and what its refusal says (None where any sign is valid), and what the
+# wrong sign needs set beside it.
+_SPEC_FIELDS = [
+    ("tau", "lattice", "n_sites", -21, ">= 3", {}),
+    ("tau", "lattice", "hopping", -1.0, "positive", {}),
+    ("tau", "lattice", "initial_site", -1, "out of range", {}),
+    ("tau", "lattice", "detector_sites", -1, "out of range", {}),
+    ("step", "lattice", "tau", -1.0, "positive", {}),
+    ("step", "lattice", "n_steps", -5, ">= 1", {}),
+    ("carrier", "pulse", "carrier", -10.0, "positive", {}),
+    ("carrier", "pulse", "duration", -2.0, "positive", {}),
+    ("carrier", "pulse", "center", None, None, {}),
+    ("carrier", "pulse", "n_samples", -2048, "power of two", {}),
+    ("carrier", "pulse", "span", -120.0, "8 pulse durations", {}),
+    ("carrier", "medium", "model", None, None, {}),
+    ("carrier", "medium", "thickness", -2.0, "positive", {}),
+    ("carrier", "medium", "resonance", -12.0, "positive in a lorentz", {"model": "lorentz"}),
+    ("carrier", "medium", "plasma_strength", -8.0, ">= 0", {}),
+    ("carrier", "medium", "damping", -0.05, ">= 0", {}),
+]
+# A non-finite, a boolean and a wrong-sign case of each, as
+# test_malformed_field_is_named_error takes them, and their ids.
+_SPEC_FIELD_CASES, _SPEC_FIELD_IDS = [], []
+for _sweep, _section, _key, _wrong_sign, _why, _beside in _SPEC_FIELDS:
+    _refusal = "unknown model" if _key == "model" else "must be a finite real number"
+    _path = f"{_section}.{_key}"
+    _SPEC_FIELD_CASES += [(_sweep, _set(_section, _key, math.inf), _path, _refusal),
+                          (_sweep, _set(_section, _key, True), _path, _refusal)]
+    _SPEC_FIELD_IDS += [f"{_path}-inf", f"{_path}-bool"]
+    if _wrong_sign is not None:
+        _SPEC_FIELD_CASES.append((_sweep, _set(_section, _key, _wrong_sign, **_beside), _path, _why))
+        _SPEC_FIELD_IDS.append(f"{_path}-sign")
 
 
 class TestSchema:
@@ -129,11 +176,20 @@ class TestSchema:
             ("tau", lambda d: d.update(t_fixed=float("nan")), "t_fixed", "finite"),
             ("carrier", lambda d: d["pulse"].update(n_samples=1024.5), "pulse.n_samples", "integer"),
             ("carrier", lambda d: d["medium"].update(thickness="thick"), "medium.thickness", "number"),
+            # A step sweep that sets no t_fixed, and never reads one: the
+            # error names the hopping, not the default t_fixed = 5 / hopping.
+            ("step", lambda d: (d.pop("t_fixed"), d["lattice"].update(hopping=math.inf)),
+             "lattice.hopping", "finite"),
+            ("tau", lambda d: d.update(t_fixed=-1.0), "t_fixed", "positive"),
+            ("step", lambda d: d.update(t_fixed=math.inf), "t_fixed", "finite"),
+            *_SPEC_FIELD_CASES,
         ],
         ids=["nan", "nan-first", "inf", "grid-not-list", "length-abc", "region-one-index",
              "region-fraction", "v_left-list", "length-negative", "v_imag-inf",
              "region-out-of-range", "v_right-nan", "step-fraction", "hopping", "detector-fraction",
-             "t_fixed-abc", "t_fixed-nan", "n_samples-fraction", "thickness-abc"],
+             "t_fixed-abc", "t_fixed-nan", "n_samples-fraction", "thickness-abc",
+             "hopping-inf-no-t_fixed", "t_fixed-negative", "t_fixed-inf-step",
+             *_SPEC_FIELD_IDS],
     )
     def test_malformed_field_is_named_error(self, tmp_path, sweep, edit, field, why):
         if sweep == "energy":
@@ -153,6 +209,16 @@ class TestSchema:
         assert "Traceback" not in res.output
         assert not (tmp_path / "bad.csv").exists()
 
+    def test_numbers_yaml_reads_as_strings_load(self, tmp_path):
+        # YAML 1.1 reads an exponent without a dot (1e3) as a string.
+        path = tmp_path / "spelled.yaml"
+        path.write_text(yaml.safe_dump(zeno_doc(tmp_path, "step")).replace(
+            "hopping: 1.0", "hopping: 1e0").replace("n_steps: 5", "n_steps: 5e0"))
+        assert "hopping: 1e0" in path.read_text()
+        lattice = load_scenario(str(path)).lattice
+        assert (lattice.hopping, lattice.n_steps) == (1.0, 5)
+        assert type(lattice.n_steps) is int
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_unbounded_n_steps_is_named_error(self, tmp_path, command):
         # 1e300 steps validated, and the run then failed in np.empty.
@@ -162,7 +228,7 @@ class TestSchema:
         path.write_text(yaml.safe_dump(doc))
         res = CliRunner().invoke(main, [command, str(path)])
         assert res.exit_code == 2, res.output
-        assert res.stderr.startswith("error: n_steps must be at most")
+        assert res.stderr.startswith("error: lattice.n_steps: must be at most")
         assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -300,7 +366,7 @@ class TestRun:
         reasons = [row[-1] for row in csv.reader(r.decode() for r in rows)]
         assert len(reasons) == 3
         assert reasons[:2] == ["", ""]
-        assert reasons[2].startswith("ValidationError: Nyquist frequency 16.08")
+        assert reasons[2].startswith("ValidationError: n_samples: Nyquist frequency 16.08")
 
     def test_em_window_truncation_reaches_flags_column(self, tmp_path):
         rows = run_sweep(tmp_path, em_sweep_doc("carrier", [5.81, 12.0], 4096, 200.0), "em")
@@ -310,8 +376,8 @@ class TestRun:
     def test_em_nonpositive_thickness_is_reason_coded(self, tmp_path):
         rows = run_sweep(tmp_path, em_sweep_doc("thickness", [-1.0, 0.0, 2.0]), "em")
         reasons = [row[-1] for row in csv.reader(r.decode() for r in rows)]
-        assert reasons == ["ValidationError: thickness must be positive, got -1.0",
-                           "ValidationError: thickness must be positive, got 0.0", ""]
+        assert reasons == ["ValidationError: thickness: must be positive, got -1.0",
+                           "ValidationError: thickness: must be positive, got 0.0", ""]
 
 
 class TestReasonSummary:
@@ -369,10 +435,10 @@ class TestDeterminism:
 # PulseSpec's band check.  Carriers below 8 lie under the plasma cutoff.
 _SMALL_PULSE = {"duration": 1.0, "center": 30.0, "n_samples": 512, "span": 60.0}
 _MEDIA = [
-    {"model": "plasma", "thickness": 2.0, "plasma_strength": 8.0, "damping": 0.05},
-    {"model": "lorentz", "thickness": 2.0, "resonance": 12.0, "plasma_strength": 5.0,
-     "damping": 0.1},
-    {"model": "vacuum", "thickness": 2.0},
+    MediumSpec(MediumKind.PLASMA, thickness=2.0, plasma_strength=8.0, damping=0.05),
+    MediumSpec(MediumKind.LORENTZ, thickness=2.0, resonance=12.0, plasma_strength=5.0,
+               damping=0.1),
+    MediumSpec(MediumKind.VACUUM, thickness=2.0),
 ]
 
 
@@ -391,24 +457,20 @@ def em_grids(draw):
     parameter = draw(st.sampled_from(["carrier", "thickness"]))
     values = st.floats(-10.0, 40.0) if parameter == "carrier" else st.floats(-5.0, 60.0)
     grid = _grid(draw, values)
-    payload = {
-        "pulse": {**_SMALL_PULSE, "carrier": draw(st.floats(0.5, 20.0))},
-        "medium": draw(st.sampled_from(_MEDIA)),
-    }
-    return Scenario(kind="em_pulse", payload=payload, sweep_parameter=parameter,
-                    sweep_grid=grid, output_path="unused.csv", output_format="csv",
-                    digest="")
+    return Scenario(kind="em_pulse", sweep_parameter=parameter, sweep_grid=grid,
+                    output_path="unused.csv", output_format="csv", digest="",
+                    pulse=PulseSpec(carrier=draw(st.floats(0.5, 20.0)), **_SMALL_PULSE),
+                    medium=draw(st.sampled_from(_MEDIA)))
 
 
 # A barrier with unequal leads, a well-barrier pair with a Larmor field, and
 # an absorbing barrier.  The energy grids reach below the leads and the
 # segment tops, where rows are reason-coded.
 _PROFILES = [
-    {"segments": [{"length": 1.0, "v_real": 2.0}], "clock_region": [0, 0],
-     "v_left": 0.0, "v_right": -0.5},
-    {"segments": [{"length": 0.7, "v_real": -1.0, "omega_larmor": 0.2},
-                  {"length": 0.5, "v_real": 3.0}], "clock_region": [0, 1]},
-    {"segments": [{"length": 1.0, "v_real": 2.0, "v_imag": 0.1}], "clock_region": [0, 0]},
+    PotentialProfile((Segment(1.0, 2.0),), clock_region=(0, 0), v_right=-0.5),
+    PotentialProfile((Segment(0.7, -1.0, omega_larmor=0.2), Segment(0.5, 3.0)),
+                     clock_region=(0, 1)),
+    PotentialProfile((Segment(1.0, 2.0, v_imag=0.1),), clock_region=(0, 0)),
 ]
 # The exact segment tops and lead levels of _PROFILES.
 _SPECIAL_ENERGIES = [-1.0, -0.5, 0.0, 2.0, 3.0]
@@ -418,11 +480,10 @@ _SPECIAL_ENERGIES = [-1.0, -0.5, 0.0, 2.0, 3.0]
 def timescale_grids(draw):
     """A timescale_sweep scenario with a random energy grid."""
     energies = st.one_of(st.floats(-2.0, 12.0), st.sampled_from(_SPECIAL_ENERGIES))
-    payload = {"profile": draw(st.sampled_from(_PROFILES)),
-               "channel": draw(st.sampled_from(["transmission", "reflection"]))}
-    return Scenario(kind="timescale_sweep", payload=payload, sweep_parameter="energy",
+    return Scenario(kind="timescale_sweep", sweep_parameter="energy",
                     sweep_grid=_grid(draw, energies), output_path="unused.csv",
-                    output_format="csv", digest="")
+                    output_format="csv", digest="", profile=draw(st.sampled_from(_PROFILES)),
+                    channel=draw(st.sampled_from(["transmission", "reflection"])))
 
 
 @st.composite
@@ -435,10 +496,10 @@ def lattice_grids(draw):
         values = st.floats(-2.0, 4.0).filter(lambda tau: tau <= 0.0 or tau >= 0.05)
     else:
         values = st.integers(-3, 9).map(float)
-    payload = {"lattice": zeno_doc(Path("."), parameter)["lattice"], "t_fixed": 5.0}
-    return Scenario(kind="first_passage", payload=payload, sweep_parameter=parameter,
+    return Scenario(kind="first_passage", sweep_parameter=parameter,
                     sweep_grid=_grid(draw, values), output_path="unused.csv",
-                    output_format="csv", digest="")
+                    output_format="csv", digest="",
+                    lattice=LatticeSpec(**zeno_doc(Path("."), parameter)["lattice"]), t_fixed=5.0)
 
 
 def assert_one_row_per_value(scenario, n_values):
@@ -498,8 +559,9 @@ def valid_scenario_docs():
 # Values a hand-edited scenario could hold: YAML nulls, booleans, integers,
 # non-finite floats, strings, binary, dates and containers.  NUMBERISH values
 # replace a number and reach float(): among them an integer too large for a
-# float, and b"1" (YAML's !!binary) and the booleans, which float() parses.
-NUMBERISH = st.sampled_from([10**400, b"1", "1e3", True, False, -1])
+# float, b"1" (YAML's !!binary) and the booleans, which float() parses, and
+# the non-finite floats, which it passes.
+NUMBERISH = st.sampled_from([10**400, b"1", "1e3", True, False, -1, math.inf, math.nan])
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 5), st.floats(), st.text(max_size=6),
     st.binary(max_size=4), st.dates(),
@@ -510,9 +572,10 @@ KEYS = st.one_of(st.text(max_size=6), st.integers(-3, 3), st.booleans(), st.none
 
 
 @st.composite
-def mutated_scenarios(draw):
-    """A valid scenario with one to three mutations: a number replaced by a
-    NUMBERISH value, any field replaced by junk or deleted, or keys added."""
+def mutated_scenarios(draw, actions=("number", "replace", "delete", "add"), numbers=NUMBERISH):
+    """A valid scenario with one to three mutations, each one of actions: a
+    number replaced by one of numbers, any field replaced by junk or deleted,
+    or keys added."""
     doc = copy.deepcopy(draw(st.sampled_from(valid_scenario_docs())))
     for _ in range(draw(st.integers(1, 3))):
         slots = []
@@ -525,12 +588,12 @@ def mutated_scenarios(draw):
                     walk(value)
 
         walk(doc)
-        action = draw(st.sampled_from(["number", "replace", "delete", "add"]))
+        action = draw(st.sampled_from(actions))
         if action == "number":
             slots = [(node, key) for node, key in slots if type(node[key]) in (int, float)]
         node, key = draw(st.sampled_from(slots))
         if action == "number":
-            node[key] = draw(NUMBERISH)
+            node[key] = draw(numbers)
         elif action == "replace":
             node[key] = draw(JUNK)
         elif action == "delete":
@@ -554,22 +617,66 @@ def holds_boolean(node) -> bool:
     return False
 
 
+def lattice_work(scenario) -> int:
+    """Sites times measure-and-project steps over the runs of a first-passage
+    sweep (0 for other kinds): a tau row the step bound refuses runs none."""
+    if scenario.kind != "first_passage":
+        return 0
+    if scenario.sweep_parameter == "step":
+        return scenario.lattice.n_sites * scenario.lattice.n_steps
+    t_fixed = scenario.t_fixed
+    steps = [max(1, round(t_fixed / tau)) for tau in scenario.sweep_grid
+             if tau > 0 and t_fixed / tau <= first_passage._MAX_STEPS]
+    return scenario.lattice.n_sites * sum(steps)
+
+
+def lattice_step_doc(**lattice):
+    doc = valid_scenario_docs()[2]
+    doc["lattice"].update(lattice)
+    return doc
+
+
 class TestScenarioFuzz:
     @settings(derandomize=True, deadline=None, database=None, max_examples=500)
     @given(doc=mutated_scenarios())
+    # Both loaded, and every step wrote nan for p and survival with no reason.
+    @example(doc=lattice_step_doc(tau=math.inf))
+    @example(doc=lattice_step_doc(hopping=math.inf))
     def test_mutated_scenario_loads_or_is_validation_error(self, tmp_path_factory, doc):
         # validate and run report a ValidationError with exit 2; any other
-        # exception would end in a traceback.
+        # exception would end in a traceback.  What loads also runs: one row
+        # per grid value, each finite or reason-coded.
         path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
         if holds_boolean(doc):
             with pytest.raises(ValidationError):
                 load_scenario(str(path))
             return
+        self.load_and_run(path)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(doc=mutated_scenarios(actions=("number",), numbers=st.one_of(
+        NUMBERISH, st.floats(1e-3, 1e3), st.integers(1, 100))))
+    def test_renumbered_scenario_loads_and_runs_or_is_validation_error(self, tmp_path_factory,
+                                                                        doc):
+        # Most mutations above leave no scenario to run; these mostly do.
+        path = tmp_path_factory.getbasetemp() / "renumbered.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        self.load_and_run(path)
+
+    @staticmethod
+    def load_and_run(path):
+        """load_scenario, and if the scenario loads, run_scenario too: one row
+        per grid value, each finite or reason-coded."""
         try:
-            load_scenario(str(path))
+            scenario = load_scenario(str(path))
         except ValidationError:
-            pass
+            return
+        assume(lattice_work(scenario) <= 10**5)
+        assume(scenario.pulse is None or scenario.pulse.n_samples <= 2**14)
+        n_values = {"timescale_sweep": len(METHOD_LABELS), "em_pulse": 6, "tau": 1, "step": 2}
+        assert_one_row_per_value(scenario, n_values.get(scenario.kind) or
+                                 n_values[scenario.sweep_parameter])
 
     def test_boolean_schema_version_is_refused(self, tmp_path):
         # True == 1, so the version check let it through.
@@ -612,7 +719,7 @@ def test_non_finite_pulse_field_is_named_error(tmp_path, field, value):
     path.write_text(yaml.safe_dump(doc))
     res = CliRunner().invoke(main, ["validate", str(path)])
     assert res.exit_code == 2, res.output
-    assert res.stderr.startswith(f"error: pulse.{field}: must be finite")
+    assert res.stderr.startswith(f"error: pulse.{field}: must be a finite real number")
 
 
 @pytest.mark.parametrize("field", ["thickness", "resonance", "plasma_strength", "damping"])
@@ -626,7 +733,7 @@ def test_non_finite_medium_field_is_named_error(tmp_path, field):
     path.write_text(yaml.safe_dump(doc))
     res = CliRunner().invoke(main, ["validate", str(path)])
     assert res.exit_code == 2, res.output
-    assert res.stderr.startswith(f"error: medium.{field}: must be finite")
+    assert res.stderr.startswith(f"error: medium.{field}: must be a finite real number")
 
 
 class TestCompare:

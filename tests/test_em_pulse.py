@@ -53,8 +53,34 @@ class TestSpecs:
     def test_medium_rejects_non_finite_field(self, field, value):
         # nan < 0 is false, so a NaN damping or plasma strength and an
         # infinite thickness passed the sign checks.
-        with pytest.raises(ValidationError, match=f"^medium.{field}: must be finite"):
+        with pytest.raises(ValidationError, match=f"^{field}: must be a finite real number"):
             replace(LORENTZ, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, why",
+        [("carrier", True, "a finite real number"), ("center", False, "a finite real number"),
+         ("n_samples", 4096.5, "an integer"), ("n_samples", True, "a finite real number"),
+         ("span", math.nan, "a finite real number"), ("duration", math.inf, "a finite real number")],
+    )
+    def test_pulse_rejects_malformed_field(self, field, value, why):
+        with pytest.raises(ValidationError, match=f"^{field}: must be {why}"):
+            replace(PULSE, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, why",
+        [("damping", False, "must be a finite real number"),
+         ("thickness", True, "must be a finite real number"),
+         ("plasma_strength", math.nan, "must be a finite real number"),
+         ("kind", "lorentz", "expected a MediumKind")],
+    )
+    def test_medium_rejects_malformed_field(self, field, value, why):
+        with pytest.raises(ValidationError, match=f"^{field}: {why}"):
+            replace(LORENTZ, **{field: value})
+
+    def test_integral_sample_count_is_stored_as_an_int(self):
+        pulse = replace(PULSE, n_samples=4096.0, carrier=10)
+        assert type(pulse.n_samples) is int and pulse.n_samples == 4096
+        assert type(pulse.carrier) is float
 
     def test_lorentz_needs_resonance(self):
         with pytest.raises(ValidationError):

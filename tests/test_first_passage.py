@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -76,8 +78,28 @@ class TestValidation:
     def test_rejects_unbounded_step_count(self):
         LatticeSpec(5, 1.0, 0, frozenset({4}), 1.0, _MAX_STEPS)
         for n_steps in (_MAX_STEPS + 1, int(1e300)):
-            with pytest.raises(ValidationError, match="^n_steps must be at most"):
+            with pytest.raises(ValidationError, match="^n_steps: must be at most"):
                 LatticeSpec(5, 1.0, 0, frozenset({4}), 1.0, n_steps)
+
+    @pytest.mark.parametrize(
+        "field, value, why",
+        [("hopping", True, "a finite real number"), ("initial_site", False, "a finite real number"),
+         ("detector_sites", [4, True], "a finite real number"),
+         ("n_sites", 5.5, "an integer"), ("n_steps", 2.5, "an integer"),
+         ("tau", math.nan, "a finite real number"), ("hopping", math.inf, "a finite real number"),
+         ("detector_sites", 4, "sites")],
+    )
+    def test_rejects_malformed_field(self, field, value, why):
+        fields = dict(n_sites=5, hopping=1.0, initial_site=0, detector_sites=[4], tau=1.0, n_steps=3)
+        with pytest.raises(ValidationError, match=f"^{field}: (must be|expected) {why}"):
+            LatticeSpec(**{**fields, field: value})
+
+    def test_integral_floats_are_stored_as_ints(self):
+        spec = LatticeSpec(5.0, 1, 0.0, [4.0], 1, 3.0)
+        assert [type(v) for v in (spec.n_sites, spec.initial_site, spec.n_steps)] == [int] * 3
+        assert (spec.n_sites, spec.initial_site, spec.n_steps) == (5, 0, 3)
+        assert spec.detector_sites == frozenset({4}) and type(next(iter(spec.detector_sites))) is int
+        assert type(spec.hopping) is float and type(spec.tau) is float
 
     def test_detector_may_sit_on_initial_site(self):
         spec = LatticeSpec(5, 1.0, 2, frozenset({2}), 1e-4, 1)

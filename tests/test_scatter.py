@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -136,6 +136,27 @@ def open_channel_problems(draw, v_imag):
     return PotentialProfile(segments=tuple(segments), v_left=v_left, v_right=v_right), e
 
 
+@st.composite
+def any_segment_problems(draw, absorbing):
+    """A 1-4 segment profile with lengths from 1e-8 to 1e3 (log-uniform) and,
+    if absorbing, v_imag from 1e-6 to 1e6; random leads; and an energy above
+    both leads, within 1e-14 to 1e-1 of a segment top (either side) or
+    anywhere up to 10 above the leads."""
+    segments = [
+        Segment(length=10.0 ** draw(st.floats(-8.0, 3.0)), v_real=draw(st.floats(-3.0, 6.0)),
+                v_imag=10.0 ** draw(st.floats(-6.0, 6.0)) if absorbing else 0.0)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    v_left, v_right = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        top = draw(st.sampled_from(segments)).v_real
+        e = top + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-14.0, -1.0))
+        assume(e > max(v_left, v_right))
+    else:
+        e = max(v_left, v_right) + draw(st.floats(0.01, 10.0))
+    return PotentialProfile(tuple(segments), v_left=v_left, v_right=v_right), e
+
+
 class TestFluxConservation:
     def test_unitarity_random_real_profiles(self, rng):
         worst = 0.0
@@ -158,11 +179,10 @@ class TestFluxConservation:
         prof = PotentialProfile(segments=(Segment(1.0, 1.0),), v_right=1.0)
         assert flux_sum(solve(prof, 3.0)) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.xfail(reason="plane-wave branch loses flux for 1e-5 < |k|(1+d) << 1 (ROADMAP)")
     def test_flux_is_conserved_just_above_a_segment_top(self):
-        # Above the k -> 0 cutoff the plane-wave branch still runs, and its
-        # flux error grows like eps/|k|: 3.7e-11 at E - V = 3e-11.  Below the
-        # top (evanescent k) and at the top (linear block) it stays ~1e-15.
+        # The plane-wave branch lost flux like eps/|k| here (3.7e-11 at
+        # E - V = 3e-11) while it ran down to |k|(1 + d) = 1e-5; the block
+        # now takes every segment with |k| d < 1e-2.
         worst = 0.0
         for de in (1e-8, 1e-9, 1e-10, 3e-11):
             for length in np.linspace(0.1, 2.0, 40):
@@ -181,6 +201,25 @@ class TestFluxConservation:
     def test_absorption_never_adds_flux(self, data):
         prof, e = data.draw(open_channel_problems(v_imag=st.floats(0.0, 2.0)))
         assert flux_sum(solve(prof, e)) <= 1.0 + 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(any_segment_problems(absorbing=False))
+    def test_flux_is_conserved_on_any_segment(self, problem):
+        prof, e = problem
+        assert abs(flux_sum(solve(prof, e)) - 1.0) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(any_segment_problems(absorbing=True))
+    def test_absorption_never_adds_flux_on_any_segment(self, problem):
+        prof, e = problem
+        assert flux_sum(solve(prof, e)) <= 1.0 + 1e-12
+
+    def test_thin_strong_absorber_is_transparent(self):
+        # |k| = 1e23 but |k| d = 5e-301: the plane-wave interfaces cancelled,
+        # and |t| = |r| read 2.8e277 through an absorber.
+        sol = solve(PotentialProfile((Segment(5e-324, 0.0, v_imag=2.05e46),), (0, 0)), 1.0)
+        assert abs(sol.t) == pytest.approx(1.0, abs=1e-15)
+        assert flux_sum(sol) <= 1.0 + 1e-12
 
 
 class TestOpaqueStability:
@@ -450,9 +489,11 @@ class TestFoldOracle:
         [
             # ka + kb = 0 at the entry interface (k_left = 1, k_right = 2)
             (ValidationError, [-1 + 0j], [1.0], None),
-            # r_rev = i after the first interface meets r = -i at the second:
-            # a unit loop gain, so the interface star's denominator is 0
-            (ResummationDivergenceError, [1j, -1 + 0j], [0.0, 1.0], None),
+            # exp(-9 * 100) is 0, so r_rev = -0.8 after the interface into the
+            # second segment; e^{-ln 2} = 1/2 across it makes r_rev = -0.2, which
+            # meets r = -5 at the third: a unit loop gain (1 after rounding), so
+            # the interface star's denominator is 0
+            (ResummationDivergenceError, [9j, 1j, -1.5j], [100.0, math.log(2.0), 1.0], None),
             # a propagation override on a k = 0 segment
             (RegimeAmbiguityError, [0j, 1 + 0j], [1.0, 1.0], [0.1 + 0j, 1 + 0j]),
         ],

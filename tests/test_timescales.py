@@ -221,6 +221,8 @@ class TestDwell:
         [
             ("lin", 4e-6, 1.2),
             ("lin", 4e-6j, 1.2),
+            ("lin", 8e-3, 1.2),  # |k| d just below the block's cutoff of 1e-2
+            ("lin", 8e-3j, 1.2),
             ("pw", 0.05, 1.5),  # D from its series
             ("pw", 0.05j, 1.5),
             ("pw", 2.3, 1.5),
@@ -252,6 +254,18 @@ class TestDwell:
         tau = dwell_time(prof, 2.0)
         assert tau == pytest.approx(1.0901375069857e-3, rel=1e-12, abs=0.0)
         assert tau == pytest.approx(quad_dwell(prof, 2.0, (1, 1)), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("channel", ["transmission", "reflection"])
+    def test_thin_clock_segment_is_timed_by_every_clock(self, channel):
+        # |k| d is 1e-3 to 3e-3 on the clock segment, so solve takes its k ~ 0
+        # block; the sojourn's dressed folds keep plane waves above a barrier
+        # top, so no clock refuses it.
+        prof = PotentialProfile((Segment(1.0, 2.0), Segment(1e-3, 1.0), Segment(0.5, 3.0)),
+                                clock_region=(1, 1))
+        for e in (0.5, 2.5, 9.0):
+            report = full_report(prof, e, channel=channel)
+            assert report.reasons == {}
+            assert report.entries["dwell"] == pytest.approx(quad_dwell(prof, e, (1, 1)), rel=1e-10)
 
     def test_rejects_absorptive_region(self):
         prof = PotentialProfile(
@@ -746,7 +760,7 @@ class TestPositivity:
 
 class TestBarrierTopLadderDefect:
     """Just above a barrier top ln|T|^2 varies on a scale below the smallest
-    probe, so the probe ladder misreads the sojourn time (ROADMAP item 2)."""
+    probe, so the probe ladder misreads the sojourn time (ROADMAP item 3)."""
 
     PROF = make_rectangular_barrier(4.0, 1.0)
     E = 4.00071
@@ -770,7 +784,7 @@ class TestBarrierTopLadderDefect:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 2: the Richardson probe ladder is far too coarse just "
+        reason="ROADMAP item 3: the Richardson probe ladder is far too coarse just "
         "above a barrier top, where ln|T|^2 varies on a scale below the smallest "
         "probe; exact derivatives through the chain fix it",
     )

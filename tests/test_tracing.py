@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import em_sweep_doc
 from wavetime import cli, em_pulse
 from wavetime.cli import Scenario
 
@@ -37,10 +36,12 @@ def test_band_rows_make_no_counted_transform(fft_lengths, parameter, grid):
     # benchmark grid (N = 16384) makes none: its 4 FFTs are of its band, of
     # length 4096, through numpy.fft, and the counter does not see them.
     tracing = load_tracing()
-    scenario = Scenario(kind="em_pulse",
-                        payload=em_sweep_doc(parameter, grid, n_samples=16384, span=200.0),
-                        sweep_parameter=parameter, sweep_grid=tuple(grid),
-                        output_path="unused.csv", output_format="csv", digest="")
+    scenario = Scenario(kind="em_pulse", sweep_parameter=parameter, sweep_grid=tuple(grid),
+                        output_path="unused.csv", output_format="csv", digest="",
+                        pulse=em_pulse.PulseSpec(carrier=10.0, duration=2.0, center=30.0,
+                                                 n_samples=16384, span=200.0),
+                        medium=em_pulse.MediumSpec(em_pulse.MediumKind.PLASMA, thickness=2.0,
+                                                   plasma_strength=8.0, damping=0.05))
     em_pulse._grid_dispersion.cache_clear()
     em_pulse._moment_kernel.cache_clear()
     tracer = tracing.Tracer()
