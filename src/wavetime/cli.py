@@ -32,7 +32,7 @@ import click
 import yaml
 
 from . import __version__, em_pulse, first_passage, timescales
-from .errors import ValidationError, WavetimeError, _finite
+from .errors import ValidationError, WavetimeError, _finite, _reason
 from .potentials import PotentialProfile, Segment
 
 __all__ = ["Scenario", "ResultTable", "load_scenario", "run_scenario", "compare_tables", "main"]
@@ -40,16 +40,7 @@ __all__ = ["Scenario", "ResultTable", "load_scenario", "run_scenario", "compare_
 SCHEMA_VERSION = 1
 _KINDS = ("timescale_sweep", "first_passage", "em_pulse")
 
-METHOD_LABELS = (
-    "wigner",
-    "dwell",
-    "bl",
-    "larmor_y",
-    "larmor_z",
-    "larmor_pythagorean",
-    "imag_clock",
-    "sojourn",
-)
+METHOD_LABELS = timescales.METHOD_LABELS
 
 
 @dataclass(frozen=True)
@@ -258,7 +249,7 @@ def _timescale_row(profile: PotentialProfile, channel: str, energy: float) -> li
     try:
         report = timescales.full_report(profile, energy, channel=channel)
     except WavetimeError as exc:
-        return [energy] + [None] * len(METHOD_LABELS) + [f"{type(exc).__name__}: {exc}"]
+        return [energy] + [None] * len(METHOD_LABELS) + [_reason(exc)]
     cells = [report.entries.get(label) for label in METHOD_LABELS]
     reason = "; ".join(
         f"{label}: {why}" for label, why in sorted(report.reasons.items())
@@ -275,7 +266,7 @@ def _zeno_row(spec: first_passage.LatticeSpec, tau: float, t_fixed: float) -> li
     try:
         ((_, survival),) = first_passage.zeno_scan(spec, [tau], t_fixed)
     except WavetimeError as exc:
-        return [tau, None, f"{type(exc).__name__}: {exc}"]
+        return [tau, None, _reason(exc)]
     return [tau, survival, None]
 
 
@@ -305,7 +296,7 @@ def _em_row(pulse: em_pulse.PulseSpec, medium: em_pulse.MediumSpec, parameter: s
             medium = replace(medium, thickness=value)
         rep = em_pulse.delay_decomposition(pulse, medium)
     except WavetimeError as exc:
-        return [value] + [None] * 7 + [f"{type(exc).__name__}: {exc}"]
+        return [value] + [None] * 7 + [_reason(exc)]
     flags = []
     if not rep.residual_ok:
         flags.append("residual_above_tolerance")
@@ -502,7 +493,6 @@ def validate_cmd(scenario_file: str) -> None:
     "--tol",
     "tols",
     multiple=True,
-    default=("1e-9",),
     help="Relative tolerance: a bare number applies to all columns; "
     "column=value overrides one column. Repeatable.",
 )

@@ -6,6 +6,10 @@ convention is E~(omega) = integral E(t) exp(+i omega t) dt, so a carrier
 exp(-i omega0 t) peaks at +omega0 and a slab multiplies by
 exp(+i n(omega) omega L).
 
+Dispersion has one formula, epsilon = 1 + omega_p^2/(omega0^2 - omega^2 - i gamma omega),
+a plasma being the resonance at omega0 = 0 (the Drude form); n = sqrt(epsilon)
+on the branch Im(n) >= 0 and dk/domega come from the same denominator.
+
 The arrival time at a plane is the first temporal moment of the Poynting flux
 S(t) = Re[E H*]/2 with H~ = n E~ (index-matched slab, no interface
 reflections).  The total transit splits exactly into
@@ -210,52 +214,49 @@ class DelayReport:
 # dispersion
 
 
-def permittivity(medium: MediumSpec, omega) -> np.ndarray | complex:
-    """epsilon(omega) for the medium; array in, array out."""
-    w = np.asarray(omega, dtype=complex)
-    if medium.kind is MediumKind.VACUUM:
-        eps = np.ones_like(w)
-    elif medium.kind is MediumKind.LORENTZ:
-        eps = 1.0 + medium.plasma_strength**2 / (
-            medium.resonance**2 - w**2 - 1j * medium.damping * w
-        )
-    else:
-        denom = w**2 + 1j * medium.damping * w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eps = 1.0 - medium.plasma_strength**2 / denom
-    if np.isscalar(omega):
-        return complex(eps)
-    return eps
+def _denominator(medium: MediumSpec, w: np.ndarray) -> np.ndarray:
+    """omega0^2 - omega^2 - i gamma omega, the resonance denominator of
+    epsilon; a plasma is the Lorentz resonance at omega0 = 0."""
+    w0 = medium.resonance if medium.kind is MediumKind.LORENTZ else 0.0
+    return w0**2 - w**2 - 1j * medium.damping * w
 
 
-def refractive_index(medium: MediumSpec, omega) -> np.ndarray | complex:
-    """n = sqrt(epsilon) on the absorption branch Im(n) >= 0."""
-    n = np.sqrt(np.asarray(permittivity(medium, omega), dtype=complex))
-    n = np.where(n.imag < 0, -n, n)
-    if np.isscalar(omega):
-        return complex(n)
-    return n
-
-
-def group_wavevector_derivative(medium: MediumSpec, omega) -> np.ndarray | complex:
-    """dk/domega = n + omega dn/domega, with dn/domega = eps'/(2n) analytically."""
+def _dispersion(medium: MediumSpec, omega, quantity: str) -> np.ndarray | complex:
+    """quantity ("eps", "n" or "dk") of the medium at omega: a scalar omega
+    gives a complex, an array an array."""
     w = np.asarray(omega, dtype=complex)
     if medium.kind is MediumKind.VACUUM:
         out = np.ones_like(w)
     else:
-        if medium.kind is MediumKind.LORENTZ:
-            denom = medium.resonance**2 - w**2 - 1j * medium.damping * w
-            deps = medium.plasma_strength**2 * (2.0 * w + 1j * medium.damping) / denom**2
-        else:
-            denom = w**2 + 1j * medium.damping * w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                deps = medium.plasma_strength**2 * (2.0 * w + 1j * medium.damping) / denom**2
-        n = refractive_index(medium, omega)
+        denom = _denominator(medium, w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = n + w * deps / (2.0 * n)
-    if np.isscalar(omega):
-        return complex(out)
-    return out
+            if quantity == "dk":
+                deps = medium.plasma_strength**2 * (2.0 * w + 1j * medium.damping) / denom**2
+            out = 1.0 + medium.plasma_strength**2 / denom
+            del denom  # not held while n is formed, which would raise a grid's peak memory
+            if quantity != "eps":
+                n = np.sqrt(out)
+                out = n = np.where(n.imag < 0, -n, n)
+            if quantity == "dk":
+                out = n + w * deps / (2.0 * n)
+    return complex(out) if np.isscalar(omega) else out
+
+
+def permittivity(medium: MediumSpec, omega) -> np.ndarray | complex:
+    """epsilon(omega) = 1 + omega_p^2/(omega0^2 - omega^2 - i gamma omega), with
+    omega0 = resonance (Lorentz) or 0 (plasma: the Drude form 1 - omega_p^2/(omega^2
+    + i gamma omega)), and 1 in vacuum.  Array in, array out."""
+    return _dispersion(medium, omega, "eps")
+
+
+def refractive_index(medium: MediumSpec, omega) -> np.ndarray | complex:
+    """n = sqrt(epsilon) on the absorption branch Im(n) >= 0."""
+    return _dispersion(medium, omega, "n")
+
+
+def group_wavevector_derivative(medium: MediumSpec, omega) -> np.ndarray | complex:
+    """dk/domega = n + omega dn/domega, with dn/domega = eps'/(2n) analytically."""
+    return _dispersion(medium, omega, "dk")
 
 
 # ---------------------------------------------------------------------------

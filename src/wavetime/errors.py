@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the field check that every
-spec runs on construction."""
+"""Exception types shared across the package, the field check that every
+spec runs on construction, and the reason text of a refused value."""
 import math
 import numbers
 
@@ -64,3 +64,8 @@ def _finite(value, name: str, integer: bool = False) -> float | int:
     if not out.is_integer():
         raise ValidationError(f"{name}: must be an integer, got {value!r}")
     return int(out)
+
+
+def _reason(exc: WavetimeError) -> str:
+    """The reason code of a refused value: "ExcName: message"."""
+    return f"{type(exc).__name__}: {exc}"

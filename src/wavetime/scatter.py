@@ -496,7 +496,7 @@ def partial_waves(profile: PotentialProfile, E: float) -> PartialWaveSet:
     lo, hi = profile.require_clock_region()
     chain = _Chain(profile, E)
     ks, ds = chain.ks, chain.ds
-    if any(abs(ks[i]) * (1.0 + ds[i]) < _BARRIER_TOP_K for i in (lo, hi)):
+    if any(_is_degenerate(ks[i], ds[i], True) for i in (lo, hi)):
         raise RegimeAmbiguityError(
             "clock region boundary sits at its barrier top (k ~ 0); offset E"
         )

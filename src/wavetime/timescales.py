@@ -14,10 +14,11 @@ Implemented clocks and delays (natural units, hbar = 1, 2m = 1):
   small absorptive potential in the clock region.
 * Sojourn times: the paired-variable correction.  Interface scattering is
   pinned at zero clock strength while the internal propagation carries
-  xi = V_I * L; the xi -> 0 derivative of the dressed amplitude (amplitude for
-  propagating, phase for evanescent regions) gives a positive definite
-  traversal time.  Prompt reflection r12 is subtracted before timing the
-  reflected wave.
+  xi = V_I * L: each segment's propagation wavevector is the chain's own k
+  dressed as k' = k + i (xi L_j/L)/(2 k L_j) in both regimes.  The xi -> 0
+  derivative of the dressed amplitude (amplitude for propagating, phase for
+  evanescent regions) gives a positive definite traversal time on a real
+  region.  Prompt reflection r12 is subtracted before timing the reflected wave.
 
 Every zero-strength limit goes through one probe ladder, _ladder: it evaluates
 the clock's probe at [-h, -h/2, -h/4, (0,) h/4, h/2, h], with h a fixed
@@ -53,6 +54,7 @@ from .errors import (
     StepSizeError,
     ValidationError,
     WavetimeError,
+    _reason,
 )
 from .potentials import PotentialProfile, _index_pair
 
@@ -85,14 +87,19 @@ _MAX_PHASE_JUMP = math.pi / 2
 
 _CHANNELS = ("transmission", "reflection")
 
+# The times of full_report, in column order; a clock's times are the labels
+# that begin with its name.
+METHOD_LABELS = ("wigner", "dwell", "bl", "larmor_y", "larmor_z", "larmor_pythagorean",
+                 "imag_clock", "sojourn")
+
 
 @dataclass(frozen=True)
 class TimescaleReport:
     """All computed times at one energy.
 
-    entries maps method labels (wigner, dwell, bl, larmor_y, larmor_z,
-    larmor_pythagorean, imag_clock, sojourn) to times; methods whose
-    preconditions fail appear in reasons instead, never as NaN entries.
+    entries maps method labels (METHOD_LABELS) to times; a clock whose
+    preconditions fail appears in reasons under its name (wigner, dwell, bl,
+    larmor, imag_clock, sojourn) instead, never as NaN entries.
     diagnostics["larmor_y"]["raw_derivative_sign"] is the sign of the
     precession derivative that larmor_y reports as a magnitude.
     """
@@ -152,6 +159,15 @@ def _one_region(regions: list[tuple[int, int]], what: str) -> tuple[int, int]:
     if len(regions) > 1:
         raise ValidationError(f"{what} is defined for a single contiguous region")
     return regions[0]
+
+
+def _require_real(profile: PotentialProfile, segs, what: str) -> None:
+    """ValidationError naming the first of the segments segs that absorbs or
+    amplifies: what is defined for a real potential there."""
+    for j in segs:
+        if profile.segments[j].v_imag != 0.0:
+            kind = "absorptive" if profile.segments[j].v_imag > 0 else "amplifying"
+            raise ValidationError(f"{what} requires a real potential in the region; segment {j} is {kind}")
 
 
 def _finite_time(value: float, what: str) -> float:
@@ -307,17 +323,17 @@ def dwell_time(profile: PotentialProfile, E: float, region: tuple[int, int] | No
     The region, one (lo, hi) pair, must carry a real potential (Hermitian
     problem); defaults to the clock region, or the whole profile when none is
     marked.
+
+    Raises:
+        ValidationError: if a segment of the region absorbs or amplifies
+            (v_imag != 0).
     """
     if region is None and profile.clock_region is None:
         if not profile.segments:
             return 0.0
         region = (0, len(profile.segments) - 1)
     lo, hi = _one_region(_normalize_regions(profile, region), "dwell time")
-    for j in range(lo, hi + 1):
-        if profile.segments[j].v_imag != 0.0:
-            raise ValidationError(
-                f"dwell time requires a real potential in the region; segment {j} is absorptive"
-            )
+    _require_real(profile, range(lo, hi + 1), "dwell time")
     sol = scatter.solve(profile, E)
     try:
         density = sum(_density_integral(w) for w in sol.segment_waves[lo : hi + 1])
@@ -371,6 +387,7 @@ def _spin_expectations(a: complex, b: complex, what: str) -> tuple[float, float]
 def _larmor_detailed(
     profile: PotentialProfile, E: float, channel: str
 ) -> tuple[float, float, float]:
+    """(tau_y, tau_z, sign of d<S_y>/d omega_L) of larmor_times."""
     _check_channel(channel)
     profile.require_clock_region()
     clock_segs = profile.clock_indices()
@@ -407,7 +424,7 @@ def _larmor_detailed(
     d_sy = richardson([s_y for s_y, _ in spins], h)
     d_sz = richardson([s_z for _, s_z in spins], h)
     sign_y = math.copysign(1.0, d_sy) if d_sy != 0.0 else 0.0
-    return d_sy, d_sz, sign_y
+    return abs(2.0 * d_sy), 2.0 * d_sz, sign_y
 
 
 def larmor_times(
@@ -420,8 +437,7 @@ def larmor_times(
     cancel).  tau_y is reported as a magnitude; the raw derivative sign is
     available through full_report diagnostics.
     """
-    d_sy, d_sz, _ = _larmor_detailed(profile, E, channel)
-    return abs(2.0 * d_sy), 2.0 * d_sz
+    return _larmor_detailed(profile, E, channel)[:2]
 
 
 def imag_clock_time(
@@ -463,8 +479,9 @@ def _sojourn_detailed(
     Returns (time, mixed_regime).
     """
     region_list = _normalize_regions(profile, regions)
-    chain = scatter._Chain(profile, E)
     segs = [j for lo, hi in region_list for j in range(lo, hi + 1)]
+    _require_real(profile, segs, "sojourn time")
+    chain = scatter._Chain(profile, E)
     regimes = {j: _regime(profile, E, j) for j in segs}
 
     r12 = 0j
@@ -479,28 +496,21 @@ def _sojourn_detailed(
         # Propagating regions time the decay of |a|^2, evanescent ones the
         # phase the clock adds.
         propagating = regime == "propagating"
-        # (j, L_j, root, 2 root L_j) per segment, root the real zero-strength
-        # root the dressing shifts: k_j = sqrt(E - V_j) when propagating,
-        # kappa_j = sqrt(V_j - E) when evanescent.
-        roots = []
+        # (j, L_j, k_j, 2 k_j L_j) per segment, k_j the chain's own wavevector.
+        dressed = []
         for j in active:
-            seg = profile.segments[j]
-            gap = E - seg.v_real if propagating else seg.v_real - E
-            root = math.sqrt(gap)
-            if not 2.0 * root * seg.length > 0.0:
+            k, L = chain.ks[j], chain.ds[j]
+            if 2.0 * k * L == 0.0:
                 raise DerivativeError(f"2 k L of segment {j} underflows; its dressing is undefined")
-            roots.append((j, seg.length, root, 2.0 * root * seg.length))
+            dressed.append((j, L, k, 2.0 * k * L))
 
         def amplitude(xi: float) -> complex:
-            # The paired-variable propagation wavevector of each segment:
-            # k' = k + i xi_j/(2 k L_j) when propagating (amplitude decays for
-            # xi > 0), k' = i kappa + xi_j/(2 kappa L_j) when evanescent (a
-            # pure phase shift); its interfaces keep the bare k.
-            prop_ks = []
-            for j, L, root, two_root_L in roots:
-                shift = xi * L / L_act / two_root_L
-                prop_ks.append((j, complex(root, shift) if propagating else complex(shift, root)))
-            t, r, _, _ = chain.fold(prop_ks=prop_ks)
+            # The paired-variable propagation wavevector k' = k + i (xi L_j/L)/(2 k L_j):
+            # for xi > 0 the amplitude decays when k is real, the phase shifts
+            # when k = i kappa.  The interfaces keep the bare k.
+            t, r, _, _ = chain.fold(
+                prop_ks=[(j, k + 1j * (xi * L / L_act) / two_kL) for j, L, k, two_kL in dressed]
+            )
             return r - r12 if channel == "reflection" else t
 
         h, amps = _ladder(amplitude, _energy_scale(profile, E, active) * L_act, centre=True)
@@ -527,6 +537,10 @@ def sojourn_transmission(profile: PotentialProfile, E: float, regions=None) -> f
     Propagating regions differentiate ln|T(xi)|^2, evanescent regions the
     phase of T(xi) (where the clock acts); regions may be a (lo, hi) pair or a
     sequence of disjoint pairs (times add over disjoint regions).
+
+    Raises:
+        ValidationError: if a segment of the regions absorbs or amplifies
+            (v_imag != 0).
     """
     return _sojourn_detailed(profile, E, regions, "transmission")[0]
 
@@ -538,6 +552,8 @@ def sojourn_reflection(
     removed).  Satisfies tau_s(R) = tau_s(T) + tau_BL for rectangular regions.
 
     Raises:
+        ValidationError: if a segment of the region absorbs or amplifies
+            (v_imag != 0).
         LogSingularityError: if |R'| vanishes (nothing but prompt reflection).
     """
     return _sojourn_detailed(profile, E, region, "reflection")[0]
@@ -564,46 +580,31 @@ def full_report(
         "extrapolated_beyond_paper": len(clock_segs) > 1,
     }
 
-    def attempt(label: str, fn) -> None:
-        try:
-            fn()
-        except WavetimeError as exc:
-            reasons[label] = f"{type(exc).__name__}: {exc}"
-
-    def _wigner() -> None:
-        entries["wigner"] = wigner_delay(profile, E, channel)
-
-    def _dwell() -> None:
-        entries["dwell"] = dwell_time(profile, E)
-
-    def _bl() -> None:
-        entries["bl"] = bl_time(profile, E)
-
-    def _larmor() -> None:
-        d_sy, d_sz, sign_y = _larmor_detailed(profile, E, channel)
-        entries["larmor_y"] = abs(2.0 * d_sy)
-        entries["larmor_z"] = 2.0 * d_sz
+    def larmor() -> tuple[float, ...]:
+        tau_y, tau_z, sign_y = _larmor_detailed(profile, E, channel)
         diagnostics["larmor_y"] = {"raw_derivative_sign": sign_y}
         # Optional derived quantity; no fundamental basis, reported for
         # comparison only.
-        entries["larmor_pythagorean"] = math.hypot(
-            entries["larmor_y"], entries["larmor_z"]
-        )
+        return tau_y, tau_z, math.hypot(tau_y, tau_z)
 
-    def _imag() -> None:
-        entries["imag_clock"] = imag_clock_time(profile, E, channel)
+    def sojourn() -> tuple[float]:
+        time, mixed = _sojourn_detailed(profile, E, None, channel)
+        flags["extrapolated_beyond_paper"] |= mixed
+        return (time,)
 
-    def _sojourn() -> None:
-        entries["sojourn"], mixed = _sojourn_detailed(profile, E, None, channel)
-        if mixed:
-            flags["extrapolated_beyond_paper"] = True
-
-    attempt("wigner", _wigner)
-    attempt("dwell", _dwell)
-    attempt("bl", _bl)
-    attempt("larmor", _larmor)
-    attempt("imag_clock", _imag)
-    attempt("sojourn", _sojourn)
+    clocks = (
+        ("wigner", lambda: (wigner_delay(profile, E, channel),)),
+        ("dwell", lambda: (dwell_time(profile, E),)),
+        ("bl", lambda: (bl_time(profile, E),)),
+        ("larmor", larmor),
+        ("imag_clock", lambda: (imag_clock_time(profile, E, channel),)),
+        ("sojourn", sojourn),
+    )
+    for name, clock in clocks:
+        try:
+            entries.update(zip([m for m in METHOD_LABELS if m.startswith(name)], clock()))
+        except WavetimeError as exc:
+            reasons[name] = _reason(exc)
     return TimescaleReport(
         energy=E,
         channel=channel,

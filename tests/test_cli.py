@@ -796,6 +796,17 @@ class TestCompare:
         assert runner.invoke(main, args).exit_code == 1
         assert runner.invoke(main, [*args, "--tol", "wigner=1e-2"]).exit_code == 0
 
+    @pytest.mark.parametrize("scale, code", [(1.0 + 1e-10, 0), (1.0 + 1e-8, 1)])
+    def test_default_tolerance_is_1e_minus_9(self, tmp_path, scale, code):
+        # With no bare --tol, every column, a per-column override aside,
+        # compares at 1e-9.
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("energy,wigner\n1,1.0\n")
+        b.write_text(f"energy,wigner\n1,{scale!r}\n")
+        runner = CliRunner()
+        for extra in ([], ["--tol", "energy=1"]):
+            assert runner.invoke(main, ["compare", str(a), str(b), *extra]).exit_code == code
+
     def test_per_column_tolerance_override(self, tmp_path):
         from wavetime.cli import ResultTable
 

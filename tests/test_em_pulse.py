@@ -107,11 +107,22 @@ class TestDispersion:
         n = refractive_index(LORENTZ, 20.0)  # on resonance
         assert n.imag > 0
 
-    def test_group_derivative_matches_finite_difference(self):
+    # omega = 10 lies above the plasma's cutoff at omega_p = 8.
+    @pytest.mark.parametrize("medium", [LORENTZ, PLASMA, VACUUM], ids=["lorentz", "plasma", "vacuum"])
+    def test_group_derivative_matches_finite_difference(self, medium):
         w, h = 10.0, 1e-6
-        fd = (refractive_index(LORENTZ, w + h) * (w + h)
-              - refractive_index(LORENTZ, w - h) * (w - h)) / (2 * h)
-        assert group_wavevector_derivative(LORENTZ, w) == pytest.approx(fd, rel=1e-6)
+        fd = (refractive_index(medium, w + h) * (w + h)
+              - refractive_index(medium, w - h) * (w - h)) / (2 * h)
+        assert group_wavevector_derivative(medium, w) == pytest.approx(fd, rel=1e-6)
+
+    def test_damped_plasma_is_drude(self):
+        # A plasma is the Lorentz resonance at zero frequency, which is the
+        # Drude form, whatever its (ignored) resonance field holds; the grid
+        # spans the cutoff at omega_p = 8.
+        w = np.linspace(0.5, 20.0, 40)
+        drude = 1.0 - 8.0**2 / (w**2 + 1j * 0.05 * w)
+        for medium in (PLASMA, replace(PLASMA, resonance=20.0)):
+            assert np.allclose(permittivity(medium, w), drude, rtol=1e-14, atol=0.0)
 
 
 class TestTransforms:
