@@ -4,10 +4,11 @@ A scenario is one YAML file with a versioned schema, parsed once, when it
 loads: every spec is built from its YAML mapping by _build and checks itself,
 and Scenario carries the built specs to the sweep.  Unknown keys are hard
 errors (silent typos corrupt physics parameters), and every field error
-names its YAML path ("lattice.tau: why").  Sweep rows run in grid
-order on the calling thread, each row an independent kernel call, so a sweep
-split into parts writes the same rows as the whole.  Per-point failures become
-reason-coded rows instead of aborting the sweep.
+names its YAML path ("lattice.tau: why").  One table, _KINDS, holds each
+kind's sweep parameters, payload keys and sweep, and run_scenario runs every
+kind's rows through one loop: in grid order on the calling thread, each row an
+independent kernel call, so a sweep split into parts writes the same rows as
+the whole, and a WavetimeError in a row becomes its reason code.
 
 Verbs:
     wavetime run <scenario.yaml>
@@ -25,7 +26,7 @@ import math
 import os
 import re
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
 
 import click
@@ -38,7 +39,6 @@ from .potentials import PotentialProfile, Segment
 __all__ = ["Scenario", "ResultTable", "load_scenario", "run_scenario", "compare_tables", "main"]
 
 SCHEMA_VERSION = 1
-_KINDS = ("timescale_sweep", "first_passage", "em_pulse")
 
 METHOD_LABELS = timescales.METHOD_LABELS
 
@@ -137,19 +137,6 @@ def _medium_kind(model, where: str) -> em_pulse.MediumKind:
         raise ValidationError(f"{where}: unknown model {model!r}") from None
 
 
-_SWEEP_PARAMS = {
-    "timescale_sweep": ("energy",),
-    "first_passage": ("step", "tau"),
-    "em_pulse": ("carrier", "thickness"),
-}
-
-_PAYLOAD_KEYS = {
-    "timescale_sweep": ({"profile", "channel"}, {"profile"}),
-    "first_passage": ({"lattice", "t_fixed"}, {"lattice"}),
-    "em_pulse": ({"pulse", "medium"}, {"pulse", "medium"}),
-}
-
-
 def load_scenario(path: str) -> Scenario:
     """Parse and validate one scenario file.
 
@@ -164,34 +151,25 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError("scenario file must contain a mapping")
     top_allowed = {"schema_version", "kind", "sweep", "output"}
-    payload_allowed = {"profile", "lattice", "pulse", "medium", "channel", "t_fixed"}
-    _require_keys(
-        raw,
-        top_allowed | payload_allowed,
-        {"schema_version", "kind", "sweep", "output"},
-        "scenario",
-    )
+    _require_keys(raw, top_allowed.union(*(rules.payload for rules in _KINDS.values())), top_allowed,
+                  "scenario")
     if raw["schema_version"] != SCHEMA_VERSION or isinstance(raw["schema_version"], bool):
         raise ValidationError(
             f"schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']}"
         )
     kind = raw["kind"]
-    if kind not in _KINDS:
-        raise ValidationError(f"kind: must be one of {_KINDS}, got {kind!r}")
-    allowed, required = _PAYLOAD_KEYS[kind]
-    _require_keys(
-        {k: v for k, v in raw.items() if k not in top_allowed},
-        allowed,
-        required,
-        f"scenario ({kind})",
-    )
+    rules = _KINDS.get(kind) if isinstance(kind, str) else None
+    if rules is None:
+        raise ValidationError(f"kind: must be one of {tuple(_KINDS)}, got {kind!r}")
+    _require_keys({k: v for k, v in raw.items() if k not in top_allowed}, rules.payload,
+                  rules.required, f"scenario ({kind})")
 
     sweep = raw["sweep"]
     _require_keys(sweep, {"parameter", "grid"}, {"parameter", "grid"}, "sweep")
-    if sweep["parameter"] not in _SWEEP_PARAMS[kind]:
+    if sweep["parameter"] not in rules.params:
         raise ValidationError(
             f"sweep.parameter: {sweep['parameter']!r} not valid for kind {kind} "
-            f"(allowed: {sorted(_SWEEP_PARAMS[kind])})"
+            f"(allowed: {sorted(rules.params)})"
         )
     step = sweep["parameter"] == "step"
     grid = [float(_finite(v, "sweep.grid", step)) for v in _numbers(sweep["grid"], "sweep.grid")]
@@ -224,7 +202,7 @@ def load_scenario(path: str) -> Scenario:
         specs = {"pulse": _build(em_pulse.PulseSpec, raw["pulse"], "pulse"),
                  "medium": _build(em_pulse.MediumSpec, raw["medium"], "medium", model=_medium_kind)}
 
-    payload = {k: raw[k] for k in allowed if k in raw}
+    payload = {k: raw[k] for k in rules.payload if k in raw}
     digest_src = json.dumps(
         {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload,
          "sweep": {"parameter": sweep["parameter"], "grid": grid}},
@@ -245,95 +223,84 @@ def load_scenario(path: str) -> Scenario:
 # sweep execution
 
 
-def _timescale_row(profile: PotentialProfile, channel: str, energy: float) -> list:
-    try:
-        report = timescales.full_report(profile, energy, channel=channel)
-    except WavetimeError as exc:
-        return [energy] + [None] * len(METHOD_LABELS) + [_reason(exc)]
-    cells = [report.entries.get(label) for label in METHOD_LABELS]
-    reason = "; ".join(
-        f"{label}: {why}" for label, why in sorted(report.reasons.items())
-    )
-    return [energy] + cells + [reason or None]
+def _timescale_sweep(scenario: Scenario):
+    def cells(energy: float):
+        report = timescales.full_report(scenario.profile, energy, channel=scenario.channel)
+        reason = "; ".join(f"{label}: {why}" for label, why in sorted(report.reasons.items()))
+        return [report.entries.get(label) for label in METHOD_LABELS], reason or None
+
+    return list(METHOD_LABELS), cells
 
 
-def _run_timescale(scenario: Scenario) -> ResultTable:
-    rows = [_timescale_row(scenario.profile, scenario.channel, e) for e in scenario.sweep_grid]
-    return ResultTable(columns=["energy", *METHOD_LABELS, "reason"], rows=rows)
-
-
-def _zeno_row(spec: first_passage.LatticeSpec, tau: float, t_fixed: float) -> list:
-    try:
-        ((_, survival),) = first_passage.zeno_scan(spec, [tau], t_fixed)
-    except WavetimeError as exc:
-        return [tau, None, _reason(exc)]
-    return [tau, survival, None]
-
-
-def _run_first_passage(scenario: Scenario) -> ResultTable:
+def _first_passage_sweep(scenario: Scenario):
     spec = scenario.lattice
     if scenario.sweep_parameter == "tau":
-        rows = [_zeno_row(spec, tau, scenario.t_fixed) for tau in scenario.sweep_grid]
-        return ResultTable(columns=["tau", "survival", "reason"], rows=rows)
+        def cells(tau: float):
+            ((_, survival),) = first_passage.zeno_scan(spec, [tau], scenario.t_fixed)
+            return [survival], None
+
+        return ["survival"], cells
     # step sweep: indices into a single stroboscopic run
     record = first_passage.evolve_project(spec)
-    rows = []
-    for v in scenario.sweep_grid:
-        n = int(v)
+
+    def cells(step: float):
+        n = int(step)
         if 1 <= n <= spec.n_steps:
-            rows.append([float(n), record.p[n - 1], record.survival[n - 1], None])
-        else:
-            rows.append([float(n), None, None, f"step {n} outside 1..{spec.n_steps}"])
-    return ResultTable(columns=["step", "p", "survival", "reason"], rows=rows)
+            return [record.p[n - 1], record.survival[n - 1]], None
+        return [None, None], f"step {n} outside 1..{spec.n_steps}"
+
+    return ["p", "survival"], cells
 
 
-def _em_row(pulse: em_pulse.PulseSpec, medium: em_pulse.MediumSpec, parameter: str, value: float) -> list:
-    try:
+_EM_COLUMNS = ("t_in", "t_out", "delta_t", "delta_t_group", "delta_t_reshape", "residual", "flags")
+
+
+def _em_sweep(scenario: Scenario):
+    def cells(value: float):
         # The specs validate themselves, so a bad sweep value is a bad row.
-        if parameter == "carrier":
+        pulse, medium = scenario.pulse, scenario.medium
+        if scenario.sweep_parameter == "carrier":
             pulse = replace(pulse, carrier=value)
         else:
             medium = replace(medium, thickness=value)
         rep = em_pulse.delay_decomposition(pulse, medium)
-    except WavetimeError as exc:
-        return [value] + [None] * 7 + [_reason(exc)]
-    flags = []
-    if not rep.residual_ok:
-        flags.append("residual_above_tolerance")
-    if rep.evanescent_regime:
-        flags.append("evanescent_regime")
-    if rep.window_truncated:
-        flags.append("window_truncated")
-    return [
-        value, rep.t_in, rep.t_out, rep.delta_t, rep.delta_t_group,
-        rep.delta_t_reshape, rep.residual, "|".join(flags) or None, None,
-    ]
+        flags = [flag for flag, on in (("residual_above_tolerance", not rep.residual_ok),
+                                       ("evanescent_regime", rep.evanescent_regime),
+                                       ("window_truncated", rep.window_truncated)) if on]
+        return [*(getattr(rep, column) for column in _EM_COLUMNS[:-1]), "|".join(flags) or None], None
+
+    return list(_EM_COLUMNS), cells
 
 
-def _run_em(scenario: Scenario) -> ResultTable:
-    rows = [_em_row(scenario.pulse, scenario.medium, scenario.sweep_parameter, v)
-            for v in scenario.sweep_grid]
-    return ResultTable(
-        columns=[scenario.sweep_parameter, "t_in", "t_out", "delta_t",
-                 "delta_t_group", "delta_t_reshape", "residual", "flags", "reason"],
-        rows=rows,
-    )
+# Per kind: its sweep parameters, allowed and required payload keys, and sweep,
+# which returns the value columns and cells(value) -> (values, reason) of a row.
+_Kind = namedtuple("_Kind", "params payload required sweep")
+_KINDS = {
+    "timescale_sweep": _Kind(("energy",), {"profile", "channel"}, {"profile"}, _timescale_sweep),
+    "first_passage": _Kind(("step", "tau"), {"lattice", "t_fixed"}, {"lattice"}, _first_passage_sweep),
+    "em_pulse": _Kind(("carrier", "thickness"), {"pulse", "medium"}, {"pulse", "medium"}, _em_sweep),
+}
 
 
 def run_scenario(scenario: Scenario) -> ResultTable:
     """Execute a sweep; rows are ordered by sweep index, failures reason-coded."""
-    runner = {
-        "timescale_sweep": _run_timescale,
-        "first_passage": _run_first_passage,
-        "em_pulse": _run_em,
-    }[scenario.kind]
-    table = runner(scenario)
-    table.metadata = {
-        "units": "natural units: hbar = 1, 2m = 1 (quantum); c = 1 (electromagnetic)",
-        "tool_version": __version__,
-        "scenario_digest": scenario.digest,
-    }
-    return table
+    columns, cells = _KINDS[scenario.kind].sweep(scenario)
+    rows = []
+    for value in scenario.sweep_grid:
+        try:
+            values, reason = cells(value)
+        except WavetimeError as exc:
+            values, reason = [None] * len(columns), _reason(exc)
+        rows.append([value, *values, reason])
+    return ResultTable(
+        columns=[scenario.sweep_parameter, *columns, "reason"],
+        rows=rows,
+        metadata={
+            "units": "natural units: hbar = 1, 2m = 1 (quantum); c = 1 (electromagnetic)",
+            "tool_version": __version__,
+            "scenario_digest": scenario.digest,
+        },
+    )
 
 
 def _render_csv(table: ResultTable) -> str:

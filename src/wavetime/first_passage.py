@@ -161,24 +161,29 @@ def calibrate_gamma(
     """Pick the absorbing strength whose survival best matches the projective run.
 
     Minimizes the max relative deviation of the non-Hermitian survival from
-    evolve_project's over the given step window (half-open, 0-based).
+    evolve_project's over the step window (half-open, 0-based), where both runs end.
 
     Returns:
         (best gamma, max relative deviation over the window).
+
+    Raises:
+        ValidationError: naming the window unless 0 <= lo < hi <= n_steps, or
+            if gammas is empty or the projective survival vanishes in it.
     """
+    lo, hi = window
+    if not 0 <= lo < hi <= spec.n_steps:
+        raise ValidationError(f"window {window} invalid for a run of {spec.n_steps} steps")
     if gammas is None:
         # The effective absorption rate is non-monotonic in gamma (overdamping
         # at large gamma), so scan a broad log grid around 1/tau.
         gammas = np.geomspace(0.05, 50.0, 40) / spec.tau
-    lo, hi = window
-    ref = evolve_project(spec).survival[lo:hi]
+    if len(gammas) == 0:
+        raise ValidationError("gammas: the grid of absorbing strengths is empty")
+    run = replace(spec, n_steps=hi)
+    ref = evolve_project(run).survival[lo:]
     if np.any(ref <= 0):
         raise ValidationError("projective survival vanishes inside the window")
-
-    devs = []
-    for g in gammas:
-        s = evolve_nonhermitian(spec, g)[lo:hi]
-        devs.append(float(np.max(np.abs(s - ref) / ref)))
+    devs = [float(np.max(np.abs(evolve_nonhermitian(run, g)[lo:] - ref) / ref)) for g in gammas]
     best = int(np.argmin(devs))
     return float(gammas[best]), devs[best]
 

@@ -79,9 +79,9 @@ def wavevector(E: float, segment: Segment, channel: int | None = None) -> comple
     return _k(E, segment.v_real, segment.v_imag, shift)
 
 
-def _k(E: float, v_real: float, v_imag: float, shift: float | None = None) -> complex:
-    """wavevector's k^2 = complex(E - v_real, v_imag) (+ shift, the Zeeman
-    term) and its branch, on bare numbers: the clock probes call it for the
+def _k(E: float, v_real: float, v_imag: float, shift: complex | None = None) -> complex:
+    """wavevector's k^2 = complex(E - v_real, v_imag) (+ shift, which may be
+    complex) and its branch, on bare numbers: the clock probes call it for the
     segments they move, so a probe's k is the public solve's to the bit."""
     k2 = complex(E - v_real, v_imag)
     if shift is not None:

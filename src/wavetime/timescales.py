@@ -33,10 +33,11 @@ segment wavevectors, the segment lengths, the lead wavevectors and the exit
 phase exp(-i k_R X).  Each probe is one _Chain.fold with the entries its
 parameter moves replaced (the clock segments' k for the imaginary clock and the
 Larmor clock, their propagation wavevectors for the sojourn); a Wigner probe
-prepares the chain anew at E + dE.  A moved k comes from scatter._k, the rule
-scatter.wavevector applies, and the public solves fold the same _Chain, so a
-probe gives the amplitude the public solve gives for the clocked profile, to
-the bit.
+prepares the chain anew at E + dE.  The Larmor and imaginary clocks share
+_clock_probe, which moves the clock segments' k^2 by one complex shift.  A
+moved k comes from scatter._k, the rule scatter.wavevector applies, and the
+public solves fold the same _Chain, so a probe gives the amplitude the public
+solve gives for the clocked profile, to the bit.
 """
 from __future__ import annotations
 
@@ -384,39 +385,47 @@ def _spin_expectations(a: complex, b: complex, what: str) -> tuple[float, float]
     return s_y, s_z
 
 
+def _clock_probe(profile: PotentialProfile, E: float, channel: str, spins=(None,)):
+    """(energy scale of the clock region, amplitude): amplitude(shift, spin)
+    is the channel amplitude (r, or the absolute t) of one fold of the chain of
+    Zeeman channel spin, one of spins, with every clock segment's field-free
+    k^2 = E - v_real + i v_imag moved by shift.  A real shift is the Larmor
+    clock's Zeeman term and an imaginary one the imaginary clock's absorption:
+    the two parts of one complex time (Sokolovski & Baskin, PRA 36, 4604 (1987))."""
+    _check_channel(channel)
+    profile.require_clock_region()
+    clock_segs = list(profile.clock_indices())
+    clocked = [(j, profile.segments[j]) for j in clock_segs]
+    # A strong absorber or amplifier sets the scale too, so that no step is
+    # lost to rounding in v_imag + shift.
+    scale = max(_energy_scale(profile, E, clock_segs), *(abs(seg.v_imag) for _, seg in clocked))
+    chains = {spin: scatter._Chain(profile, E, spin) for spin in spins}
+
+    def amplitude(shift: complex, spin: int | None = None) -> complex:
+        chain = chains[spin]
+        t, r, _, _ = chain.fold((j, scatter._k(E, seg.v_real, seg.v_imag, shift)) for j, seg in clocked)
+        return r if channel == "reflection" else t * chain.exit_phase
+
+    return scale, amplitude
+
+
 def _larmor_detailed(
     profile: PotentialProfile, E: float, channel: str
 ) -> tuple[float, float, float]:
     """(tau_y, tau_z, sign of d<S_y>/d omega_L) of larmor_times."""
-    _check_channel(channel)
-    profile.require_clock_region()
+    scale, amplitude = _clock_probe(profile, E, channel, (+1, -1))
     clock_segs = profile.clock_indices()
     # With no Zeeman field outside the clock region, spin-down at +omega has
     # the k^2 shift of spin-up at -omega (and vice versa), so the pair at
     # -omega is the pair at +omega swapped, bit for bit.
-    mirrored = all(
-        seg.omega_larmor == 0.0
-        for j, seg in enumerate(profile.segments)
-        if j not in clock_segs
-    )
-    scale = _energy_scale(profile, E, list(clock_segs))
-    chains = {spin: scatter._Chain(profile, E, spin) for spin in (+1, -1)}
-    clocked = [(j, profile.segments[j]) for j in clock_segs]
-
-    def amplitude(spin: int, omega: float) -> complex:
-        chain = chains[spin]
-        t, r, _, _ = chain.fold(
-            (j, scatter._k(E, seg.v_real, seg.v_imag, spin * omega / 2.0)) for j, seg in clocked
-        )
-        return r if channel == "reflection" else t * chain.exit_phase
-
+    mirrored = all(seg.omega_larmor == 0.0 for j, seg in enumerate(profile.segments) if j not in clock_segs)
     solved: dict[float, tuple[complex, complex]] = {}
 
     def pair(omega: float) -> tuple[complex, complex]:
         if mirrored and omega < 0:
             return pair(-omega)[::-1]
         if omega not in solved:
-            solved[omega] = amplitude(+1, omega), amplitude(-1, omega)
+            solved[omega] = amplitude(omega / 2.0, +1), amplitude(-omega / 2.0, -1)
         return solved[omega]
 
     h, pairs = _ladder(pair, scale)
@@ -443,24 +452,15 @@ def larmor_times(
 def imag_clock_time(
     profile: PotentialProfile, E: float, channel: str = "transmission"
 ) -> float:
-    """Imaginary-potential clock time from d ln|T|^2 / d V_I at V_I -> 0.
+    """Imaginary-potential clock time from d ln|T|^2 / d V_I (or ln|R|^2).
 
-    Positive V_I is absorption (flux decays), so the time is minus half the
-    logarithmic derivative; free propagation then clocks the literal crossing
-    time L/(2k).
+    The probe absorption adds to each clock segment's v_imag, so the derivative
+    is taken at the region's own V_I.  Positive V_I is absorption (flux
+    decays), so the time is minus half the logarithmic derivative; free
+    propagation then clocks the literal crossing time L/(2k).
     """
-    _check_channel(channel)
-    profile.require_clock_region()
-    clock_segs = profile.clock_indices()
-    scale = _energy_scale(profile, E, list(clock_segs))
-    chain = scatter._Chain(profile, E)
-    clocked = [(j, profile.segments[j]) for j in clock_segs]
-
-    def amplitude(v_imag: float) -> complex:
-        t, r, _, _ = chain.fold((j, scatter._k(E, seg.v_real, v_imag)) for j, seg in clocked)
-        return t * chain.exit_phase if channel == "transmission" else r
-
-    h, amps = _ladder(amplitude, scale)
+    scale, amplitude = _clock_probe(profile, E, channel)
+    h, amps = _ladder(lambda v_imag: amplitude(complex(0.0, v_imag)), scale)
     return -0.5 * richardson(_reduce(amps, "log", f"{channel} amplitude"), h)
 
 

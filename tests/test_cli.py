@@ -826,7 +826,11 @@ class TestCompare:
 
 def test_import_leaves_out_integrate_and_optimize(tmp_path):
     # Nothing the command line imports or parses needs scipy: only
-    # first_passage.evolve_nonhermitian does, and it imports it itself.
+    # first_passage.evolve_nonhermitian does, and it imports it itself.  The
+    # only packages outside the standard library that importing the CLI and
+    # loading one scenario of each kind may load are click, numpy, yaml and
+    # wavetime itself (numpy brings its Cython runtime modules along): each
+    # other import would cost every run its setup time.
     paths = [str(timescale_scenario(tmp_path))]
     for name, doc in (("zeno", zeno_doc(tmp_path, "tau")),
                       ("pulse", {**em_sweep_doc("carrier", [9.0, 10.0]),
@@ -835,9 +839,13 @@ def test_import_leaves_out_integrate_and_optimize(tmp_path):
         paths.append(str(tmp_path / f"{name}.yaml"))
         Path(paths[-1]).write_text(yaml.safe_dump(doc))
     code = (
-        "import sys, wavetime.cli as cli\n"
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import wavetime.cli as cli\n"
         "kinds = [cli.load_scenario(p).kind for p in sys.argv[1:]]\n"
-        "print(kinds, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before} - sys.stdlib_module_names\n"
+        "print(json.dumps([kinds, sorted(m for m in loaded\n"
+        "                                if m != 'cython_runtime' and not m.startswith('_cython_'))]))"
     )
     src = str(Path(wavetime.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -845,4 +853,6 @@ def test_import_leaves_out_integrate_and_optimize(tmp_path):
         [sys.executable, "-c", code, *paths],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.strip() == "['timescale_sweep', 'first_passage', 'em_pulse'] []"
+    kinds, packages = json.loads(out.stdout)
+    assert kinds == ["timescale_sweep", "first_passage", "em_pulse"]
+    assert set(packages) <= {"click", "numpy", "yaml", "wavetime"}, packages

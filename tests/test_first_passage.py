@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from wavetime import first_passage
 from wavetime.errors import ValidationError
 from wavetime.first_passage import (
     _MAX_STEPS,
@@ -192,6 +194,41 @@ class TestNonHermitian:
         spec = LatticeSpec(201, 1.0, 99, frozenset({100}), 0.25, 200)
         gamma, dev = calibrate_gamma(spec, (20, 150))
         assert dev < 0.05
+
+
+class TestCalibrationInput:
+    SPEC = LatticeSpec(41, 1.0, 20, frozenset({21}), 0.25, 60)
+
+    @pytest.mark.parametrize("window", [(30, 10), (-5, 10), (10, 100), (10, 10), (0, 61)])
+    def test_window_must_lie_in_the_run(self, window):
+        # Reversed, negative, empty or past n_steps: refused by name, not cut
+        # short by a slice or left to numpy.
+        with pytest.raises(ValidationError, match=re.escape(f"window {window} invalid")):
+            calibrate_gamma(self.SPEC, window, [1.0])
+
+    def test_empty_gamma_grid_is_refused(self):
+        with pytest.raises(ValidationError, match="gammas"):
+            calibrate_gamma(self.SPEC, (10, 40), [])
+
+    def test_runs_stop_at_the_window_end(self, monkeypatch):
+        # Both evolutions run to the window's end and no further, and the
+        # result is the one of the full-length runs, to the bit.
+        lo, hi = 10, 40
+        gammas = [0.5, 2.0, 8.0]
+        ref = evolve_project(self.SPEC).survival[lo:hi]
+        devs = [np.max(np.abs(evolve_nonhermitian(self.SPEC, g)[lo:hi] - ref) / ref) for g in gammas]
+        best = int(np.argmin(devs))
+        lengths = []
+        for name in ("evolve_project", "evolve_nonhermitian"):
+            original = getattr(first_passage, name)
+
+            def recorded(spec, *args, original=original):
+                lengths.append(spec.n_steps)
+                return original(spec, *args)
+
+            monkeypatch.setattr(first_passage, name, recorded)
+        assert calibrate_gamma(self.SPEC, (lo, hi), gammas) == (gammas[best], devs[best])
+        assert lengths == [hi] * (1 + len(gammas))
 
 
 class TestPowerLaw:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -48,6 +49,26 @@ def dressed_wavevector(profile, E, j, xi):
         return complex(k, xi / (2.0 * k * seg.length))
     kappa = math.sqrt(seg.v_real - E)
     return complex(xi / (2.0 * kappa * seg.length), kappa)
+
+
+def add_clock_absorption(profile, s):
+    """profile with s added to the v_imag of every segment of its clock region."""
+    segments = list(profile.segments)
+    for j in profile.clock_indices():
+        segments[j] = replace(segments[j], v_imag=segments[j].v_imag + s)
+    return replace(profile, segments=tuple(segments))
+
+
+def absorption_difference(profile, E, h):
+    """-1/2 d ln|T|^2 / d V_I at the clock region's own V_I, from public solves
+    only: the central differences D(h) and D(h/2) of ln|T|^2, with s added to
+    every clock segment's v_imag, combined as (4 D(h/2) - D(h)) / 3."""
+
+    def log_t2(s):
+        return math.log(abs(solve(add_clock_absorption(profile, s), E).t) ** 2)
+
+    d1, d2 = ((log_t2(s) - log_t2(-s)) / (2.0 * s) for s in (h, 0.5 * h))
+    return -0.5 * (4.0 * d2 - d1) / 3.0
 
 
 def larmor_paired_sojourn(profile, E, h):
@@ -301,13 +322,32 @@ class TestBL:
 class TestClockIdentities:
     def test_larmor_precession_equals_imag_clock(self, rng):
         # Both clocks differentiate the same analytic amplitude along
-        # conjugate directions (real vs imaginary potential), so they agree.
+        # conjugate directions (real vs imaginary shift of k^2), so they agree,
+        # on a real clock region and, by analyticity, on one that absorbs or
+        # amplifies: there both shifts start from the region's own V_I.
         for _ in range(10):
-            prof = random_real_profile(rng, clock_region=True)
-            e = safe_energy(rng, prof)
-            tau_y, _ = larmor_times(prof, e)
-            tau_i = imag_clock_time(prof, e)
-            assert tau_y == pytest.approx(abs(tau_i), rel=1e-6, abs=1e-9)
+            real = random_real_profile(rng, clock_region=True)
+            e = safe_energy(rng, real)
+            complex_region = PotentialProfile(
+                tuple(replace(seg, v_imag=float(rng.uniform(-1.0, 1.0)))
+                      if j in real.clock_indices() else seg
+                      for j, seg in enumerate(real.segments)),
+                real.clock_region,
+            )
+            for prof in (real, complex_region):
+                tau_y, _ = larmor_times(prof, e)
+                tau_i = imag_clock_time(prof, e)
+                assert tau_y == pytest.approx(abs(tau_i), rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("v_imag, expected", [(0.3, 0.3629728427), (-0.3, 0.4215851197)])
+    def test_imag_clock_times_a_complex_region_at_its_own_v_imag(self, v_imag, expected):
+        # An absorbing (or amplifying) region is timed as it stands: the probe
+        # absorption adds to the segment's v_imag.  The reference is a
+        # Richardson central difference of the public solve over that V_I.
+        prof = PotentialProfile((Segment(1.0, 0.5, v_imag=v_imag),), (0, 0))
+        reference = absorption_difference(prof, 2.0, 1e-3)
+        assert reference == pytest.approx(expected, rel=1e-9)
+        assert imag_clock_time(prof, 2.0) == pytest.approx(reference, rel=1e-10)
 
     @pytest.mark.parametrize("channel", ["transmission", "reflection"])
     @pytest.mark.parametrize("e", [2.0, 5.0])
@@ -414,8 +454,9 @@ class TestSojourn:
     @pytest.mark.parametrize("v_imag", [1e2, 1e6, 1e10, -1e2])
     def test_region_must_be_real(self, v_imag):
         # The dressing is defined on a real potential: a clock region that
-        # absorbs or amplifies is refused by name, where bl and the
-        # imaginary clock still read the crossing time L/(2k).
+        # absorbs or amplifies is refused by name, where bl still reads the
+        # crossing time L/(2k) and the imaginary clock times the region at its
+        # own V_I.
         prof = PotentialProfile((Segment(1e-6, 0.0, v_imag=v_imag),), (0, 0))
         kind = "absorptive" if v_imag > 0 else "amplifying"
         for clock in (sojourn_transmission, sojourn_reflection, dwell_time):
@@ -425,7 +466,12 @@ class TestSojourn:
         assert rep.reasons["sojourn"].startswith("ValidationError: ")
         assert "sojourn" not in rep.entries
         assert rep.entries["bl"] == pytest.approx(5e-7, rel=1e-12)
-        assert rep.entries["imag_clock"] == pytest.approx(5e-7, rel=1e-6)
+        # The reference is a central difference of the public solve over the
+        # segment's own V_I.  ln|T|^2 moves by only ~1e-6 per unit of V_I
+        # here, so rounding limits the difference to ~1e-8 relative at
+        # |V_I| = 1e2; the tolerance is rel 1e-7.
+        reference = absorption_difference(prof, 1.0, 1e-3 * abs(v_imag))
+        assert rep.entries["imag_clock"] == pytest.approx(reference, rel=1e-7)
 
     def test_thin_real_region_reads_crossing_time(self):
         prof = PotentialProfile((Segment(1e-6, 0.0),), (0, 0))
@@ -624,7 +670,7 @@ def public_probes(profile, E, channel):
         return sol.t_local if channel == "transmission" else sol.r
 
     def imag(s):
-        sol = solve(set_clock(profile, v_imag=s), E)
+        sol = solve(add_clock_absorption(profile, s), E)
         return sol.t if channel == "transmission" else sol.r
 
     def larmor(s):
