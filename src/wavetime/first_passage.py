@@ -11,6 +11,9 @@ The chain is diagonal in its sine modes V[j, k] = sqrt(2/(N+1)) sin(pi (j+1)(k+1
 E_k = -2J cos(pi (k+1)/(N+1)), and both runs keep the N mode amplitudes c = V psi.  A
 projective step is a phase multiply, a read a = V_D c and the rank-|D| update
 c -= V_D^T a: O(N |D|) with no N x N array; S(n) = ||c||^2 since V is orthogonal.
+The absorbing run is closed form: a mode no detector sees (V_D[:, k] = 0) keeps
+its amplitude, and one eigendecomposition of diag(E) - i gamma V_D^T V_D on the
+other modes gives every step at once.  The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -36,6 +39,15 @@ __all__ = [
 # The most measure-and-project cycles one run may take: each keeps p(n) and
 # S(n), so 10**7 steps hold 160 MB and run for minutes.
 _MAX_STEPS = 10**7
+
+# The largest mode expansion (sum_j |a_j| ||u_j||)^2 that evolve_nonhermitian
+# accepts.  The rounding in S(n) grows with it, to about 1e-10 at this bound;
+# the expansion diverges at an exceptional point, where the eigenvectors merge.
+_MAX_EXPANSION = 1e6
+
+# Bright-mode amplitudes (steps x modes) that evolve_nonhermitian holds at
+# once: 4 MB per array, so a long run on a long chain stays small.
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -105,11 +117,15 @@ def _modes(spec: LatticeSpec, sites: Sequence[int]) -> tuple[np.ndarray, np.ndar
     """Rows of the sine-mode matrix V at the given sites, and the energies E_k.
 
     (j+1)(k+1) is reduced modulo 2(N+1) before scaling by pi, which keeps the
-    symmetric V orthogonal to ~1e-15 at N ~ 1000 (~5e-14 without)."""
+    symmetric V orthogonal to ~1e-15 at N ~ 1000 (~5e-14 without), and V is
+    exactly zero where the product is a multiple of N+1 (sin(pi) is 1.2e-16),
+    so a mode that a site does not see is exactly dark there."""
     n1 = spec.n_sites + 1
     k = np.arange(1, n1)
     j = np.asarray(sites)[:, None] + 1
-    rows = math.sqrt(2.0 / n1) * np.sin(np.pi * ((j * k) % (2 * n1)) / n1)
+    phase = (j * k) % (2 * n1)
+    rows = math.sqrt(2.0 / n1) * np.sin(np.pi * phase / n1)
+    rows[phase % n1 == 0] = 0.0
     return rows, -2.0 * spec.hopping * np.cos(np.pi * k / n1)
 
 
@@ -135,21 +151,41 @@ def evolve_project(spec: LatticeSpec) -> DetectionRecord:
 def evolve_nonhermitian(spec: LatticeSpec, gamma: float) -> np.ndarray:
     """Survival ||psi(n tau)||^2 under H - i gamma sum_d |d><d|, n = 1..n_steps.
 
-    Raises:
-        ValidationError: if gamma is not positive.
-    """
-    if not gamma > 0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
-    # The only scipy user: importing it here keeps scipy out of every other run.
-    from scipy.linalg import expm
+    In the sine modes the generator is diag(E) - i gamma V_D^T V_D.  A dark
+    mode (V_D[:, k] = 0) keeps its amplitude and adds |c_k|^2 to S.  On the m
+    bright modes one eigendecomposition W diag(lambda) W^-1 gives every step:
+    with a = W^-1 c, the bright amplitudes at n tau are W (a * exp(-i lambda n tau)).
 
+    Raises:
+        ValidationError: if gamma is not positive and finite, or naming gamma
+            if it lies so near an exceptional point (W singular) that the
+            expansion (sum_j |a_j| ||u_j||)^2 over the columns u_j of W
+            exceeds _MAX_EXPANSION.
+    """
+    if not 0 < gamma < math.inf:
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     rows, energies = _modes(spec, [spec.initial_site, *sorted(spec.detector_sites)])
-    c, v_d = rows[0].astype(complex), rows[1:]
-    step = expm(-1j * spec.tau * (np.diag(energies) - 1j * gamma * (v_d.T @ v_d)))
+    c, v_d = rows[0], rows[1:]
+    bright = np.any(v_d != 0.0, axis=0)
+    s_dark = float(np.sum(c[~bright] ** 2))
+    v_b = v_d[:, bright]
+    lam, w = np.linalg.eig(np.diag(energies[bright]) - 1j * gamma * (v_b.T @ v_b))
+    try:
+        a = np.linalg.solve(w, c[bright])
+    except np.linalg.LinAlgError:
+        a = np.full(lam.shape, np.inf)
+    expansion = float(np.sum(np.abs(a) * np.linalg.norm(w, axis=0))) ** 2
+    if not expansion <= _MAX_EXPANSION:
+        raise ValidationError(
+            f"gamma: {gamma!r} lies at an exceptional point of H - i gamma P_D "
+            f"(mode expansion {expansion:.3g} exceeds {_MAX_EXPANSION:g})"
+        )
+    n = np.arange(1, spec.n_steps + 1)
     s = np.empty(spec.n_steps)
-    for n in range(spec.n_steps):
-        c = step @ c
-        s[n] = float(np.vdot(c, c).real)
+    block = max(1, _BLOCK_ENTRIES // lam.size)
+    for lo in range(0, spec.n_steps, block):
+        f = a * np.exp(-1j * spec.tau * np.outer(n[lo : lo + block], lam))
+        s[lo : lo + block] = s_dark + np.sum(np.abs(f @ w.T) ** 2, axis=1)
     return s
 
 
@@ -168,7 +204,9 @@ def calibrate_gamma(
 
     Raises:
         ValidationError: naming the window unless 0 <= lo < hi <= n_steps, or
-            if gammas is empty or the projective survival vanishes in it.
+            if gammas is empty or the projective survival vanishes in it; and
+            evolve_nonhermitian's, naming gamma, for a gamma of the grid at an
+            exceptional point.
     """
     lo, hi = window
     if not 0 <= lo < hi <= spec.n_steps:

@@ -9,7 +9,8 @@ Implemented clocks and delays (natural units, hbar = 1, 2m = 1):
   classical crossing d/(2 k) above it (the super-barrier form is an
   interpretation; the WKB expression is sub-barrier only).
 * Larmor clock: spin precession (tau_y) and spin rotation (tau_z) from the two
-  Zeeman channels, extrapolated to zero field.
+  Zeeman channels, differentiated at the clock region's own field (zero unless
+  a clock segment carries one).
 * Imaginary-potential clock: logarithmic sensitivity of |T|^2 (or |R|^2) to a
   small absorptive potential in the clock region.
 * Sojourn times: the paired-variable correction.  Interface scattering is
@@ -388,10 +389,12 @@ def _spin_expectations(a: complex, b: complex, what: str) -> tuple[float, float]
 def _clock_probe(profile: PotentialProfile, E: float, channel: str, spins=(None,)):
     """(energy scale of the clock region, amplitude): amplitude(shift, spin)
     is the channel amplitude (r, or the absolute t) of one fold of the chain of
-    Zeeman channel spin, one of spins, with every clock segment's field-free
-    k^2 = E - v_real + i v_imag moved by shift.  A real shift is the Larmor
-    clock's Zeeman term and an imaginary one the imaginary clock's absorption:
-    the two parts of one complex time (Sokolovski & Baskin, PRA 36, 4604 (1987))."""
+    Zeeman channel spin, one of spins, with every clock segment's own
+    k^2 = E - v_real + i v_imag (+ spin omega_larmor / 2) moved by shift, so
+    the derivative is taken at the region's own field and V_I.  A real shift
+    is the Larmor clock's Zeeman term and an imaginary one the imaginary
+    clock's absorption: the two parts of one complex time (Sokolovski &
+    Baskin, PRA 36, 4604 (1987))."""
     _check_channel(channel)
     profile.require_clock_region()
     clock_segs = list(profile.clock_indices())
@@ -403,7 +406,10 @@ def _clock_probe(profile: PotentialProfile, E: float, channel: str, spins=(None,
 
     def amplitude(shift: complex, spin: int | None = None) -> complex:
         chain = chains[spin]
-        t, r, _, _ = chain.fold((j, scatter._k(E, seg.v_real, seg.v_imag, shift)) for j, seg in clocked)
+        zeeman = 0.0 if spin is None else spin / 2.0
+        t, r, _, _ = chain.fold(
+            (j, scatter._k(E, seg.v_real, seg.v_imag, shift + zeeman * seg.omega_larmor)) for j, seg in clocked
+        )
         return r if channel == "reflection" else t * chain.exit_phase
 
     return scale, amplitude
@@ -414,11 +420,10 @@ def _larmor_detailed(
 ) -> tuple[float, float, float]:
     """(tau_y, tau_z, sign of d<S_y>/d omega_L) of larmor_times."""
     scale, amplitude = _clock_probe(profile, E, channel, (+1, -1))
-    clock_segs = profile.clock_indices()
-    # With no Zeeman field outside the clock region, spin-down at +omega has
-    # the k^2 shift of spin-up at -omega (and vice versa), so the pair at
-    # -omega is the pair at +omega swapped, bit for bit.
-    mirrored = all(seg.omega_larmor == 0.0 for j, seg in enumerate(profile.segments) if j not in clock_segs)
+    # With no Zeeman field on any segment, spin-down at +omega has the k^2
+    # shift of spin-up at -omega (and vice versa), so the pair at -omega is
+    # the pair at +omega swapped, bit for bit.
+    mirrored = all(seg.omega_larmor == 0.0 for seg in profile.segments)
     solved: dict[float, tuple[complex, complex]] = {}
 
     def pair(omega: float) -> tuple[complex, complex]:
@@ -441,10 +446,11 @@ def larmor_times(
 ) -> tuple[float, float]:
     """Spin precession and spin rotation times (tau_y, tau_z).
 
-    tau_y = 2 |d<S_y>/d omega_L| and tau_z = 2 d<S_z>/d omega_L at zero field
-    (hbar = 1; the derivative is taken in omega_L, so the gyromagnetic factors
-    cancel).  tau_y is reported as a magnitude; the raw derivative sign is
-    available through full_report diagnostics.
+    tau_y = 2 |d<S_y>/d omega_L| and tau_z = 2 d<S_z>/d omega_L, with omega_L
+    added to every clock segment's own field (hbar = 1; the derivative is
+    taken in omega_L, so the gyromagnetic factors cancel).  tau_y is reported
+    as a magnitude; the raw derivative sign is available through full_report
+    diagnostics.
     """
     return _larmor_detailed(profile, E, channel)[:2]
 

@@ -403,3 +403,65 @@ def test_criterion_14_determinism(tmp_path):
             differ.append(parameter)
     report(14, "byte-identical sweep rows, whole grid vs its two halves",
            not differ, f"differ: {differ}" if differ else "")
+
+
+def phase_classes(n_sites, hopping, tau, detector):
+    """The chain's sine modes at the detector, grouped by their phase
+    e^{-i E_k tau}, from the mode formula alone: (v(x), classes), where v(x)
+    is the column of mode amplitudes at site x and each class lists the
+    modes that the detector sees (v_k(d) != 0) with one common phase."""
+    k = np.arange(1, n_sites + 1)
+
+    def v(x):
+        return math.sqrt(2.0 / (n_sites + 1)) * np.sin(np.pi * (x + 1) * k / (n_sites + 1))
+
+    phase = np.exp(-1j * tau * -2.0 * hopping * np.cos(np.pi * k / (n_sites + 1)))
+    classes = []
+    for mode in np.flatnonzero(np.abs(v(detector)) > 1e-12):
+        same = [c for c in classes if abs(phase[c[0]] - phase[mode]) < 1e-9]
+        if same:
+            same[0].append(mode)
+        else:
+            classes.append([mode])
+    return v, classes
+
+
+# tau at which the two outermost modes of the 21-site chain, both seen from
+# its centre, take the same phase: E_21 - E_1 = 4 cos(pi/22).
+RESONANT_TAU = 2.0 * math.pi / (4.0 * math.cos(math.pi / 22.0))
+
+
+def test_criterion_15_quantized_return_time():
+    # Started on the detector, the particle returns surely, after a mean of
+    # w steps, w the number of distinct phases among the modes the detector
+    # sees: a winding number (Gruenbaum, Velazquez, Werner & Werner, CMP 320,
+    # 543 (2013); Friedman, Kessler & Barkai, PRE 95, 032141 (2017)).  The
+    # two dark modes of the 20-site chain and the merged pair at the resonant
+    # tau each lower w, so a wrong mode set, projector or phase moves it.
+    ok = True
+    means = []
+    for n_sites, detector, tau, expected in ((21, 10, 1.0, 11), (20, 5, 1.3, 18),
+                                             (21, 10, RESONANT_TAU, 10)):
+        _, classes = phase_classes(n_sites, 1.0, tau, detector)
+        rec = evolve_project(LatticeSpec(n_sites, 1.0, detector, frozenset({detector}), tau, 20000))
+        mean = float(np.sum(np.arange(1, rec.p.size + 1) * rec.p))
+        ok &= len(classes) == expected and abs(mean - expected) < 1e-9 and rec.survival[-1] < 1e-12
+        means.append(f"w {len(classes)}: {mean:.12f}")
+    report(15, "mean first-detected return time is the winding number w", ok, ", ".join(means))
+
+
+def test_criterion_16_dark_state_detection():
+    # From another site, detection is not sure: the probability that the
+    # projections ever see the particle is the sum over phase classes of
+    # |sum_k v_k(d) v_k(x0)|^2 / sum_k v_k(d)^2; the rest stays in dark states.
+    ok = True
+    worst = 0.0
+    for tau, expected in ((1.0, 0.5), (RESONANT_TAU, 0.446855910273)):
+        v, classes = phase_classes(21, 1.0, tau, 10)
+        v_d, v_x = v(10), v(3)
+        p_det = sum(np.sum(v_d[c] * v_x[c]) ** 2 / np.sum(v_d[c] ** 2) for c in classes)
+        detected = float(np.sum(evolve_project(LatticeSpec(21, 1.0, 3, frozenset({10}), tau, 2000)).p))
+        worst = max(worst, abs(detected - p_det))
+        ok &= abs(detected - p_det) < 1e-12 and abs(p_det - expected) < 1e-11
+    report(16, "total detection probability from the dark-state decomposition", ok,
+           f"worst |P_det - formula| {worst:.2e}")

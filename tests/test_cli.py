@@ -316,12 +316,17 @@ class TestRun:
         assert float(cells[1]) == table.rows[0][1]
 
     def test_malformed_config_is_structured_error(self, tmp_path):
+        # libyaml words its errors its own way; each still arrives as one
+        # named error with exit 2.
         path = tmp_path / "broken.yaml"
-        path.write_text("kind: timescale_sweep\nsweep: [not, a, mapping\n")
         runner = CliRunner()
-        res = runner.invoke(main, ["run", str(path)])
-        assert res.exit_code == 2
-        assert "error:" in res.stderr
+        for text in ("kind: timescale_sweep\nsweep: [not, a, mapping\n", "kind: a: b\n",
+                     "  - x\n- y\n", "kind: 'unterminated\n", "kind:\n\t- 1\n", "kind: *nope\n",
+                     "- a\nkind: 1\n", "kind: \x07\n"):
+            path.write_text(text)
+            res = runner.invoke(main, ["run", str(path)])
+            assert res.exit_code == 2
+            assert "error: scenario file is not valid YAML: " in res.stderr
 
     def test_unwritable_output_is_error(self, tmp_path):
         doc = yaml.safe_load(timescale_scenario(tmp_path).read_text())
@@ -825,12 +830,11 @@ class TestCompare:
 
 
 def test_import_leaves_out_integrate_and_optimize(tmp_path):
-    # Nothing the command line imports or parses needs scipy: only
-    # first_passage.evolve_nonhermitian does, and it imports it itself.  The
-    # only packages outside the standard library that importing the CLI and
-    # loading one scenario of each kind may load are click, numpy, yaml and
-    # wavetime itself (numpy brings its Cython runtime modules along): each
-    # other import would cost every run its setup time.
+    # Nothing in wavetime needs scipy.  The only packages outside the
+    # standard library that importing the CLI, loading one scenario of each
+    # kind and calibrating the absorbing lattice may load are click, numpy,
+    # yaml and wavetime itself (numpy brings its Cython runtime modules
+    # along): each other import would cost every run its setup time.
     paths = [str(timescale_scenario(tmp_path))]
     for name, doc in (("zeno", zeno_doc(tmp_path, "tau")),
                       ("pulse", {**em_sweep_doc("carrier", [9.0, 10.0]),
@@ -843,6 +847,8 @@ def test_import_leaves_out_integrate_and_optimize(tmp_path):
         "before = set(sys.modules)\n"
         "import wavetime.cli as cli\n"
         "kinds = [cli.load_scenario(p).kind for p in sys.argv[1:]]\n"
+        "from wavetime.first_passage import LatticeSpec, calibrate_gamma\n"
+        "calibrate_gamma(LatticeSpec(11, 1.0, 5, [8], 0.5, 20), (5, 20), [0.5, 2.0])\n"
         "loaded = {m.split('.')[0] for m in set(sys.modules) - before} - sys.stdlib_module_names\n"
         "print(json.dumps([kinds, sorted(m for m in loaded\n"
         "                                if m != 'cython_runtime' and not m.startswith('_cython_'))]))"

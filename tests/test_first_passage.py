@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -189,11 +190,82 @@ class TestNonHermitian:
         spec = LatticeSpec(5, 1.0, 0, frozenset({4}), 1.0, 1)
         with pytest.raises(ValidationError):
             evolve_nonhermitian(spec, 0.0)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            evolve_nonhermitian(spec, math.inf)
+
+    def test_blocks_of_steps_join_up(self, monkeypatch):
+        # A long run is evaluated a block of steps at a time; blocks of 3 steps
+        # of the 9 bright modes give the one-block run.
+        spec = LatticeSpec(11, 1.0, 5, [8], 0.5, 40)
+        whole = evolve_nonhermitian(spec, 1.0)
+        monkeypatch.setattr(first_passage, "_BLOCK_ENTRIES", 3 * 9)
+        assert np.max(np.abs(evolve_nonhermitian(spec, 1.0) - whole)) < 1e-15
+
+    def test_unseen_modes_are_exactly_dark(self):
+        # The centre of the 161-site chain sees only its 81 odd modes, and
+        # site 5 of the 20-site chain misses modes 7 and 14 (6k = 0 mod 21):
+        # their detector amplitudes are zero, not sin(pi) = 1.2e-16.
+        for n_sites, site, dark in ((161, 80, 80), (20, 5, 2)):
+            rows, _ = _modes(LatticeSpec(n_sites, 1.0, 0, [site], 1.0, 1), [site])
+            assert np.count_nonzero(rows == 0.0) == dark
+            assert np.min(np.abs(rows[rows != 0.0])) > 1e-3
 
     def test_calibrated_gamma_tracks_projective_run(self):
         spec = LatticeSpec(201, 1.0, 99, frozenset({100}), 0.25, 200)
         gamma, dev = calibrate_gamma(spec, (20, 150))
         assert dev < 0.05
+
+
+def mpmath_survival(spec, gamma):
+    """||psi(n tau)||^2, n = 1..n_steps, from mpmath's expm of the site-basis
+    H - i gamma P_D at 30 digits: shares no code or basis with the sine modes."""
+    with mpmath.workdps(30):
+        h = mpmath.matrix(spec.n_sites)
+        for i in range(spec.n_sites - 1):
+            h[i, i + 1] = h[i + 1, i] = -spec.hopping
+        for d in spec.detector_sites:
+            h[d, d] = -1j * mpmath.mpf(gamma)
+        step = mpmath.expm(-1j * mpmath.mpf(spec.tau) * h)
+        psi = mpmath.matrix(spec.n_sites, 1)
+        psi[spec.initial_site] = 1
+        out = []
+        for _ in range(spec.n_steps):
+            psi = step * psi
+            out.append(float(sum(abs(x) ** 2 for x in psi)))
+    return np.array(out)
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("spec", [LatticeSpec(9, 1.0, 0, [4], 0.4, 60),
+                                      LatticeSpec(20, 1.3, 3, [10, 15], 0.7, 30)])
+    def test_matches_thirty_digit_exponential(self, spec, gamma):
+        # A generator of norm ~gamma carries a rounding of eps * gamma in
+        # double precision, whatever evolves it: the expm path was off by
+        # 6.8e-12 on the 20-site chain at gamma = 1e4.
+        tol = 1e-12 + 4 * np.finfo(float).eps * gamma
+        assert np.max(np.abs(evolve_nonhermitian(spec, gamma) - mpmath_survival(spec, gamma))) < tol
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-3])
+    def test_exceptional_point_is_refused_by_name(self, delta):
+        # The 3-site chain seen from its centre has one bright pair, with
+        # eigenvalues (-i gamma +- sqrt(8 - gamma^2)) / 2: they and their
+        # eigenvectors merge at gamma = 2 sqrt 2.  Near it the value is
+        # refused by name or right to 1e-12, never wrong; 1e-3 away it is a value.
+        spec = LatticeSpec(3, 1.0, 0, [1], 0.5, 40)
+        gamma = 2.0 * math.sqrt(2.0) * (1.0 + delta)
+        try:
+            survival = evolve_nonhermitian(spec, gamma)
+        except ValidationError as exc:
+            assert str(exc).startswith("gamma: ") and "exceptional point" in str(exc)
+            assert delta != 1e-3
+        else:
+            assert np.max(np.abs(survival - mpmath_survival(spec, gamma))) < 1e-12
+
+    def test_calibration_passes_the_refusal_on(self):
+        spec = LatticeSpec(3, 1.0, 0, [1], 0.5, 40)
+        with pytest.raises(ValidationError, match="^gamma: "):
+            calibrate_gamma(spec, (5, 40), [1.0, 2.0 * math.sqrt(2.0)])
 
 
 class TestCalibrationInput:

@@ -373,6 +373,30 @@ class TestClockIdentities:
         assert tau_y == pytest.approx(abs(2.0 * (sy_p - sy_m) / (2.0 * h)), rel=1e-7)
         assert tau_z == pytest.approx(2.0 * (sz_p - sz_m) / (2.0 * h), rel=1e-7)
 
+    @pytest.mark.parametrize("channel", ["transmission", "reflection"])
+    @pytest.mark.parametrize("omega", [0.2, 1.0])
+    @pytest.mark.parametrize("e", [1.0, 3.0])
+    def test_larmor_at_the_clock_segments_own_field(self, channel, omega, e):
+        # A field on a clock segment is where the derivative is taken, as the
+        # imaginary clock is taken at the region's own V_I: compare with a
+        # fine difference of direct spinor solves with every clock segment's
+        # field moved by +-h about its own value.  The profile is the
+        # timescale scenario's, whose second clock segment carries the field.
+        prof = PotentialProfile(
+            segments=(Segment(1.0, 2.0, v_imag=0.1), Segment(0.5, -1.0, omega_larmor=omega)),
+            clock_region=(0, 1), v_left=0.0, v_right=-0.5,
+        )
+
+        def spin(h):
+            moved = tuple(replace(seg, omega_larmor=seg.omega_larmor + h) for seg in prof.segments)
+            return spin_expectations(*spin_pair(replace(prof, segments=moved), e, channel))
+
+        h = 1e-6
+        (sy_p, sz_p), (sy_m, sz_m) = spin(h), spin(-h)
+        tau_y, tau_z = larmor_times(prof, e, channel=channel)
+        assert tau_y == pytest.approx(abs(2.0 * (sy_p - sy_m) / (2.0 * h)), rel=1e-7)
+        assert tau_z == pytest.approx(2.0 * (sz_p - sz_m) / (2.0 * h), rel=1e-7)
+
     def test_imag_clock_singular_when_opaque(self):
         # kappa L = 20 pushes |t| below the log-derivative guard.
         prof = make_rectangular_barrier(5.0, 10.0)
