@@ -8,12 +8,12 @@ the norm *is* the survival probability).  The module also evolves the
 non-Hermitian counterpart H - i gamma P_detector for comparison, fits
 power-law decay of the survival series, and scans the Zeno limit tau -> 0.
 The chain is diagonal in its sine modes V[j, k] = sqrt(2/(N+1)) sin(pi (j+1)(k+1)/(N+1)),
-E_k = -2J cos(pi (k+1)/(N+1)), and both runs keep the N mode amplitudes c = V psi.  A
-projective step is a phase multiply, a read a = V_D c and the rank-|D| update
-c -= V_D^T a: O(N |D|) with no N x N array; S(n) = ||c||^2 since V is orthogonal.
-The absorbing run is closed form: a mode no detector sees (V_D[:, k] = 0) keeps
-its amplitude, and one eigendecomposition of diag(E) - i gamma V_D^T V_D on the
-other modes gives every step at once.  The module needs numpy alone.
+E_k = -2J cos(pi (k+1)/(N+1)).  A mode no detector sees (V_D[:, k] = 0) keeps its
+amplitude, so both runs evolve only the bright amplitudes c = V psi.  A projective
+step is a phase multiply, a read a = V_D c and the rank-|D| update c -= V_D^T a:
+O(N |D|) with no N x N array; S(n) = S_dark + ||c||^2 since V is orthogonal.  The
+absorbing run is closed form: one eigendecomposition of diag(E) - i gamma V_D^T V_D
+gives every step at once.  The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -129,14 +129,22 @@ def _modes(spec: LatticeSpec, sites: Sequence[int]) -> tuple[np.ndarray, np.ndar
     return rows, -2.0 * spec.hopping * np.cos(np.pi * k / n1)
 
 
+def _bright_modes(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The bright modes' initial amplitudes c, detector rows V_D and energies
+    E, and S_dark, the survival the dark modes (V_D[:, k] = 0) keep."""
+    rows, energies = _modes(spec, [spec.initial_site, *sorted(spec.detector_sites)])
+    c, v_d = rows[0], rows[1:]
+    bright = np.any(v_d != 0.0, axis=0)
+    return c[bright].astype(complex), v_d[:, bright], energies[bright], float(np.sum(c[~bright] ** 2))
+
+
 def evolve_project(spec: LatticeSpec) -> DetectionRecord:
     """Run the stroboscopic measure-and-project protocol.
 
     Each cycle: psi <- U psi, record p(n) = sum_d |psi_d|^2, zero the detector
     amplitudes, record S(n) = ||psi||^2.
     """
-    rows, energies = _modes(spec, [spec.initial_site, *sorted(spec.detector_sites)])
-    c, v_d = rows[0].astype(complex), rows[1:]
+    c, v_d, energies, s_dark = _bright_modes(spec)
     phase = np.exp(-1j * energies * spec.tau)
     p, s = np.empty(spec.n_steps), np.empty(spec.n_steps)
     for n in range(spec.n_steps):
@@ -144,17 +152,16 @@ def evolve_project(spec: LatticeSpec) -> DetectionRecord:
         a = v_d @ c
         p[n] = float(np.vdot(a, a).real)
         c -= a @ v_d
-        s[n] = float(np.vdot(c, c).real)
+        s[n] = s_dark + float(np.vdot(c, c).real)
     return DetectionRecord(p=p, survival=s)
 
 
 def evolve_nonhermitian(spec: LatticeSpec, gamma: float) -> np.ndarray:
     """Survival ||psi(n tau)||^2 under H - i gamma sum_d |d><d|, n = 1..n_steps.
 
-    In the sine modes the generator is diag(E) - i gamma V_D^T V_D.  A dark
-    mode (V_D[:, k] = 0) keeps its amplitude and adds |c_k|^2 to S.  On the m
-    bright modes one eigendecomposition W diag(lambda) W^-1 gives every step:
-    with a = W^-1 c, the bright amplitudes at n tau are W (a * exp(-i lambda n tau)).
+    On the bright sine modes the generator is diag(E) - i gamma V_D^T V_D, and
+    one eigendecomposition W diag(lambda) W^-1 gives every step: with
+    a = W^-1 c, the bright amplitudes at n tau are W (a * exp(-i lambda n tau)).
 
     Raises:
         ValidationError: if gamma is not positive and finite, or naming gamma
@@ -164,14 +171,10 @@ def evolve_nonhermitian(spec: LatticeSpec, gamma: float) -> np.ndarray:
     """
     if not 0 < gamma < math.inf:
         raise ValidationError(f"gamma must be positive and finite, got {gamma}")
-    rows, energies = _modes(spec, [spec.initial_site, *sorted(spec.detector_sites)])
-    c, v_d = rows[0], rows[1:]
-    bright = np.any(v_d != 0.0, axis=0)
-    s_dark = float(np.sum(c[~bright] ** 2))
-    v_b = v_d[:, bright]
-    lam, w = np.linalg.eig(np.diag(energies[bright]) - 1j * gamma * (v_b.T @ v_b))
+    c, v_b, energies, s_dark = _bright_modes(spec)
+    lam, w = np.linalg.eig(np.diag(energies) - 1j * gamma * (v_b.T @ v_b))
     try:
-        a = np.linalg.solve(w, c[bright])
+        a = np.linalg.solve(w, c)
     except np.linalg.LinAlgError:
         a = np.full(lam.shape, np.inf)
     expansion = float(np.sum(np.abs(a) * np.linalg.norm(w, axis=0))) ** 2

@@ -11,10 +11,10 @@ merged k ~ 0 run) as a plain tuple and applies the one Redheffer star.  Every
 fold is prepared by one _Chain: the bare wavevectors, lengths and leads at one
 energy, and the exit phase.  solve() and solve_with_propagation_override read
 their amplitudes off one fold of it, and partial_waves folds the stacks on
-either side of the clock region.  The interior waves (wavefunction_at and the
-dwell time) are built on the first access to ScatteringSolution.segment_waves,
-from two folds that record their state at every segment: one over the chain,
-and one over its mirror image for the reflection off everything to the right.
+either side of the clock region.  The interior waves come from two folds of a
+_Chain that record their state at every segment: one over the chain, and one
+over its mirror image for the reflection off everything to the right; a solution
+builds them on first access (wavefunction_at), the dwell time with no solution.
 The clock probes in timescales fold a _Chain directly, with wavevectors from _k
 (wavevector's k^2 and branch rule on bare numbers), so a probe's amplitude is
 that of solve(profile, E, channel) for the clocked profile (channel +1 or -1
@@ -278,25 +278,25 @@ def _fold(
         j += 1
 
 
-def _segment_waves(sol: ScatteringSolution) -> tuple[_SegmentWave, ...]:
-    """Interior wave coefficients of every segment, from two recorded folds.
+def _segment_waves(chain: _Chain, prop_ks=()) -> tuple[_SegmentWave, ...]:
+    """Interior wave coefficients of every segment of the chain, with prop_ks
+    overriding propagation wavevectors, from two recorded folds.
 
     The forward fold gives, at each segment's left edge, the transmission t
-    into it and the reflection r_rev back off everything to its left.  The
-    fold of the mirrored chain (segments reversed, leads swapped) gives, at
-    its right edge, the reflection off everything to its right as its own
-    r_rev.  A uniform segment's transfer matrix is mirror-symmetric, so a
-    k ~ 0 block mirrors like any other element.
+    into it and the reflection r_rev back off everything to its left, and its
+    own r.  The fold of the mirrored chain (segments reversed, leads swapped)
+    gives, at its right edge, the reflection off everything to its right as
+    its own r_rev.  A uniform segment's transfer matrix is mirror-symmetric,
+    so a k ~ 0 block mirrors like any other element.
     """
-    chain = sol._chain
     ks, ds = chain.ks, chain.ds
     eff_ks = list(ks)
-    for j, k in sol._prop_ks:
+    for j, k in prop_ks:
         eff_ks[j] = k
     forward: list = []
     mirrored: list = []
-    dressed = bool(sol._prop_ks)
-    _fold(ks, ds, chain.k_l, chain.k_r, eff_ks if dressed else None, forward)
+    dressed = bool(prop_ks)
+    r = _fold(ks, ds, chain.k_l, chain.k_r, eff_ks if dressed else None, forward)[1]
     _fold(ks[::-1], ds[::-1], chain.k_r, chain.k_l, eff_ks[::-1] if dressed else None, mirrored)
     mirrored.reverse()
     edges = chain.profile.edges()
@@ -306,8 +306,8 @@ def _segment_waves(sol: ScatteringSolution) -> tuple[_SegmentWave, ...]:
         if left is None:
             # psi, psi' at the left edge, taken from the left neighbour.
             if j == 0:
-                a = 1.0 + sol.r
-                b = 1j * sol.k_left * (1.0 - sol.r)
+                a = 1.0 + r
+                b = 1j * chain.k_l * (1.0 - r)
             else:
                 prev = waves[j - 1]
                 x_if = edges[j]
@@ -358,13 +358,13 @@ class ScatteringSolution:
     @cached_property
     def segment_waves(self) -> tuple[_SegmentWave, ...]:
         """Per-segment interior waves, built on first access: no amplitude
-        needs them, only wavefunction_at and the dwell time do.
+        needs them, only wavefunction_at does.
 
         Raises:
             ResummationDivergenceError: if a segment's internal round trip
                 has unit gain.
         """
-        return _segment_waves(self)
+        return _segment_waves(self._chain, self._prop_ks)
 
 
 class _Chain:

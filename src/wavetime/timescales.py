@@ -22,12 +22,12 @@ Implemented clocks and delays (natural units, hbar = 1, 2m = 1):
   region.  Prompt reflection r12 is subtracted before timing the reflected wave.
 
 Every zero-strength limit goes through one probe ladder, _ladder: it evaluates
-the clock's probe at [-h, -h/2, -h/4, (0,) h/4, h/2, h], with h a fixed
-fraction of the local energy scale, and returns h and the values.  Wigner, the
-imaginary clock and the sojourn reduce the probe amplitudes to ln|a|^2 or
-unwrapped phases with _reduce, the Larmor clock reduces its spin pairs to
-<S_y> and <S_z> with _spin_expectations, and each applies one fixed Richardson
-stencil, richardson, to the central differences.
+the clock's probe at [-h, -h/2, -h/4, h/4, h/2, h] (and at 0 where it anchors a
+phase unwrap), with h a fixed fraction of the local energy scale, and returns h
+and the values.  Wigner, the imaginary clock and the sojourn reduce the probe
+amplitudes to ln|a|^2 or unwrapped phases with _reduce, the Larmor clock
+reduces its spin pairs to <S_y> and <S_z> with _spin_expectations, and each
+applies one fixed Richardson stencil, richardson, to the central differences.
 
 A clock prepares the chain once per energy as a scatter._Chain: the bare
 segment wavevectors, the segment lengths, the lead wavevectors and the exit
@@ -336,12 +336,12 @@ def dwell_time(profile: PotentialProfile, E: float, region: tuple[int, int] | No
         region = (0, len(profile.segments) - 1)
     lo, hi = _one_region(_normalize_regions(profile, region), "dwell time")
     _require_real(profile, range(lo, hi + 1), "dwell time")
-    sol = scatter.solve(profile, E)
+    chain = scatter._Chain(profile, E)
     try:
-        density = sum(_density_integral(w) for w in sol.segment_waves[lo : hi + 1])
+        density = sum(_density_integral(w) for w in scatter._segment_waves(chain)[lo : hi + 1])
     except (OverflowError, ValueError):  # a power or a sine of a huge length
         density = math.inf
-    return _finite_time(density / sol.incident_flux, "dwell time")
+    return _finite_time(density / (2.0 * chain.k_l.real), "dwell time")
 
 
 def bl_time(profile: PotentialProfile, E: float, region: tuple[int, int] | None = None) -> float:
@@ -394,7 +394,8 @@ def _clock_probe(profile: PotentialProfile, E: float, channel: str, spins=(None,
     the derivative is taken at the region's own field and V_I.  A real shift
     is the Larmor clock's Zeeman term and an imaginary one the imaginary
     clock's absorption: the two parts of one complex time (Sokolovski &
-    Baskin, PRA 36, 4604 (1987))."""
+    Baskin, PRA 36, 4604 (1987)).  Each distinct (shift, spin) folds once, and
+    with no Zeeman field on any segment both spins fold one field-free chain."""
     _check_channel(channel)
     profile.require_clock_region()
     clock_segs = list(profile.clock_indices())
@@ -402,15 +403,21 @@ def _clock_probe(profile: PotentialProfile, E: float, channel: str, spins=(None,
     # A strong absorber or amplifier sets the scale too, so that no step is
     # lost to rounding in v_imag + shift.
     scale = max(_energy_scale(profile, E, clock_segs), *(abs(seg.v_imag) for _, seg in clocked))
-    chains = {spin: scatter._Chain(profile, E, spin) for spin in spins}
+    field_free = all(seg.omega_larmor == 0.0 for seg in profile.segments)
+    chains = {spin: scatter._Chain(profile, E, spin) for spin in ((None,) if field_free else spins)}
+    folded: dict[tuple[complex, int | None], complex] = {}
 
     def amplitude(shift: complex, spin: int | None = None) -> complex:
-        chain = chains[spin]
-        zeeman = 0.0 if spin is None else spin / 2.0
-        t, r, _, _ = chain.fold(
-            (j, scatter._k(E, seg.v_real, seg.v_imag, shift + zeeman * seg.omega_larmor)) for j, seg in clocked
-        )
-        return r if channel == "reflection" else t * chain.exit_phase
+        if field_free:
+            spin = None
+        if (shift, spin) not in folded:
+            chain = chains[spin]
+            zeeman = 0.0 if spin is None else spin / 2.0
+            t, r, _, _ = chain.fold(
+                (j, scatter._k(E, seg.v_real, seg.v_imag, shift + zeeman * seg.omega_larmor)) for j, seg in clocked
+            )
+            folded[shift, spin] = r if channel == "reflection" else t * chain.exit_phase
+        return folded[shift, spin]
 
     return scale, amplitude
 
@@ -420,20 +427,7 @@ def _larmor_detailed(
 ) -> tuple[float, float, float]:
     """(tau_y, tau_z, sign of d<S_y>/d omega_L) of larmor_times."""
     scale, amplitude = _clock_probe(profile, E, channel, (+1, -1))
-    # With no Zeeman field on any segment, spin-down at +omega has the k^2
-    # shift of spin-up at -omega (and vice versa), so the pair at -omega is
-    # the pair at +omega swapped, bit for bit.
-    mirrored = all(seg.omega_larmor == 0.0 for seg in profile.segments)
-    solved: dict[float, tuple[complex, complex]] = {}
-
-    def pair(omega: float) -> tuple[complex, complex]:
-        if mirrored and omega < 0:
-            return pair(-omega)[::-1]
-        if omega not in solved:
-            solved[omega] = amplitude(omega / 2.0, +1), amplitude(-omega / 2.0, -1)
-        return solved[omega]
-
-    h, pairs = _ladder(pair, scale)
+    h, pairs = _ladder(lambda omega: (amplitude(omega / 2.0, +1), amplitude(-omega / 2.0, -1)), scale)
     spins = [_spin_expectations(a, b, f"{channel} spinor amplitude") for a, b in pairs]
     d_sy = richardson([s_y for s_y, _ in spins], h)
     d_sz = richardson([s_z for _, s_z in spins], h)
@@ -519,7 +513,7 @@ def _sojourn_detailed(
             )
             return r - r12 if channel == "reflection" else t
 
-        h, amps = _ladder(amplitude, _energy_scale(profile, E, active) * L_act, centre=True)
+        h, amps = _ladder(amplitude, _energy_scale(profile, E, active) * L_act, centre=not propagating)
         derivative = richardson(
             _reduce(amps, "log" if propagating else "phase", f"dressed {channel} amplitude"), h
         )

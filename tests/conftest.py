@@ -31,8 +31,9 @@ def random_real_profile(rng, max_segments=5, v_range=(-3.0, 6.0), clock_region=F
 
 
 def set_clock(profile, **strength):
-    """profile with strength (omega_larmor=) set on every segment of its clock
-    region: the clocked profile whose public solve a Larmor probe reproduces."""
+    """profile with strength (omega_larmor=, v_imag=) set on every segment of
+    its clock region: the clocked profile whose public solve a Larmor probe
+    reproduces."""
     segments = list(profile.segments)
     for j in profile.clock_indices():
         segments[j] = replace(segments[j], **strength)

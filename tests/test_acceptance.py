@@ -6,13 +6,14 @@ analytic limits), never from the code paths under test.
 """
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from conftest import SPLIT_SWEEPS, random_real_profile, safe_energy, whole_and_split_rows
+from conftest import SPLIT_SWEEPS, random_real_profile, safe_energy, set_clock, whole_and_split_rows
 from wavetime.errors import LogSingularityError, RegimeAmbiguityError
 from wavetime.first_passage import LatticeSpec, evolve_project, fit_power_law, zeno_scan
 from wavetime.potentials import PotentialProfile, Segment, make_rectangular_barrier
@@ -20,6 +21,7 @@ from wavetime.scatter import partial_waves, solve
 from wavetime.timescales import (
     bl_time,
     dwell_time,
+    full_report,
     imag_clock_time,
     larmor_times,
     sojourn_reflection,
@@ -465,3 +467,46 @@ def test_criterion_16_dark_state_detection():
         ok &= abs(detected - p_det) < 1e-12 and abs(p_det - expected) < 1e-11
     report(16, "total detection probability from the dark-state decomposition", ok,
            f"worst |P_det - formula| {worst:.2e}")
+
+
+STACK = PotentialProfile(
+    tuple(Segment(0.6, 5.0) if i % 2 == 0 else Segment(0.9, 1.0) for i in range(12)), clock_region=(4, 7)
+)
+# Non-resonant energies: the height-4 barrier below, near and above its top,
+# and the stack in its gap, across its barrier tops and above them.
+COMPLEX_TIME_POINTS = [(make_rectangular_barrier(4.0, 1.0), E) for E in (0.5, 2.0, 5.0, 9.0)] + [
+    (STACK, E) for E in (0.7, 3.3, 6.1)
+]
+
+
+def complex_time_deviation(profile, E, channel):
+    """|larmor_y - |imag_clock|| / |imag_clock|, and whether the precession
+    derivative's sign is minus that of the imaginary clock time."""
+    rep = full_report(profile, E, channel)
+    tau_y, tau_i = rep.entries["larmor_y"], rep.entries["imag_clock"]
+    sign = rep.diagnostics["larmor_y"]["raw_derivative_sign"]
+    return abs(tau_y - abs(tau_i)) / abs(tau_i), sign == -math.copysign(1.0, tau_i)
+
+
+def test_criterion_17_complex_time():
+    # The Larmor and imaginary-potential clocks are the real and imaginary
+    # parts of one complex k^2 shift of the clock region (Sokolovski &
+    # Baskin, PRA 36, 4604 (1987)).  With no Zeeman field, ln t is analytic
+    # in that shift, so by Cauchy-Riemann the precession derivative
+    # d<S_y>/d omega equals the absorption derivative -(1/2) d ln|t|^2 / d V_I
+    # up to sign, on real, absorbing and amplifying clock regions alike.
+    worst, ok = 0.0, True
+    for profile, E in COMPLEX_TIME_POINTS:
+        for v_imag in (0.0, 0.3, -0.3):
+            for channel in ("transmission", "reflection"):
+                dev, sign_ok = complex_time_deviation(set_clock(profile, v_imag=v_imag), E, channel)
+                worst = max(worst, dev)
+                ok &= dev < 1e-8 and sign_ok
+    # A Zeeman field outside the clock region splits the spin channels'
+    # chains, so the identity fails there by design: the criterion can fail.
+    field = list(STACK.segments)
+    field[1] = replace(field[1], omega_larmor=0.2)
+    field_dev = complex_time_deviation(replace(STACK, segments=tuple(field)), 6.1, "transmission")[0]
+    ok &= field_dev > 1e-5
+    report(17, "larmor_y is |imag_clock| on field-free profiles (one complex time)", ok,
+           f"worst dev {worst:.2e}; {field_dev:.2e} with a field on segment 1")

@@ -146,6 +146,28 @@ class TestSchema:
         with pytest.raises(ValidationError, match="non-empty"):
             load_scenario(str(path))
 
+    def test_non_mapping_document_rejected(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text(yaml.safe_dump([{"schema_version": 1}]))
+        with pytest.raises(ValidationError, match="^scenario file must contain a mapping$"):
+            load_scenario(str(path))
+
+    def test_sweep_parameter_of_another_kind_rejected(self, tmp_path):
+        # tau is a first_passage parameter, not a timescale_sweep one.
+        doc = yaml.safe_load(timescale_scenario(tmp_path).read_text())
+        doc["sweep"]["parameter"] = "tau"
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ValidationError,
+                           match=r"^sweep.parameter: 'tau' not valid for kind timescale_sweep \(allowed: \['energy'\]\)$"):
+            load_scenario(str(path))
+
+    def test_validate_reports_kind_and_digest(self, tmp_path):
+        path = timescale_scenario(tmp_path)
+        res = CliRunner().invoke(main, ["validate", str(path)])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == f"valid: kind=timescale_sweep digest={load_scenario(str(path)).digest}\n"
+
     @pytest.mark.parametrize(
         "sweep, edit, field, why",
         [
@@ -819,6 +841,24 @@ class TestCompare:
         b = ResultTable(columns=["x", "y"], rows=[["1.0", "1.001"]])
         assert compare_tables(a, b, {"y": 1e-2}, 1e-9) == []
         assert compare_tables(a, b, {}, 1e-9) != []
+
+    def test_row_count_mismatch_is_error(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("energy,wigner\n1,1.0\n")
+        b.write_text("energy,wigner\n1,1.0\n2,1.0\n")
+        res = CliRunner().invoke(main, ["compare", str(a), str(b)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == "error: row count mismatch: 1 vs 2\n"
+
+    def test_differing_text_cells_fail(self, tmp_path):
+        # A reason code against a number, and two different reason codes,
+        # are failing cells; equal text and two empty cells are not.
+        a = ResultTable(columns=["energy", "wigner", "dwell", "bl"], rows=[["1", "1.0", "", "x"]])
+        b = ResultTable(columns=["energy", "wigner", "dwell", "bl"], rows=[["1", "ValidationError", "", "y"]])
+        assert compare_tables(a, b, {}, 1e-9) == [
+            "row 0, wigner: '1.0' != 'ValidationError'", "row 0, bl: 'x' != 'y'"
+        ]
+        assert compare_tables(b, b, {}, 1e-9) == []
 
     def test_column_mismatch_is_error(self):
         from wavetime.cli import ResultTable

@@ -258,6 +258,16 @@ class TestDecomposition:
         with pytest.raises(ZeroFluxError):
             delay_decomposition(PULSE, medium)
 
+    def test_fully_absorbed_exit_spectrum_is_zero_flux(self):
+        # exp(-Im k L) underflows to zero on the whole band of a pulse whose
+        # band leaves out omega = 0 (where k = 0 and nothing is absorbed), so
+        # the exit spectrum is identically zero: refused before any moment.
+        pulse = PulseSpec(carrier=10.0, duration=4.0, center=50.0, n_samples=2048, span=128.0)
+        medium = MediumSpec(kind=MediumKind.LORENTZ, thickness=1e6, resonance=10.0,
+                            plasma_strength=8.0, damping=1.0)
+        with pytest.raises(ZeroFluxError, match="^exit spectrum is identically zero$"):
+            delay_decomposition(pulse, medium)
+
     def test_cancelling_fluxes_cannot_widen_the_residual_tolerance(self):
         # Just above the cutoff of a lossless slab the entry flux nearly
         # cancels (1.1e-9 of the flux without cancellation): t_in = -1.43e8,

@@ -151,6 +151,30 @@ class TestOracle:
         h = site_hamiltonian(spec)
         assert np.max(np.abs(h @ v - v * energies)) < 1e-14
 
+    @pytest.mark.parametrize("spec, n_bright", [
+        (LatticeSpec(1201, 1.0, 500, frozenset({600}), 0.25, 150), 601),
+        (LatticeSpec(21, 1.0, 3, frozenset({10}), 1.0, 200), 11),
+        (LatticeSpec(20, 1.3, 5, frozenset({5}), 1.3, 200), 18),
+        (LatticeSpec(17, 0.8, 2, frozenset({8, 11}), 0.6, 200), 15),
+    ])
+    def test_bright_modes_match_full_mode_basis(self, spec, n_bright):
+        # The run steps only the modes a detector sees.  The loop below steps
+        # every sine mode, dark ones included, and reads S(n) = ||c||^2.
+        rows, energies = _modes(spec, [spec.initial_site, *sorted(spec.detector_sites)])
+        c, v_d = rows[0].astype(complex), rows[1:]
+        phase = np.exp(-1j * energies * spec.tau)
+        p, s = [], []
+        for _ in range(spec.n_steps):
+            c *= phase
+            a = v_d @ c
+            p.append(float(np.vdot(a, a).real))
+            c -= a @ v_d
+            s.append(float(np.vdot(c, c).real))
+        assert len(first_passage._bright_modes(spec)[0]) == n_bright
+        rec = evolve_project(spec)
+        assert np.max(np.abs(rec.survival - s)) < 1e-13
+        assert np.max(np.abs(rec.p - p)) < 1e-13
+
     def test_mirror_symmetry(self):
         spec = LatticeSpec(11, 1.3, 2, frozenset({8}), 0.7, 20)
         mirror = LatticeSpec(11, 1.3, 8, frozenset({2}), 0.7, 20)
@@ -278,6 +302,15 @@ class TestCalibrationInput:
         with pytest.raises(ValidationError, match=re.escape(f"window {window} invalid")):
             calibrate_gamma(self.SPEC, window, [1.0])
 
+    def test_vanishing_projective_survival_is_refused(self):
+        # With every site a detector, each projection leaves only rounding
+        # (about 1e-32 of the survival), so S(n) underflows to exactly zero
+        # by step 11 and no relative deviation is defined on the window.
+        spec = LatticeSpec(7, 1.0, 0, frozenset(range(7)), 1.0, 30)
+        assert evolve_project(spec).survival[20:].max() == 0.0
+        with pytest.raises(ValidationError, match="^projective survival vanishes inside the window$"):
+            calibrate_gamma(spec, (20, 30), [1.0])
+
     def test_empty_gamma_grid_is_refused(self):
         with pytest.raises(ValidationError, match="gammas"):
             calibrate_gamma(self.SPEC, (10, 40), [])
@@ -317,6 +350,12 @@ class TestPowerLaw:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValidationError):
             fit_power_law([1.0, 0.0, 0.5], (0, 3))
+
+    @pytest.mark.parametrize("window", [(0, 1), (2, 3)])
+    def test_rejects_a_window_of_one_point(self, window):
+        # One point fixes no slope: refused by name, not left to polyfit.
+        with pytest.raises(ValidationError, match=re.escape(f"window {window} invalid for series of length 3")):
+            fit_power_law([1.0, 0.5, 0.25], window)
 
     def test_exponent_depends_on_initial_distance(self):
         base = dict(n_sites=401, hopping=1.0, tau=0.25, n_steps=400)

@@ -117,15 +117,24 @@ def spin_pair(profile, E, channel):
     return up.t, down.t
 
 
+class RecordedLadder(list):
+    """One ladder's probes in call order, and the probe itself as .probe."""
+
+    def __init__(self, probe):
+        super().__init__()
+        self.probe = probe
+
+
 def recording_probes(mp):
     """Patch the probe ladder so that each ladder records its probes in call
     order as [offset, value] (a spinor pair for the Larmor clock), or
-    [offset] for a probe that raised.  Returns the list of ladders it fills."""
+    [offset] for a probe that raised, and keeps its probe.  Returns the list
+    of ladders it fills."""
     ladders = []
     ladder = timescales._ladder
 
     def recorded(probe, *args, **kw):
-        calls = []
+        calls = RecordedLadder(probe)
         ladders.append(calls)
 
         def wrapped(s):
@@ -411,7 +420,10 @@ class TestClockIdentities:
 
 class TestSojourn:
     def test_dressed_amplitude_reduces_to_bare(self, rng, monkeypatch):
-        # The centre probe of every sojourn ladder dresses with xi = 0.
+        # Every sojourn ladder's probe dresses with xi = 0 to the bare
+        # amplitude.  A log ladder folds no centre, so its probe is
+        # evaluated at xi = 0 here; a phase ladder's folded centre is that
+        # value.
         ladders = recording_probes(monkeypatch)
         for _ in range(10):
             prof = random_real_profile(rng, clock_region=True)
@@ -423,8 +435,9 @@ class TestSojourn:
                 pass
             assert ladders
             for probes in ladders:
-                (centre,) = [amp for s, amp in probes if s == 0.0]
+                centre = probes.probe(0.0)
                 assert centre == pytest.approx(solve(prof, e).t_local, rel=1e-12)
+                assert [amp for s, amp in probes if s == 0.0] in ([], [centre])
 
     def test_reflection_minus_transmission_is_bl(self, rng):
         for _ in range(10):
@@ -624,13 +637,20 @@ class TestFullReport:
         assert "sojourn" not in rep.entries
         assert math.isfinite(rep.entries["wigner"])
 
-    @pytest.mark.parametrize("channel, folds", [("transmission", 29), ("reflection", 31)])
-    def test_fold_count_per_energy(self, monkeypatch, channel, folds):
-        # One fold per probe: wigner 7 + larmor 3 x 2 + imag_clock 6 +
-        # sojourn 7; the dwell time's solve and its two recorded folds; and
-        # the two stacks of the prompt-reflection partial_waves call in the
-        # reflection channel.  No probe goes through a public solve or
-        # builds a profile, a segment or a solution.
+    @pytest.mark.parametrize(
+        "E, channel, folds",
+        [(2.0, "transmission", 28), (2.0, "reflection", 30),
+         (6.0, "transmission", 27), (6.0, "reflection", 29)],
+    )
+    def test_fold_count_per_energy(self, monkeypatch, E, channel, folds):
+        # One fold per distinct probe: wigner 7 + larmor 6 (its 6 spin
+        # pairs need the shifts +-h/2, +-h/4, +-h/8 of one field-free chain,
+        # each folded once) + imag_clock 6 + sojourn 7 under the barrier (its
+        # phase ladder folds the centre) or 6 above it (its log ladder does
+        # not); the dwell time's two recorded folds; and the two stacks of
+        # the prompt-reflection partial_waves call in the reflection channel.
+        # No probe goes through a public solve or builds a profile, a
+        # segment or a solution.
         barrier = make_rectangular_barrier(4.0, 1.0)
         counts = dict.fromkeys(("_fold", "PotentialProfile", "Segment", "ScatteringSolution"), 0)
 
@@ -650,16 +670,37 @@ class TestFullReport:
         for cls in (PotentialProfile, Segment):
             monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
         monkeypatch.setattr(scatter, "solve_with_propagation_override", forbidden)
-        rep = full_report(barrier, 2.0, channel=channel)
+        rep = full_report(barrier, E, channel=channel)
         assert rep.reasons == {}
         assert counts == {
             "_fold": folds,
             # the reflection sojourn hands the profile itself to partial_waves
             "PotentialProfile": 0,
             "Segment": 0,
-            # the dwell time's solve
-            "ScatteringSolution": 1,
+            # the dwell time builds its interior waves from a chain
+            "ScatteringSolution": 0,
         }
+
+    @pytest.mark.parametrize("channel, chains", [("transmission", 11), ("reflection", 12)])
+    def test_chain_count_per_energy(self, monkeypatch, channel, chains):
+        # One _Chain per Wigner probe (7, each at its own energy), and one
+        # each for the dwell time, the field-free spin pair of the Larmor
+        # clock, the imaginary clock and the sojourn; the reflection
+        # channel's partial_waves prepares one more.
+        built = []
+        original = scatter._Chain.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(scatter._Chain, "__init__", counted)
+        barrier = make_rectangular_barrier(4.0, 1.0)
+        for E in (2.0, 6.0):
+            del built[:]
+            rep = full_report(barrier, E, channel=channel)
+            assert rep.reasons == {}
+            assert len(built) == chains
 
     @pytest.mark.parametrize("channel, builds", [("transmission", 1), ("reflection", 1)])
     def test_prefix_chain_builds_per_energy(self, chain_builds, channel, builds):
@@ -766,7 +807,7 @@ class TestProbeParity:
         # clocked profile, to the bit, and a probe raises where that solve
         # raises, with the same exception type.  A ladder stops only at a
         # probe that raised; otherwise it records all its probes, the Larmor
-        # clock's mirrored ones (read off the +omega pair) included.
+        # clock's -omega pairs (folded once per distinct shift) included.
         profile, E, channel = problem
         for clock, public in public_probes(profile, E, channel):
             with pytest.MonkeyPatch.context() as mp:

@@ -3,6 +3,7 @@ is renamed or deleted would break `perfbench/run.py --trace 1`, and a kernel
 that stops calling the wrapped functions would make a counter read low.  The
 tracer is loaded from its file; the tests that install it uninstall it."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from wavetime import cli, em_pulse
 from wavetime.cli import Scenario
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -27,6 +29,13 @@ WRAPPED = load_tracing().WRAPPED
                          ids=[entry[2] for entry in WRAPPED])
 def test_every_wrapped_function_exists(module, attr):
     assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} is gone"
+
+
+def test_declared_layer_metrics_are_the_tracers():
+    # BENCHMARK.json declares the per-layer metrics that tracing.py reports:
+    # the same names, units and order, so neither drifts from the other.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [(m["name"], m["unit"]) for m in declared] == list(load_tracing().LAYER_METRICS)
 
 
 @pytest.mark.parametrize("parameter, grid", [("carrier", [9.0, 10.0, 11.0]),
