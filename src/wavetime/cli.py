@@ -494,3 +494,7 @@ def compare_cmd(table_a: str, table_b: str, tols: tuple[str, ...]) -> None:
         click.echo(f"compare: {len(failures)} failing cell(s)", err=True)
         sys.exit(1)
     click.echo("compare: all cells within tolerance")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,8 +12,10 @@ E_k = -2J cos(pi (k+1)/(N+1)).  A mode no detector sees (V_D[:, k] = 0) keeps it
 amplitude, so both runs evolve only the bright amplitudes c = V psi.  A projective
 step is a phase multiply, a read a = V_D c and the rank-|D| update c -= V_D^T a:
 O(N |D|) with no N x N array; S(n) = S_dark + ||c||^2 since V is orthogonal.  The
-absorbing run is closed form: one eigendecomposition of diag(E) - i gamma V_D^T V_D
-gives every step at once.  The module needs numpy alone.
+absorbing run forms one step matrix X = e^a - 1 of the bright block,
+a = -i tau (diag(E) - i gamma V_D^T V_D), by Pade(13) scaling and squaring, and
+steps c += X c, in a basis where the absorber fills a |D| x |D| block.  The
+module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -40,14 +42,20 @@ __all__ = [
 # S(n), so 10**7 steps hold 160 MB and run for minutes.
 _MAX_STEPS = 10**7
 
-# The largest mode expansion (sum_j |a_j| ||u_j||)^2 that evolve_nonhermitian
-# accepts.  The rounding in S(n) grows with it, to about 1e-10 at this bound;
-# the expansion diverges at an exceptional point, where the eigenvectors merge.
-_MAX_EXPANSION = 1e6
+# The largest gamma * tau that evolve_nonhermitian accepts: a 30-digit oracle
+# confirms its survival to about 1e-15 up to here, and gamma * tau itself may
+# overflow beyond.  The default grid stops at 50.
+_MAX_GAMMA_TAU = 1e12
 
-# Bright-mode amplitudes (steps x modes) that evolve_nonhermitian holds at
-# once: 4 MB per array, so a long run on a long chain stays small.
-_BLOCK_ENTRIES = 2**18
+# Higham's Pade(13) coefficients b_0..b_13 for e^a, and the 1-norm up to
+# which they are accurate to double precision without scaling (SIAM J. Matrix
+# Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -156,39 +164,63 @@ def evolve_project(spec: LatticeSpec) -> DetectionRecord:
     return DetectionRecord(p=p, survival=s)
 
 
+def _expm1(a: np.ndarray) -> np.ndarray:
+    """e^a - 1 for a square matrix a, by Pade(13) scaling and squaring.
+
+    With U and V the odd and even parts of the Pade numerator,
+    e^(a / 2^s) - 1 = (V - U)^-1 2U, and each squaring doubles the argument as
+    X <- 2X + X X.  Carrying X, not 1 + X, keeps the small decay of a weakly
+    absorbing step, which 1 + X would round away.
+    """
+    norm = np.linalg.norm(a, 1)
+    s = 0 if norm <= _THETA13 else math.ceil(math.log2(norm / _THETA13))
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    x = np.linalg.solve(v - u, 2.0 * u)
+    for _ in range(s):
+        x = 2.0 * x + x @ x
+    return x
+
+
 def evolve_nonhermitian(spec: LatticeSpec, gamma: float) -> np.ndarray:
     """Survival ||psi(n tau)||^2 under H - i gamma sum_d |d><d|, n = 1..n_steps.
 
-    On the bright sine modes the generator is diag(E) - i gamma V_D^T V_D, and
-    one eigendecomposition W diag(lambda) W^-1 gives every step: with
-    a = W^-1 c, the bright amplitudes at n tau are W (a * exp(-i lambda n tau)).
+    On the bright sine modes the step is e^a, a = -i tau (diag(E) - i gamma
+    V_D^T V_D), and one X = e^a - 1 gives every step as c <- c + X c; X is
+    defined at an exceptional point too, where the generator's eigenvectors
+    merge.  It is formed in the basis q of V_D^T = q r, where the absorber
+    r r^T fills only the leading |D| x |D| block: the rounding of the large
+    gamma * tau then stays out of the surviving modes, and S(n) keeps about
+    1e-15 up to the bound, where the sine modes themselves give eps * gamma * tau.
 
     Raises:
-        ValidationError: if gamma is not positive and finite, or naming gamma
-            if it lies so near an exceptional point (W singular) that the
-            expansion (sum_j |a_j| ||u_j||)^2 over the columns u_j of W
-            exceeds _MAX_EXPANSION.
+        ValidationError: naming gamma, unless it is positive and finite and
+            gamma * tau is at most _MAX_GAMMA_TAU.
     """
     if not 0 < gamma < math.inf:
-        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
-    c, v_b, energies, s_dark = _bright_modes(spec)
-    lam, w = np.linalg.eig(np.diag(energies) - 1j * gamma * (v_b.T @ v_b))
-    try:
-        a = np.linalg.solve(w, c)
-    except np.linalg.LinAlgError:
-        a = np.full(lam.shape, np.inf)
-    expansion = float(np.sum(np.abs(a) * np.linalg.norm(w, axis=0))) ** 2
-    if not expansion <= _MAX_EXPANSION:
+        raise ValidationError(f"gamma: must be positive and finite, got {gamma}")
+    if not gamma * spec.tau <= _MAX_GAMMA_TAU:
         raise ValidationError(
-            f"gamma: {gamma!r} lies at an exceptional point of H - i gamma P_D "
-            f"(mode expansion {expansion:.3g} exceeds {_MAX_EXPANSION:g})"
+            f"gamma: {gamma!r} times tau {spec.tau!r} exceeds {_MAX_GAMMA_TAU:g}"
         )
-    n = np.arange(1, spec.n_steps + 1)
+    c, v_b, energies, s_dark = _bright_modes(spec)
+    q, r = np.linalg.qr(v_b.T, mode="complete")
+    d = len(v_b)
+    a = -1j * spec.tau * (q.T @ (energies[:, None] * q))
+    a[:d, :d] -= gamma * spec.tau * (r[:d] @ r[:d].T)
+    x = _expm1(a)
+    c = q.T @ c
     s = np.empty(spec.n_steps)
-    block = max(1, _BLOCK_ENTRIES // lam.size)
-    for lo in range(0, spec.n_steps, block):
-        f = a * np.exp(-1j * spec.tau * np.outer(n[lo : lo + block], lam))
-        s[lo : lo + block] = s_dark + np.sum(np.abs(f @ w.T) ** 2, axis=1)
+    for n in range(spec.n_steps):
+        c += x @ c
+        s[n] = s_dark + float(np.vdot(c, c).real)
     return s
 
 
@@ -208,8 +240,8 @@ def calibrate_gamma(
     Raises:
         ValidationError: naming the window unless 0 <= lo < hi <= n_steps, or
             if gammas is empty or the projective survival vanishes in it; and
-            evolve_nonhermitian's, naming gamma, for a gamma of the grid at an
-            exceptional point.
+            evolve_nonhermitian's, naming gamma, for a gamma of the grid that
+            it refuses.
     """
     lo, hi = window
     if not 0 <= lo < hi <= spec.n_steps:

@@ -325,6 +325,27 @@ class TestRun:
         mirror = json.loads((tmp_path / "out.json").read_text())
         assert mirror["columns"][0] == "energy"
 
+    def test_module_entry_point_runs_and_validates(self, tmp_path):
+        # `python -m wavetime.cli` is the console script: it writes the table
+        # and exits 0, and refuses a bad file with exit 2.
+        src = str(Path(wavetime.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        scenario = timescale_scenario(tmp_path)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"schema_version": 1, "kind": "timescale_sweep"}))
+        ran = subprocess.run([sys.executable, "-m", "wavetime.cli", "run", str(scenario)],
+                             capture_output=True, text=True, env=env)
+        assert ran.returncode == 0, ran.stderr
+        assert "(3 rows)" in ran.stdout
+        rows = [line for line in (tmp_path / "out.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 4 and rows[0].startswith("energy,")
+        refused = subprocess.run([sys.executable, "-m", "wavetime.cli", "validate", str(bad)],
+                                 capture_output=True, text=True, env=env)
+        assert refused.returncode == 2
+        assert refused.stderr.startswith("error: ")
+
     def test_values_round_trip_at_17_digits(self, tmp_path):
         scenario = load_scenario(str(timescale_scenario(tmp_path)))
         table = run_scenario(scenario)

@@ -1,5 +1,7 @@
 import math
 import re
+import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -9,9 +11,11 @@ from scipy.linalg import expm
 from wavetime import first_passage
 from wavetime.errors import ValidationError
 from wavetime.first_passage import (
+    _MAX_GAMMA_TAU,
     _MAX_STEPS,
     DetectionRecord,
     LatticeSpec,
+    _expm1,
     _modes,
     calibrate_gamma,
     evolve_nonhermitian,
@@ -217,13 +221,32 @@ class TestNonHermitian:
         with pytest.raises(ValidationError, match="positive and finite"):
             evolve_nonhermitian(spec, math.inf)
 
-    def test_blocks_of_steps_join_up(self, monkeypatch):
-        # A long run is evaluated a block of steps at a time; blocks of 3 steps
-        # of the 9 bright modes give the one-block run.
+    def test_first_steps_of_a_longer_run_are_the_shorter_run(self):
+        # Every step applies the same step matrix to the last amplitudes, so a
+        # run's first k steps are the k-step run, to the bit.
         spec = LatticeSpec(11, 1.0, 5, [8], 0.5, 40)
         whole = evolve_nonhermitian(spec, 1.0)
-        monkeypatch.setattr(first_passage, "_BLOCK_ENTRIES", 3 * 9)
-        assert np.max(np.abs(evolve_nonhermitian(spec, 1.0) - whole)) < 1e-15
+        for k in (1, 7, 39):
+            assert np.array_equal(whole[:k], evolve_nonhermitian(replace(spec, n_steps=k), 1.0))
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(161, 1.0, 79, [80], 0.25, 150),
+                                      LatticeSpec(9, 1.0, 0, [4], 0.4, 60),
+                                      LatticeSpec(20, 1.3, 3, [10, 15], 0.7, 30)])
+    def test_every_gamma_is_a_survival_or_a_named_refusal(self, spec):
+        # Across the whole float range, a survival in [0, 1] (to 1e-12) with
+        # no numpy warning, or gamma * tau beyond the bound refused by name.
+        refused, bound = 0, re.escape(f"{_MAX_GAMMA_TAU:g}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma in np.geomspace(1e-300, 1.7e308, 200):
+                if gamma * spec.tau > _MAX_GAMMA_TAU:
+                    with pytest.raises(ValidationError, match=f"^gamma: .* exceeds {bound}$"):
+                        evolve_nonhermitian(spec, float(gamma))
+                    refused += 1
+                    continue
+                s = evolve_nonhermitian(spec, float(gamma))
+                assert 0.0 <= s.min() and s.max() <= 1.0 + 1e-12, gamma
+        assert 0 < refused < 200
 
     def test_unseen_modes_are_exactly_dark(self):
         # The centre of the 161-site chain sees only its 81 odd modes, and
@@ -260,36 +283,71 @@ def mpmath_survival(spec, gamma):
 
 
 class TestMpmathOracle:
-    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e4, 1e5])
     @pytest.mark.parametrize("spec", [LatticeSpec(9, 1.0, 0, [4], 0.4, 60),
                                       LatticeSpec(20, 1.3, 3, [10, 15], 0.7, 30)])
     def test_matches_thirty_digit_exponential(self, spec, gamma):
         # A generator of norm ~gamma carries a rounding of eps * gamma in
-        # double precision, whatever evolves it: the expm path was off by
-        # 6.8e-12 on the 20-site chain at gamma = 1e4.
+        # double precision when its entries mix the absorber into every mode:
+        # an expm of the site basis was off by 6.8e-12 on the 20-site chain
+        # at gamma = 1e4.
         tol = 1e-12 + 4 * np.finfo(float).eps * gamma
         assert np.max(np.abs(evolve_nonhermitian(spec, gamma) - mpmath_survival(spec, gamma))) < tol
+
+    @pytest.mark.parametrize("gamma", [1e5, 1e8, 2e11])
+    @pytest.mark.parametrize("spec", [LatticeSpec(9, 1.0, 0, [4], 0.4, 60),
+                                      LatticeSpec(20, 1.3, 3, [10, 15], 0.7, 30)])
+    def test_strong_absorber_keeps_double_precision(self, spec, gamma):
+        # The step is formed where the absorber fills only the detector
+        # block, so its rounding never reaches the surviving modes: the error
+        # stays at 1e-15 up to the bound on gamma * tau, not eps * gamma.
+        assert np.max(np.abs(evolve_nonhermitian(spec, gamma) - mpmath_survival(spec, gamma))) < 1e-14
 
     @pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-3])
     def test_exceptional_point_is_refused_by_name(self, delta):
         # The 3-site chain seen from its centre has one bright pair, with
         # eigenvalues (-i gamma +- sqrt(8 - gamma^2)) / 2: they and their
-        # eigenvectors merge at gamma = 2 sqrt 2.  Near it the value is
-        # refused by name or right to 1e-12, never wrong; 1e-3 away it is a value.
+        # eigenvectors merge at gamma = 2 sqrt 2.  An eigendecomposition had
+        # to refuse it; the step matrix e^a - 1 is defined there, and is a
+        # value right to 1e-12 at and near the merger.
         spec = LatticeSpec(3, 1.0, 0, [1], 0.5, 40)
         gamma = 2.0 * math.sqrt(2.0) * (1.0 + delta)
-        try:
-            survival = evolve_nonhermitian(spec, gamma)
-        except ValidationError as exc:
-            assert str(exc).startswith("gamma: ") and "exceptional point" in str(exc)
-            assert delta != 1e-3
-        else:
-            assert np.max(np.abs(survival - mpmath_survival(spec, gamma))) < 1e-12
+        survival = evolve_nonhermitian(spec, gamma)
+        assert np.max(np.abs(survival - mpmath_survival(spec, gamma))) < 1e-12
 
     def test_calibration_passes_the_refusal_on(self):
         spec = LatticeSpec(3, 1.0, 0, [1], 0.5, 40)
         with pytest.raises(ValidationError, match="^gamma: "):
-            calibrate_gamma(spec, (5, 40), [1.0, 2.0 * math.sqrt(2.0)])
+            calibrate_gamma(spec, (5, 40), [1.0, 4.0 * _MAX_GAMMA_TAU])
+
+
+def dissipative(rng, n, norm):
+    """-i H - P P^H for a random Hermitian H and rank-2 P, scaled to a 1-norm:
+    its exponential is a contraction, as the absorbing step is."""
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    p = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    a = -1j * (h + h.conj().T) - p @ p.conj().T
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+class TestExpm1:
+    @pytest.mark.parametrize("n", [6, 17, 40])
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4])
+    def test_matches_scipy_expm(self, n, norm):
+        a = dissipative(np.random.default_rng(n), n, norm)
+        assert np.max(np.abs(_expm1(a) - (expm(a) - np.eye(n)))) < 1e-13
+
+    @pytest.mark.parametrize("norm", [1e-12, 1e-6, 1e-3])
+    def test_small_argument_keeps_relative_precision(self, norm):
+        # e^a - 1 is carried as itself, not as 1 + X, so a weak step keeps
+        # its digits: against the Taylor series, not expm(a) - I, which
+        # loses them to the subtraction.
+        a = dissipative(np.random.default_rng(5), 12, norm)
+        term, series = a, a.copy()
+        for k in range(2, 12):
+            term = term @ a / k
+            series += term
+        assert np.max(np.abs(_expm1(a) - series)) < 1e-14 * np.max(np.abs(series))
 
 
 class TestCalibrationInput:
@@ -314,6 +372,25 @@ class TestCalibrationInput:
     def test_empty_gamma_grid_is_refused(self):
         with pytest.raises(ValidationError, match="gammas"):
             calibrate_gamma(self.SPEC, (10, 40), [])
+
+    def test_one_step_matrix_per_gamma_and_no_eigendecomposition(self, monkeypatch):
+        # The absorbing run takes no eigendecomposition: one step matrix of
+        # the 40 bright modes (site 21 of 41 misses mode 21) per gamma.
+        def refused(*args, **kwargs):
+            raise AssertionError("eigendecomposition called")
+
+        monkeypatch.setattr(np.linalg, "eig", refused)
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        formed = []
+
+        def counted(a, original=first_passage._expm1):
+            formed.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(first_passage, "_expm1", counted)
+        gammas = [0.5, 2.0, 8.0, 32.0]
+        calibrate_gamma(self.SPEC, (10, 40), gammas)
+        assert formed == [(40, 40)] * len(gammas)
 
     def test_runs_stop_at_the_window_end(self, monkeypatch):
         # Both evolutions run to the window's end and no further, and the
