@@ -8,7 +8,9 @@ names its YAML path ("lattice.tau: why").  One table, _KINDS, holds each
 kind's sweep parameters, payload keys and sweep, and run_scenario runs every
 kind's rows through one loop: in grid order on the calling thread, each row an
 independent kernel call, so a sweep split into parts writes the same rows as
-the whole, and a WavetimeError in a row becomes its reason code.
+the whole, and a WavetimeError in a row becomes its reason code.  The lattice
+and pulse kernels (first_passage, em_pulse, and numpy with them) are imported
+only where their kind loads or runs, so a timescale sweep never loads them.
 
 Verbs:
     wavetime run <scenario.yaml>
@@ -28,13 +30,17 @@ import re
 import sys
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import click
 import yaml
 
-from . import __version__, em_pulse, first_passage, timescales
+from . import __version__, timescales
 from .errors import ValidationError, WavetimeError, _finite, _reason
 from .potentials import PotentialProfile, Segment
+
+if TYPE_CHECKING:
+    from . import em_pulse, first_passage
 
 __all__ = ["Scenario", "ResultTable", "load_scenario", "run_scenario", "compare_tables", "main"]
 
@@ -131,6 +137,8 @@ def _segments(cfg, where: str) -> list[Segment]:
 
 
 def _medium_kind(model, where: str) -> em_pulse.MediumKind:
+    from . import em_pulse
+
     try:
         return em_pulse.MediumKind(model)
     except ValueError:
@@ -192,6 +200,8 @@ def load_scenario(path: str) -> Scenario:
                  "channel": raw.get("channel", "transmission")}
         timescales._check_channel(specs["channel"])
     elif kind == "first_passage":
+        from . import first_passage
+
         lattice = _build(first_passage.LatticeSpec, raw["lattice"], "lattice", detector_sites=_numbers)
         specs = {"lattice": lattice}
         # Only a tau sweep reads t_fixed, but a t_fixed that is set is checked.
@@ -201,6 +211,8 @@ def load_scenario(path: str) -> Scenario:
                 raise ValidationError(f"t_fixed: must be positive, got {t_fixed}")
             specs["t_fixed"] = t_fixed
     else:
+        from . import em_pulse
+
         specs = {"pulse": _build(em_pulse.PulseSpec, raw["pulse"], "pulse"),
                  "medium": _build(em_pulse.MediumSpec, raw["medium"], "medium", model=_medium_kind)}
 
@@ -235,6 +247,8 @@ def _timescale_sweep(scenario: Scenario):
 
 
 def _first_passage_sweep(scenario: Scenario):
+    from . import first_passage
+
     spec = scenario.lattice
     if scenario.sweep_parameter == "tau":
         def cells(tau: float):
@@ -258,6 +272,8 @@ _EM_COLUMNS = ("t_in", "t_out", "delta_t", "delta_t_group", "delta_t_reshape", "
 
 
 def _em_sweep(scenario: Scenario):
+    from . import em_pulse
+
     def cells(value: float):
         # The specs validate themselves, so a bad sweep value is a bad row.
         pulse, medium = scenario.pulse, scenario.medium

@@ -46,6 +46,11 @@ _MAX_STEPS = 10**7
 # confirms its survival to about 1e-15 up to here, and gamma * tau itself may
 # overflow beyond.  The default grid stops at 50.
 _MAX_GAMMA_TAU = 1e12
+# The largest hopping * tau that evolve_nonhermitian accepts.  A step's mode
+# phases E_k tau carry a rounding of eps * hopping * tau, which every step
+# adds to S(n): a 30-digit oracle finds the error below a quarter of
+# 1e-12 + 4 eps gamma up to here, and above it at 500.
+_MAX_HOPPING_TAU = 1e2
 
 # Higham's Pade(13) coefficients b_0..b_13 for e^a, and the 1-norm up to
 # which they are accurate to double precision without scaling (SIAM J. Matrix
@@ -202,13 +207,18 @@ def evolve_nonhermitian(spec: LatticeSpec, gamma: float) -> np.ndarray:
 
     Raises:
         ValidationError: naming gamma, unless it is positive and finite and
-            gamma * tau is at most _MAX_GAMMA_TAU.
+            gamma * tau is at most _MAX_GAMMA_TAU; naming tau, unless
+            hopping * tau is at most _MAX_HOPPING_TAU.
     """
     if not 0 < gamma < math.inf:
         raise ValidationError(f"gamma: must be positive and finite, got {gamma}")
     if not gamma * spec.tau <= _MAX_GAMMA_TAU:
         raise ValidationError(
             f"gamma: {gamma!r} times tau {spec.tau!r} exceeds {_MAX_GAMMA_TAU:g}"
+        )
+    if not spec.hopping * spec.tau <= _MAX_HOPPING_TAU:
+        raise ValidationError(
+            f"tau: {spec.tau!r} times hopping {spec.hopping!r} exceeds {_MAX_HOPPING_TAU:g}"
         )
     c, v_b, energies, s_dark = _bright_modes(spec)
     q, r = np.linalg.qr(v_b.T, mode="complete")
@@ -240,8 +250,8 @@ def calibrate_gamma(
     Raises:
         ValidationError: naming the window unless 0 <= lo < hi <= n_steps, or
             if gammas is empty or the projective survival vanishes in it; and
-            evolve_nonhermitian's, naming gamma, for a gamma of the grid that
-            it refuses.
+            evolve_nonhermitian's, naming gamma or tau, for a gamma of the
+            grid or a tau that it refuses.
     """
     lo, hi = window
     if not 0 <= lo < hi <= spec.n_steps:

@@ -28,6 +28,8 @@ and the values.  Wigner, the imaginary clock and the sojourn reduce the probe
 amplitudes to ln|a|^2 or unwrapped phases with _reduce, the Larmor clock
 reduces its spin pairs to <S_y> and <S_z> with _spin_expectations, and each
 applies one fixed Richardson stencil, richardson, to the central differences.
+_reduce unwraps with numpy.unwrap's arithmetic in plain floats, so the module
+(and a clock sweep) needs no numpy.
 
 A clock prepares the chain once per energy as a scatter._Chain: the bare
 segment wavevectors, the segment lengths, the lead wavevectors and the exit
@@ -44,8 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import scatter
 from .errors import (
@@ -229,9 +229,14 @@ def richardson(values, h: float) -> float:
     return float(value)
 
 
-def _reduce(amps: list[complex], kind: str, what: str):
+def _reduce(amps: list[complex], kind: str, what: str) -> list[float]:
     """Guard the probe amplitudes against zeros, then reduce them to ln|a|^2
     (kind "log") or to continuous phases (kind "phase").
+
+    The phases are numpy.unwrap's of the atan2 arguments, to the bit: a jump
+    dd between neighbours with |dd| >= pi is folded into [-pi, pi) by
+    (dd + pi) % 2pi - pi (pi where that gives -pi and dd > 0), and the running
+    sum of the corrections is added to every phase after the first.
 
     Raises:
         StepSizeError: if neighbouring unwrapped phases still jump by more
@@ -248,8 +253,18 @@ def _reduce(amps: list[complex], kind: str, what: str):
             return [math.log(abs(a) ** 2) for a in amps]
         except OverflowError:
             raise DerivativeError(f"|{what}|^2 lies beyond float range") from None
-    phases = np.unwrap(np.angle(np.asarray(amps, dtype=complex)))
-    if np.max(np.abs(np.diff(phases))) > _MAX_PHASE_JUMP:
+    angles = [math.atan2(a.imag, a.real) for a in amps]
+    phases, correction = angles[:1], 0.0
+    for prev, angle in zip(angles, angles[1:]):
+        dd = angle - prev
+        if not abs(dd) < math.pi:  # a NaN corrects to NaN, as in numpy
+            folded = (dd + math.pi) % (2.0 * math.pi) - math.pi
+            correction += (math.pi if folded == -math.pi and dd > 0 else folded) - dd
+        phases.append(angle + correction)
+    jumps = [abs(b - a) for a, b in zip(phases, phases[1:])]
+    # A NaN jump (an amplitude inf + nan j) raises nothing here, as numpy's
+    # max would not; richardson refuses the non-finite derivative.
+    if max(jumps) > _MAX_PHASE_JUMP and not any(map(math.isnan, jumps)):
         raise StepSizeError(
             f"phase of the {what} jumps by more than pi/2 between neighbouring probes; "
             "the probe ladder undersamples it"

@@ -18,6 +18,7 @@ from wavetime.cli import (
     METHOD_LABELS,
     ResultTable,
     Scenario,
+    _read_csv_table,
     _reason_summary,
     compare_tables,
     load_scenario,
@@ -328,21 +329,16 @@ class TestRun:
     def test_module_entry_point_runs_and_validates(self, tmp_path):
         # `python -m wavetime.cli` is the console script: it writes the table
         # and exits 0, and refuses a bad file with exit 2.
-        src = str(Path(wavetime.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         scenario = timescale_scenario(tmp_path)
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({"schema_version": 1, "kind": "timescale_sweep"}))
-        ran = subprocess.run([sys.executable, "-m", "wavetime.cli", "run", str(scenario)],
-                             capture_output=True, text=True, env=env)
+        ran = fresh_python("-m", "wavetime.cli", "run", str(scenario), check=False)
         assert ran.returncode == 0, ran.stderr
         assert "(3 rows)" in ran.stdout
         rows = [line for line in (tmp_path / "out.csv").read_text().splitlines()
                 if not line.startswith("#")]
         assert len(rows) == 4 and rows[0].startswith("energy,")
-        refused = subprocess.run([sys.executable, "-m", "wavetime.cli", "validate", str(bad)],
-                                 capture_output=True, text=True, env=env)
+        refused = fresh_python("-m", "wavetime.cli", "validate", str(bad), check=False)
         assert refused.returncode == 2
         assert refused.stderr.startswith("error: ")
 
@@ -890,36 +886,91 @@ class TestCompare:
             compare_tables(a, b, {}, 1e-9)
 
 
-def test_import_leaves_out_integrate_and_optimize(tmp_path):
-    # Nothing in wavetime needs scipy.  The only packages outside the
-    # standard library that importing the CLI, loading one scenario of each
-    # kind and calibrating the absorbing lattice may load are click, numpy,
-    # yaml and wavetime itself (numpy brings its Cython runtime modules
-    # along): each other import would cost every run its setup time.
-    paths = [str(timescale_scenario(tmp_path))]
-    for name, doc in (("zeno", zeno_doc(tmp_path, "tau")),
-                      ("pulse", {**em_sweep_doc("carrier", [9.0, 10.0]),
-                                 "output": {"path": str(tmp_path / "pulse.csv"),
-                                            "format": "csv"}})):
-        paths.append(str(tmp_path / f"{name}.yaml"))
-        Path(paths[-1]).write_text(yaml.safe_dump(doc))
-    code = (
-        "import json, sys\n"
-        "before = set(sys.modules)\n"
-        "import wavetime.cli as cli\n"
-        "kinds = [cli.load_scenario(p).kind for p in sys.argv[1:]]\n"
-        "from wavetime.first_passage import LatticeSpec, calibrate_gamma\n"
-        "calibrate_gamma(LatticeSpec(11, 1.0, 5, [8], 0.5, 20), (5, 20), [0.5, 2.0])\n"
-        "loaded = {m.split('.')[0] for m in set(sys.modules) - before} - sys.stdlib_module_names\n"
-        "print(json.dumps([kinds, sorted(m for m in loaded\n"
-        "                                if m != 'cython_runtime' and not m.startswith('_cython_'))]))"
-    )
+def fresh_python(*args, cwd=None, check=True):
+    """python run with args in a fresh interpreter that imports wavetime
+    from the sources under test."""
     src = str(Path(wavetime.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code, *paths],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    kinds, packages = json.loads(out.stdout)
-    assert kinds == ["timescale_sweep", "first_passage", "em_pulse"]
-    assert set(packages) <= {"click", "numpy", "yaml", "wavetime"}, packages
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=cwd, env=env, check=check)
+
+
+# Runs each scenario file of argv[1:] as `wavetime run` does (load, run, write)
+# and calibrates the absorbing lattice after a first_passage one, then prints
+# the kinds and the modules that all this loaded.
+_SWEEP_CHILD = """
+import json, sys
+before = set(sys.modules)
+import wavetime.cli as cli
+kinds = []
+for path in sys.argv[1:]:
+    scenario = cli.load_scenario(path)
+    cli.write_table(cli.run_scenario(scenario), scenario.output_path, scenario.output_format)
+    kinds.append(scenario.kind)
+if "first_passage" in kinds:
+    from wavetime.first_passage import LatticeSpec, calibrate_gamma
+    calibrate_gamma(LatticeSpec(11, 1.0, 5, [8], 0.5, 20), (5, 20), [0.5, 2.0])
+print(json.dumps([kinds, sorted(set(sys.modules) - before)]))
+"""
+
+
+def sweep_in_fresh_process(tmp_path, doc):
+    """(kind, modules loaded) of _SWEEP_CHILD on doc, run in tmp_path."""
+    path = tmp_path / f"{doc['kind']}.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    (kind,), modules = json.loads(fresh_python("-c", _SWEEP_CHILD, str(path), cwd=tmp_path).stdout)
+    return kind, set(modules)
+
+
+def test_import_leaves_out_integrate_and_optimize(tmp_path):
+    # Nothing in wavetime needs scipy, and a clock sweep needs no numpy
+    # either.  Per kind, the only packages outside the standard library that
+    # importing the CLI and running one sweep may load (and, for the lattice,
+    # calibrating the absorber) are these (numpy brings its Cython runtime
+    # modules along): each other import would cost every run its setup time.
+    allowed = {"timescale_sweep": {"click", "yaml", "wavetime"},
+               "first_passage": {"click", "numpy", "yaml", "wavetime"},
+               "em_pulse": {"click", "numpy", "yaml", "wavetime"}}
+    for doc in valid_scenario_docs():
+        kind, modules = sweep_in_fresh_process(tmp_path, doc)
+        packages = {m.split(".")[0] for m in modules} - sys.stdlib_module_names
+        packages = {p for p in packages if p != "cython_runtime" and not p.startswith("_cython_")}
+        assert packages <= allowed[kind], (kind, packages)
+
+
+def test_clock_sweep_loads_no_numpy(tmp_path):
+    # numpy and the lattice and pulse kernels are most of the setup time of
+    # `wavetime run`, and a clock sweep needs none of them.
+    kind, modules = sweep_in_fresh_process(tmp_path, valid_scenario_docs()[0])
+    assert kind == "timescale_sweep"
+    assert not modules & {"numpy", "wavetime.em_pulse", "wavetime.first_passage"}, modules
+    code = "import sys; before = set(sys.modules); import wavetime; print('numpy' in set(sys.modules) - before)"
+    assert fresh_python("-c", code).stdout.strip() == "False"
+
+
+class TestModuleEntryPoint:
+    """`python -m wavetime.cli` in fresh processes, which import the lattice
+    and pulse kernels only where their kind runs."""
+
+    @pytest.mark.parametrize("doc", valid_scenario_docs(),
+                             ids=lambda doc: f"{doc['kind']}-{doc['sweep']['parameter']}")
+    def test_every_valid_document_validates_and_runs(self, tmp_path, doc):
+        (tmp_path / "doc.yaml").write_text(yaml.safe_dump(doc))
+        for verb in ("validate", "run"):
+            done = fresh_python("-m", "wavetime.cli", verb, "doc.yaml", cwd=tmp_path, check=False)
+            assert done.returncode == 0, (verb, done.stderr)
+        assert len(_read_csv_table(str(tmp_path / "out.csv")).rows) == len(doc["sweep"]["grid"])
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("medium", "model", "metal", "medium.model: unknown model 'metal'"),
+        ("lattice", "n_sites", 2, "lattice.n_sites: must be >= 3, got 2"),
+    ])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_bad_kernel_field_exits_2_by_name(self, tmp_path, section, key, value, message, verb):
+        doc = next(d for d in valid_scenario_docs() if section in d)
+        doc[section][key] = value
+        (tmp_path / "doc.yaml").write_text(yaml.safe_dump(doc))
+        done = fresh_python("-m", "wavetime.cli", verb, "doc.yaml", cwd=tmp_path, check=False)
+        assert done.returncode == 2
+        assert done.stderr == f"error: {message}\n"

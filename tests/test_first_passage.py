@@ -12,6 +12,7 @@ from wavetime import first_passage
 from wavetime.errors import ValidationError
 from wavetime.first_passage import (
     _MAX_GAMMA_TAU,
+    _MAX_HOPPING_TAU,
     _MAX_STEPS,
     DetectionRecord,
     LatticeSpec,
@@ -248,6 +249,26 @@ class TestNonHermitian:
                 assert 0.0 <= s.min() and s.max() <= 1.0 + 1e-12, gamma
         assert 0 < refused < 200
 
+    @pytest.mark.parametrize("gamma_tau", [1e-3, 1.0])
+    @pytest.mark.parametrize("chain", [(9, 1.0, 0, [4]), (20, 1.3, 3, [10, 15]), (161, 1.0, 79, [80])])
+    def test_every_tau_is_a_survival_or_a_named_refusal(self, chain, gamma_tau):
+        # Up to tau = 1e300, a survival in [0, 1] (to 1e-12) with no numpy
+        # warning, or hopping * tau beyond the bound refused by name; the
+        # phases of a longer step carry a rounding that S(n) would amplify.
+        refused, bound = 0, re.escape(f"{_MAX_HOPPING_TAU:g}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau in np.geomspace(1e-3, 1e300, 120):
+                spec = LatticeSpec(*chain, float(tau), 40)
+                if spec.hopping * spec.tau > _MAX_HOPPING_TAU:
+                    with pytest.raises(ValidationError, match=f"^tau: .* exceeds {bound}$"):
+                        evolve_nonhermitian(spec, gamma_tau / spec.tau)
+                    refused += 1
+                    continue
+                s = evolve_nonhermitian(spec, gamma_tau / spec.tau)
+                assert 0.0 <= s.min() and s.max() <= 1.0 + 1e-12, tau
+        assert 0 < refused < 120
+
     def test_unseen_modes_are_exactly_dark(self):
         # The centre of the 161-site chain sees only its 81 odd modes, and
         # site 5 of the 20-site chain misses modes 7 and 14 (6k = 0 mod 21):
@@ -319,6 +340,8 @@ class TestMpmathOracle:
         spec = LatticeSpec(3, 1.0, 0, [1], 0.5, 40)
         with pytest.raises(ValidationError, match="^gamma: "):
             calibrate_gamma(spec, (5, 40), [1.0, 4.0 * _MAX_GAMMA_TAU])
+        with pytest.raises(ValidationError, match="^tau: "):
+            calibrate_gamma(replace(spec, tau=2.0 * _MAX_HOPPING_TAU), (5, 40))
 
 
 def dissipative(rng, n, norm):

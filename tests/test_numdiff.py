@@ -2,11 +2,15 @@
 Richardson stencil and its phase unwrapping."""
 import cmath
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavetime import timescales
-from wavetime.errors import DerivativeError, StepSizeError
+from wavetime.errors import DerivativeError, LogSingularityError, StepSizeError
 from wavetime.potentials import make_rectangular_barrier
 from wavetime.timescales import full_report, richardson
 
@@ -71,6 +75,55 @@ def test_undersampled_phase_raises():
 
     with pytest.raises(StepSizeError, match="undersamples"):
         phase_derivative(amplitude, 1.0)
+
+
+# Amplitudes on the real axis, with both signs of zero: their atan2 arguments
+# are 0, -0, pi and -pi exactly, so neighbours among them differ by exactly
+# 0, +-pi or +-2 pi.
+AXIS = [complex(x, y) for x in (1.0, -1.0) for y in (0.0, -0.0)]
+AMPLITUDES = st.one_of(
+    st.sampled_from(AXIS),
+    st.builds(cmath.rect, st.floats(1e-100, 1e100), st.floats(-4.0, 4.0)),
+    st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).filter(
+        lambda a: abs(a) >= timescales._PHASE_FLOOR),
+)
+
+
+def numpy_unwrap(amps):
+    return np.unwrap([math.atan2(a.imag, a.real) for a in amps])
+
+
+class TestPhaseUnwrap:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+    @given(st.lists(AMPLITUDES, min_size=6, max_size=7))
+    @example([1.0, -1.0] * 3)
+    @example(AXIS + AXIS[::-1][:3])
+    @example([complex(-1.0, 0.0), complex(-1.0, -0.0)] * 3 + [complex(-1.0, 0.0)])
+    # An infinite part with a NaN part passes the floor, and its phase is NaN:
+    # numpy refuses no jump then, not even the pi before it.
+    @example([1.0, -1.0, complex(math.inf, math.nan), 3.0, -1.0, 1j])
+    def test_phases_are_numpy_unwrap_to_the_bit(self, amps):
+        # With the jump test lifted, every ladder's phases are numpy's, signed
+        # zeros included, as Python floats; with it, the ladder is refused
+        # exactly where numpy's unwrapped phases jump by more than pi/2.
+        expected = [float(x).hex() for x in numpy_unwrap(amps)]
+        with mock.patch.object(timescales, "_MAX_PHASE_JUMP", math.inf):
+            phases = timescales._reduce(amps, "phase", "amplitude")
+        assert all(type(x) is float for x in phases)
+        assert [x.hex() for x in phases] == expected
+        if np.max(np.abs(np.diff(numpy_unwrap(amps)))) > timescales._MAX_PHASE_JUMP:
+            with pytest.raises(StepSizeError, match="undersamples"):
+                timescales._reduce(amps, "phase", "amplitude")
+        else:
+            assert [x.hex() for x in timescales._reduce(amps, "phase", "amplitude")] == expected
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.nan), 1e-151, 0.0])
+    @pytest.mark.parametrize("kind", ["phase", "log"])
+    def test_undefined_or_vanishing_amplitude_raises(self, bad, kind):
+        amps = [cmath.rect(1.0, 0.1 * i) for i in range(7)]
+        amps[3] = bad
+        with pytest.raises(LogSingularityError, match="singular"):
+            timescales._reduce(amps, kind, "amplitude")
 
 
 @pytest.mark.parametrize("channel", ["transmission", "reflection"])
