@@ -11,6 +11,8 @@ independent kernel call, so a sweep split into parts writes the same rows as
 the whole, and a WavetimeError in a row becomes its reason code.  The lattice
 and pulse kernels (first_passage, em_pulse, and numpy with them) are imported
 only where their kind loads or runs, so a timescale sweep never loads them.
+write_table streams the rows once, to the CSV table and its JSON mirror
+together, so its memory does not grow with the length of the sweep.
 
 Verbs:
     wavetime run <scenario.yaml>
@@ -22,7 +24,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -321,36 +322,45 @@ def run_scenario(scenario: Scenario) -> ResultTable:
     )
 
 
-def _render_csv(table: ResultTable) -> str:
-    buf = io.StringIO()
-    for key, val in sorted(table.metadata.items()):
-        buf.write(f"# {key}: {val}\r\n")
-    writer = csv.writer(buf)
-    writer.writerow(table.columns)
+def _write_rows(table: ResultTable, csv_fh, json_fh) -> None:
+    """Stream the table in one pass over its rows, each cell formatted once by
+    _fmt: to csv_fh (unless None) as # key: value lines and csv rows, and to
+    json_fh as json.dumps({"metadata", "columns", "rows"}, indent=2,
+    sort_keys=True) + "\n", a row's keys in name order and its float cells as
+    the CSV's strings."""
+    if csv_fh is not None:
+        for key, val in sorted(table.metadata.items()):
+            csv_fh.write(f"# {key}: {val}\r\n")
+        writerow = csv.writer(csv_fh).writerow
+        writerow(table.columns)
+    head = {"columns": table.columns, "metadata": table.metadata, "rows": []}
+    json_fh.write(json.dumps(head, indent=2, sort_keys=True)[:-3])  # ends at "rows": [
+    encode = json.encoder.encode_basestring_ascii
+    last = {col: i for i, col in enumerate(table.columns)}
+    keys = [(last[col], "\n      " + encode(col) + ": ") for col in sorted(last)]
+    sep = "\n    {"
     for row in table.rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
-def _render_json(table: ResultTable) -> str:
-    rows = [
-        {col: (_fmt(v) if isinstance(v, float) else v) for col, v in zip(table.columns, row)}
-        for row in table.rows
-    ]
-    return json.dumps(
-        {"metadata": table.metadata, "columns": table.columns, "rows": rows},
-        indent=2, sort_keys=True,
-    ) + "\n"
+        cells = [_fmt(v) for v in row]
+        if csv_fh is not None:
+            writerow(cells)
+        json_fh.write(sep + ",".join(
+            key + (encode(cells[i]) if isinstance(row[i], (float, str)) else json.dumps(row[i]))
+            for i, key in keys
+        ) + "\n    }")
+        sep = ",\n    {"
+    json_fh.write("\n  ]\n}\n" if table.rows else "]\n}\n")
 
 
 def write_table(table: ResultTable, path: str, fmt: str) -> None:
-    text = _render_csv(table) if fmt == "csv" else _render_json(table)
+    """Write the table to path as CSV with a .json mirror beside it, or, for
+    fmt "json", the JSON alone: one streamed pass, whose memory does not grow
+    with the number of rows."""
     with open(path, "w", newline="") as fh:
-        fh.write(text)
-    if fmt == "csv":
-        # JSON mirror carrying the same rows plus metadata, for diagnostics.
-        with open(os.path.splitext(path)[0] + ".json", "w") as fh:
-            fh.write(_render_json(table))
+        if fmt != "csv":
+            _write_rows(table, None, fh)
+            return
+        with open(os.path.splitext(path)[0] + ".json", "w") as mirror:
+            _write_rows(table, fh, mirror)
 
 
 # A timescale reason joins "label: ExcName: message" parts; an EM row's reason,

@@ -194,6 +194,20 @@ def _expm1(a: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_absorber(spec: LatticeSpec, gamma: float) -> None:
+    """Refuse, by name, a gamma or a tau that evolve_nonhermitian cannot step."""
+    if not 0 < gamma < math.inf:
+        raise ValidationError(f"gamma: must be positive and finite, got {gamma}")
+    if not gamma * spec.tau <= _MAX_GAMMA_TAU:
+        raise ValidationError(
+            f"gamma: {gamma!r} times tau {spec.tau!r} exceeds {_MAX_GAMMA_TAU:g}"
+        )
+    if not spec.hopping * spec.tau <= _MAX_HOPPING_TAU:
+        raise ValidationError(
+            f"tau: {spec.tau!r} times hopping {spec.hopping!r} exceeds {_MAX_HOPPING_TAU:g}"
+        )
+
+
 def evolve_nonhermitian(spec: LatticeSpec, gamma: float) -> np.ndarray:
     """Survival ||psi(n tau)||^2 under H - i gamma sum_d |d><d|, n = 1..n_steps.
 
@@ -210,16 +224,7 @@ def evolve_nonhermitian(spec: LatticeSpec, gamma: float) -> np.ndarray:
             gamma * tau is at most _MAX_GAMMA_TAU; naming tau, unless
             hopping * tau is at most _MAX_HOPPING_TAU.
     """
-    if not 0 < gamma < math.inf:
-        raise ValidationError(f"gamma: must be positive and finite, got {gamma}")
-    if not gamma * spec.tau <= _MAX_GAMMA_TAU:
-        raise ValidationError(
-            f"gamma: {gamma!r} times tau {spec.tau!r} exceeds {_MAX_GAMMA_TAU:g}"
-        )
-    if not spec.hopping * spec.tau <= _MAX_HOPPING_TAU:
-        raise ValidationError(
-            f"tau: {spec.tau!r} times hopping {spec.hopping!r} exceeds {_MAX_HOPPING_TAU:g}"
-        )
+    _check_absorber(spec, gamma)
     c, v_b, energies, s_dark = _bright_modes(spec)
     q, r = np.linalg.qr(v_b.T, mode="complete")
     d = len(v_b)
@@ -251,7 +256,7 @@ def calibrate_gamma(
         ValidationError: naming the window unless 0 <= lo < hi <= n_steps, or
             if gammas is empty or the projective survival vanishes in it; and
             evolve_nonhermitian's, naming gamma or tau, for a gamma of the
-            grid or a tau that it refuses.
+            grid or a tau that it refuses, before either run starts.
     """
     lo, hi = window
     if not 0 <= lo < hi <= spec.n_steps:
@@ -262,6 +267,8 @@ def calibrate_gamma(
         gammas = np.geomspace(0.05, 50.0, 40) / spec.tau
     if len(gammas) == 0:
         raise ValidationError("gammas: the grid of absorbing strengths is empty")
+    for gamma in gammas:
+        _check_absorber(spec, gamma)
     run = replace(spec, n_steps=hi)
     ref = evolve_project(run).survival[lo:]
     if np.any(ref <= 0):

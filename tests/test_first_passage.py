@@ -396,6 +396,23 @@ class TestCalibrationInput:
         with pytest.raises(ValidationError, match="gammas"):
             calibrate_gamma(self.SPEC, (10, 40), [])
 
+    @pytest.mark.parametrize("spec, gammas, message", [
+        (LatticeSpec(161, 1.0, 79, [80], 200.0, 400000), None, "^tau: 200.0 times hopping 1.0 exceeds 100$"),
+        (LatticeSpec(161, 1.0, 79, [80], 0.5, 400000), [1.0, 2.0, 4.0 * _MAX_GAMMA_TAU],
+         f"^gamma: {4.0 * _MAX_GAMMA_TAU!r} times tau 0.5 exceeds 1e\\+12$"),
+    ])
+    def test_refusal_comes_before_either_run(self, monkeypatch, spec, gammas, message):
+        # The spec and the grid alone decide these refusals: the projective
+        # reference of the 400 000-step run took 2.2 s before the first
+        # absorbing run refused its tau.
+        def refused(*args, **kwargs):
+            raise AssertionError("evolution started")
+
+        for name in ("evolve_project", "evolve_nonhermitian"):
+            monkeypatch.setattr(first_passage, name, refused)
+        with pytest.raises(ValidationError, match=message):
+            calibrate_gamma(spec, (10, spec.n_steps), gammas)
+
     def test_one_step_matrix_per_gamma_and_no_eigendecomposition(self, monkeypatch):
         # The absorbing run takes no eigendecomposition: one step matrix of
         # the 40 bright modes (site 21 of 41 misses mode 21) per gamma.
