@@ -1,4 +1,4 @@
-"""Pulse propagation through dispersive slabs and Poynting-centroid arrival times.
+"""Pulse arrival times through dispersive slabs: the Poynting-centroid delay budget.
 
 Units: c = 1, mu = 1.  Fields are analytic signals (spectral content at
 omega > 0 only); the physical field is the real part.  The spectral
@@ -28,7 +28,7 @@ delay_decomposition is the per-row kernel of a sweep.  It takes each arrival
 time from the spectrum alone: with q = -i dE~/domega, the spectrum of the time
 moment t E(t), the centroid is Re <n E~, q> / Re <E~, n E~> (_p_operator).
 The entry spectrum of the Gaussian pulse and its moment are closed forms
-(_entry_spectrum), so the kernel never samples pulse.field().  Every spectrum
+(_entry_spectrum), so the kernel never samples the field.  Every spectrum
 of a row is exactly zero outside the entry spectrum's band, the B samples
 within _BAND_REACH/T of the carrier (about 1240 of the 16384 on a 200-long
 window at T = 2), so every sum of the row runs over that band alone.
@@ -44,9 +44,8 @@ N-point round trip's to rounding, not an approximation of it: the same
 periodic window and the same sums, with the zeros left out.  n(omega) and
 dk/domega are cached once per sweep, the slab factors exp(i k L) and
 exp(-Im k L) once per thickness, and the circulant's spectrum once per (N, m),
-so a carrier sweep computes all of them once.  propagate, centroid_time and
-detector_absorption_time sample the field and transform on the whole grid:
-they are the independent time-domain check of the kernel.
+so a carrier sweep computes all of them once.  The kernel's independent check,
+on the sampled field and the whole grid, is the tests' pulse_oracle module.
 
 The transforms are periodic in time, so a field that has not decayed by the
 edges of the window wraps around it, and no spectral check can see that.
@@ -76,16 +75,12 @@ __all__ = [
     "MediumSpec",
     "PulseSpec",
     "DelayReport",
-    "PlaneFields",
     "permittivity",
     "refractive_index",
     "to_spectrum",
     "to_time",
     "group_wavevector_derivative",
-    "propagate",
-    "centroid_time",
     "delay_decomposition",
-    "detector_absorption_time",
 ]
 
 _ALIAS_TOL = 1e-6
@@ -140,7 +135,7 @@ class MediumSpec:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian pulse on a uniform time grid.
+    """Gaussian pulse E(t) = exp(-(t-t0)^2/(2T^2) - i w0 (t-t0)) at the times j span/N, j < N.
 
     Attributes:
         carrier: carrier frequency omega0 (> 0).
@@ -176,14 +171,6 @@ class PulseSpec:
                 f"n_samples: Nyquist frequency {nyquist:.4g} does not clear the spectral band "
                 f"{self.carrier + 6.0 / self.duration:.4g}"
             )
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.span, self.n_samples, endpoint=False)
-
-    def field(self) -> np.ndarray:
-        """Analytic-signal entry field E(t) = exp(-(t-t0)^2/(2T^2) - i w0 (t-t0))."""
-        t = self.times() - self.center
-        return np.exp(-(t**2) / (2.0 * self.duration**2) - 1j * self.carrier * t)
 
 
 @dataclass(frozen=True)
@@ -343,12 +330,6 @@ def to_time(spectrum: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     return field
 
 
-def _check_aliasing(spectrum: np.ndarray, what: str) -> None:
-    n = len(spectrum)
-    _check_leakage(float(np.max(np.abs(spectrum))),
-                   float(np.max(np.abs(spectrum[n // 2 - 1 : n // 2 + 2]))), what)
-
-
 def _check_leakage(peak: float, edge: float, what: str) -> None:
     """Refuse a spectrum whose largest modulus at the three samples next to the
     Nyquist frequency exceeds _ALIAS_TOL of its peak modulus."""
@@ -362,64 +343,15 @@ def _check_leakage(peak: float, edge: float, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# propagation and arrival times
-
-
-@dataclass(frozen=True)
-class PlaneFields:
-    """Analytic-signal E and H time series at one plane, on the pulse grid."""
-
-    e: np.ndarray
-    h: np.ndarray
-    pulse: PulseSpec
-
-    def poynting(self) -> np.ndarray:
-        return 0.5 * np.real(self.e * np.conj(self.h))
-
-
-def _fields_at(spectrum: np.ndarray, n: np.ndarray, pulse: PulseSpec) -> PlaneFields:
-    return PlaneFields(e=to_time(spectrum, pulse), h=to_time(n * spectrum, pulse), pulse=pulse)
-
-
-def propagate(pulse: PulseSpec, medium: MediumSpec) -> tuple[PlaneFields, PlaneFields]:
-    """Entry- and exit-plane fields for an index-matched slab.
-
-    Each spectral component is multiplied by exp(i n(omega) omega L); H follows
-    from the local impedance (H~ = n E~ with c = mu = 1).
-
-    Raises:
-        GridError: if spectral leakage at the grid edge exceeds 1e-6 of the
-            peak (entry or exit), i.e. the grid aliases.
-    """
-    w = _omegas(pulse.n_samples, pulse.span)
-    n = _on_grid(refractive_index, medium, w)
-    spec_in = to_spectrum(pulse.field(), pulse)
-    _check_aliasing(spec_in, "entry spectrum")
-    spec_out = spec_in * np.exp(1j * n * w * medium.thickness)
-    _check_aliasing(spec_out, "exit spectrum")
-    return _fields_at(spec_in, n, pulse), _fields_at(spec_out, n, pulse)
-
-
-def centroid_time(fields: PlaneFields) -> float:
-    """First temporal moment of the Poynting flux through the plane.
-
-    Raises:
-        ZeroFluxError: if the net energy flux through the plane vanishes: it
-            is at most _FLUX_FLOOR of sum |S|, the flux with no cancellation.
-    """
-    s = fields.poynting()
-    total = float(np.sum(s))
-    if not np.isfinite(total) or abs(total) <= _FLUX_FLOOR * float(np.sum(np.abs(s))):
-        raise ZeroFluxError("net energy flux through the plane vanishes")
-    return float(np.sum(fields.pulse.times() * s) / total)
+# arrival times
 
 
 def _p_operator(spectrum: np.ndarray, ns: np.ndarray, moment: float) -> float:
     """Spectral form of the Poynting centroid at a plane with local index n,
     given ns = n E~ and moment = Re sum conj(n E~) q, where q = -i dE~/domega is
     the spectrum of the time moment t E(t).  The centroid is the moment over the
-    net flux Re sum n |E~|^2; by discrete Parseval it equals centroid_time of
-    the plane's fields.
+    net flux Re sum n |E~|^2; by discrete Parseval it equals the centroid of
+    the plane's sampled Poynting flux.
 
     The net flux is zero when it is at most _FLUX_FLOOR of sum |n E~| |E~|,
     the flux the plane would carry with no cancellation: below that it is
@@ -445,7 +377,7 @@ def _envelope(pulse: PulseSpec, w: np.ndarray) -> np.ndarray:
 
 
 def _entry_spectrum(pulse: PulseSpec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form entry spectrum of pulse.field() and its time moment on the
+    """Closed-form entry spectrum of the pulse's field and its time moment on the
     frequencies w: E~_in = T sqrt(2 pi) exp(-(w - w0)^2 T^2 / 2) exp(i w t0) and
     q_in = -i dE~_in/domega = (t0 + i T^2 (w - w0)) E~_in.
 
@@ -576,38 +508,3 @@ def delay_decomposition(pulse: PulseSpec, medium: MediumSpec) -> DelayReport:
         evanescent_regime=evanescent,
         window_truncated=out_truncated or att_truncated,
     )
-
-
-def detector_absorption_time(
-    fields: PlaneFields, eta: float = 1e-3, thickness: float = 1e-3
-) -> float:
-    """Arrival time registered by a thin weakly absorbing detector slab.
-
-    The slab has index n = 1 + i eta; the detection-rate series is the
-    absorbed power S_in(t) - S_out(t), and the arrival time is its centroid.
-    Cross-checks centroid_time: for thin, weak absorbers the two agree to
-    O(eta thickness bandwidth / carrier).
-
-    Raises:
-        ZeroFluxError: if the absorbed energy is at most _FLUX_FLOOR of the
-            flux the two branches carry, whose difference it is rounding
-            noise of.
-    """
-    pulse = fields.pulse
-    w = _omegas(pulse.n_samples, pulse.span)
-    spec = to_spectrum(fields.e, pulse)
-    n_det = np.where(w >= 0, 1.0 + 1j * eta, 1.0 - 1j * eta)
-    spec_abs = spec * np.exp(1j * n_det * w * thickness)
-    spec_ref = spec * np.exp(1j * w * thickness)
-    # Both branches carry the same phase delay, so the difference of their
-    # fluxes isolates the absorbed power (the detection-rate series).
-    out = PlaneFields(e=to_time(spec_abs, pulse), h=to_time(n_det * spec_abs, pulse), pulse=pulse)
-    ref = PlaneFields(e=to_time(spec_ref, pulse), h=to_time(spec_ref, pulse), pulse=pulse)
-    s_ref, s_out = ref.poynting(), out.poynting()
-    rate = s_ref - s_out
-    total = float(np.sum(rate))
-    if not np.isfinite(total) or abs(total) <= _FLUX_FLOOR * float(
-        np.sum(np.abs(s_ref)) + np.sum(np.abs(s_out))
-    ):
-        raise ZeroFluxError("detector absorbs no energy")
-    return float(np.sum(pulse.times() * rate) / total)

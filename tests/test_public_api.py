@@ -1,6 +1,6 @@
 """The public surface: every name that wavetime or one of its modules lists in
-__all__ resolves, and wavetime.__all__ is pinned, so that a name leaves (or
-joins) the package surface only on purpose."""
+__all__ resolves, and wavetime.__all__ and every module's __all__ are pinned,
+so that a name leaves (or joins) a surface only on purpose."""
 import importlib
 import pkgutil
 
@@ -47,6 +47,28 @@ PACKAGE_ALL = {
     "full_report",
 }
 
+# Each module's __all__; None for a module that lists none.
+MODULE_ALL = {
+    "wavetime.cli": {"Scenario", "ResultTable", "load_scenario", "run_scenario", "compare_tables", "main"},
+    "wavetime.em_pulse": {
+        "MediumKind", "MediumSpec", "PulseSpec", "DelayReport", "permittivity", "refractive_index",
+        "to_spectrum", "to_time", "group_wavevector_derivative", "delay_decomposition",
+    },
+    "wavetime.errors": None,
+    "wavetime.first_passage": {
+        "LatticeSpec", "DetectionRecord", "evolve_project", "evolve_nonhermitian", "calibrate_gamma",
+        "fit_power_law", "zeno_scan",
+    },
+    "wavetime.potentials": {"Segment", "PotentialProfile", "make_rectangular_barrier"},
+    "wavetime.scatter": {
+        "wavevector", "solve", "wavefunction_at", "partial_waves", "ScatteringSolution", "PartialWaveSet",
+    },
+    "wavetime.timescales": {
+        "TimescaleReport", "wigner_delay", "dwell_time", "bl_time", "larmor_times", "imag_clock_time",
+        "sojourn_transmission", "sojourn_reflection", "full_report",
+    },
+}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_listed_name_resolves(name):
@@ -64,3 +86,13 @@ def test_star_import_gives_the_package_surface():
 
 def test_package_surface_is_pinned():
     assert sorted(wavetime.__all__) == sorted(PACKAGE_ALL)
+
+
+def test_every_module_is_pinned():
+    assert sorted(MODULE_ALL) == sorted(MODULES[1:])
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_ALL))
+def test_module_surface_is_pinned(name):
+    exported = getattr(importlib.import_module(name), "__all__", None)
+    assert (None if exported is None else set(exported)) == MODULE_ALL[name]

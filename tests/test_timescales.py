@@ -406,6 +406,31 @@ class TestClockIdentities:
         assert tau_y == pytest.approx(abs(2.0 * (sy_p - sy_m) / (2.0 * h)), rel=1e-7)
         assert tau_z == pytest.approx(2.0 * (sz_p - sz_m) / (2.0 * h), rel=1e-7)
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(layers=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(-3.0, 6.0), st.floats(-1.2, 1.2)),
+                           min_size=2, max_size=5),
+           first=st.integers(0, 4), last=st.integers(0, 4), e=st.floats(0.3, 10.0))
+    def test_larmor_with_random_fields_matches_public_solves(self, layers, first, last, e):
+        # A Zeeman field on every segment, inside the clock region and out of
+        # it, against a central difference of <S_y> and <S_z> from the public
+        # solves of the two Zeeman components, omega added to every clock
+        # segment's own field.  Transmission only: the reflected spinor of
+        # such profiles is misread near its zeros (ROADMAP item 3).
+        lo, hi = sorted((min(first, len(layers) - 1), min(last, len(layers) - 1)))
+        assume(hi - lo < len(layers) - 1 and all(abs(e - v) > 1e-2 for _, v, _ in layers))
+        prof = PotentialProfile(tuple(Segment(d, v, omega_larmor=w) for d, v, w in layers), (lo, hi))
+
+        def spin(omega):
+            moved = tuple(replace(seg, omega_larmor=seg.omega_larmor + omega) if lo <= j <= hi else seg
+                          for j, seg in enumerate(prof.segments))
+            return spin_expectations(*spin_pair(replace(prof, segments=moved), e, "transmission"))
+
+        h = 1e-6
+        (sy_p, sz_p), (sy_m, sz_m) = spin(h), spin(-h)
+        tau_y, tau_z = larmor_times(prof, e)
+        assert tau_y == pytest.approx(abs(2.0 * (sy_p - sy_m) / (2.0 * h)), rel=1e-5, abs=1e-9)
+        assert tau_z == pytest.approx(2.0 * (sz_p - sz_m) / (2.0 * h), rel=1e-5, abs=1e-9)
+
     def test_imag_clock_singular_when_opaque(self):
         # kappa L = 20 pushes |t| below the log-derivative guard.
         prof = make_rectangular_barrier(5.0, 10.0)
