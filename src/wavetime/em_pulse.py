@@ -208,54 +208,53 @@ def _denominator(medium: MediumSpec, w: np.ndarray) -> np.ndarray:
     return w0**2 - w**2 - 1j * medium.damping * w
 
 
-def _dispersion(medium: MediumSpec, omega, quantity: str) -> np.ndarray | complex:
-    """quantity ("eps", "n" or "dk") of the medium at omega: a scalar omega
-    gives a complex, an array an array."""
+def _dispersion(medium: MediumSpec, omega) -> tuple:
+    """(epsilon, n, dk/domega) of the medium at omega, from one resonance
+    denominator: a scalar omega gives complexes, an array arrays."""
     w = np.asarray(omega, dtype=complex)
     if medium.kind is MediumKind.VACUUM:
-        out = np.ones_like(w)
+        eps = n = dk = np.ones_like(w)
     else:
         denom = _denominator(medium, w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if quantity == "dk":
-                deps = medium.plasma_strength**2 * (2.0 * w + 1j * medium.damping) / denom**2
-            out = 1.0 + medium.plasma_strength**2 / denom
-            del denom  # not held while n is formed, which would raise a grid's peak memory
-            if quantity != "eps":
-                n = np.sqrt(out)
-                out = n = np.where(n.imag < 0, -n, n)
-            if quantity == "dk":
-                out = n + w * deps / (2.0 * n)
-    return complex(out) if np.isscalar(omega) else out
+            deps = medium.plasma_strength**2 * (2.0 * w + 1j * medium.damping) / denom**2
+            eps = 1.0 + medium.plasma_strength**2 / denom
+            del denom  # not held while n and dk are formed, which would raise a grid's peak memory
+            n = np.sqrt(eps)
+            n = np.where(n.imag < 0, -n, n)
+            dk = n + w * deps / (2.0 * n)
+    if np.isscalar(omega):
+        return complex(eps), complex(n), complex(dk)
+    return eps, n, dk
 
 
 def permittivity(medium: MediumSpec, omega) -> np.ndarray | complex:
     """epsilon(omega) = 1 + omega_p^2/(omega0^2 - omega^2 - i gamma omega), with
     omega0 = resonance (Lorentz) or 0 (plasma: the Drude form 1 - omega_p^2/(omega^2
     + i gamma omega)), and 1 in vacuum.  Array in, array out."""
-    return _dispersion(medium, omega, "eps")
+    return _dispersion(medium, omega)[0]
 
 
 def refractive_index(medium: MediumSpec, omega) -> np.ndarray | complex:
     """n = sqrt(epsilon) on the absorption branch Im(n) >= 0."""
-    return _dispersion(medium, omega, "n")
+    return _dispersion(medium, omega)[1]
 
 
 def group_wavevector_derivative(medium: MediumSpec, omega) -> np.ndarray | complex:
     """dk/domega = n + omega dn/domega, with dn/domega = eps'/(2n) analytically."""
-    return _dispersion(medium, omega, "dk")
+    return _dispersion(medium, omega)[2]
 
 
 # ---------------------------------------------------------------------------
 # spectral transforms (convention E~(w) = int E(t) exp(+iwt) dt)
 
 
-def _on_grid(f, medium: MediumSpec, w: np.ndarray) -> np.ndarray:
-    """f(medium, |w|) over a full FFT grid, extended to w < 0 by the reality symmetry
-    f(-w) = conj(f(w)); for n this keeps Im(k) = Im(n w) >= 0 (decay) at every w."""
-    v = f(medium, np.abs(w))
-    v = np.where(np.isfinite(v), v, 0.0)
-    return np.where(w >= 0, v, np.conj(v))
+def _on_grid(medium: MediumSpec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, dk/domega) over a full FFT grid from one _dispersion pass at |w|, each
+    extended to w < 0 by the reality symmetry f(-w) = conj(f(w)); for n this
+    keeps Im(k) = Im(n w) >= 0 (decay) at every w."""
+    finite = (np.where(np.isfinite(v), v, 0.0) for v in _dispersion(medium, np.abs(w))[1:])
+    return tuple(np.where(w >= 0, v, np.conj(v)) for v in finite)
 
 
 def _omegas(n_samples: int, span: float) -> np.ndarray:
@@ -271,7 +270,7 @@ def _grid_dispersion(kind: MediumKind, resonance: float, plasma_strength: float,
     computes them once."""
     medium = MediumSpec(kind, 1.0, resonance, plasma_strength, damping)
     w = np.fft.fftshift(_omegas(n_samples, span))
-    out = (w, _on_grid(refractive_index, medium, w), _on_grid(group_wavevector_derivative, medium, w))
+    out = (w, *_on_grid(medium, w))
     for a in out:
         a.flags.writeable = False
     return out

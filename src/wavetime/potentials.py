@@ -93,8 +93,9 @@ class PotentialProfile:
             object.__setattr__(self, "clock_region", pair)
 
     def extent(self) -> float:
-        """Total length of the profile."""
-        return sum(s.length for s in self.segments)
+        """Total length of the profile: the last of edges(), so that every
+        x below it lies in a segment."""
+        return self.edges()[-1]
 
     def edges(self) -> list[float]:
         """Interface positions, including x=0 and x=extent()."""

@@ -9,17 +9,18 @@ Every S-matrix comes from one composer, _fold: a left-to-right pass that
 keeps a running (t, r, t_rev, r_rev), builds each element (an interface, or a
 merged k ~ 0 run) as a plain tuple and applies the one Redheffer star.  Every
 fold is prepared by one _Chain: the bare wavevectors, lengths and leads at one
-energy, and the exit phase.  solve() and solve_with_propagation_override read
-their amplitudes off one fold of it, and partial_waves folds the stacks on
-either side of the clock region.  The interior waves come from two folds of a
-_Chain that record their state at every segment: one over the chain, and one
-over its mirror image for the reflection off everything to the right; a solution
-builds them on first access (wavefunction_at), the dwell time with no solution.
+energy, and the exit phase.  solve() reads its amplitudes off one fold of it,
+and partial_waves folds the stacks on either side of the clock region.  The
+interior waves come from two plain folds of a _Chain that record their state
+at every segment: one over the chain, and one over its mirror image for the
+reflection off everything to the right; a solution builds them on first
+access (wavefunction_at), the dwell time with no solution.
 The clock probes in timescales fold a _Chain directly, with wavevectors from _k
 (wavevector's k^2 and branch rule on bare numbers), so a probe's amplitude is
 that of solve(profile, E, channel) for the clocked profile (channel +1 or -1
-for a Zeeman component), and no clock goes through
-solve_with_propagation_override.
+for a Zeeman component).  The sojourn's dressed fold moves only propagation
+wavevectors, and is an amplitude only: solve_with_propagation_override
+returns it, and no solution or interior wave carries a dressing.
 
 Amplitude conventions: the incident wave is exp(i k_L x) with unit amplitude in
 absolute coordinates, so the empty (zero-potential) profile gives t = 1, r = 0.
@@ -278,9 +279,9 @@ def _fold(
         j += 1
 
 
-def _segment_waves(chain: _Chain, prop_ks=()) -> tuple[_SegmentWave, ...]:
-    """Interior wave coefficients of every segment of the chain, with prop_ks
-    overriding propagation wavevectors, from two recorded folds.
+def _segment_waves(chain: _Chain) -> tuple[_SegmentWave, ...]:
+    """Interior wave coefficients of every segment of the chain, from two
+    recorded plain folds.
 
     The forward fold gives, at each segment's left edge, the transmission t
     into it and the reflection r_rev back off everything to its left, and its
@@ -290,14 +291,10 @@ def _segment_waves(chain: _Chain, prop_ks=()) -> tuple[_SegmentWave, ...]:
     so a k ~ 0 block mirrors like any other element.
     """
     ks, ds = chain.ks, chain.ds
-    eff_ks = list(ks)
-    for j, k in prop_ks:
-        eff_ks[j] = k
     forward: list = []
     mirrored: list = []
-    dressed = bool(prop_ks)
-    r = _fold(ks, ds, chain.k_l, chain.k_r, eff_ks if dressed else None, forward)[1]
-    _fold(ks[::-1], ds[::-1], chain.k_r, chain.k_l, eff_ks[::-1] if dressed else None, mirrored)
+    r = _fold(ks, ds, chain.k_l, chain.k_r, states=forward)[1]
+    _fold(ks[::-1], ds[::-1], chain.k_r, chain.k_l, states=mirrored)
     mirrored.reverse()
     edges = chain.profile.edges()
 
@@ -317,13 +314,13 @@ def _segment_waves(chain: _Chain, prop_ks=()) -> tuple[_SegmentWave, ...]:
         else:
             t_in, r_left = left
             r_right = right[1]
-            p = cmath.exp(1j * eff_ks[j] * ds[j])
+            p = cmath.exp(1j * ks[j] * ds[j])
             denom = 1.0 - r_left * r_right * p * p
             if abs(denom) < 1e-300:
                 raise ResummationDivergenceError("internal resummation diverges")
             a = t_in / denom
             b = r_right * p * a  # left-mover, referenced at the right edge
-            waves.append(_SegmentWave("pw", eff_ks[j], edges[j], ds[j], a, b))
+            waves.append(_SegmentWave("pw", ks[j], edges[j], ds[j], a, b))
     return tuple(waves)
 
 
@@ -345,10 +342,8 @@ class ScatteringSolution:
     k_left: complex
     k_right: complex
     extent: float
-    # The chain and propagation overrides segment_waves is built from, on
-    # first access.
+    # The chain segment_waves is built from, on first access.
     _chain: _Chain = field(repr=False, compare=False)
-    _prop_ks: tuple[tuple[int, complex], ...] = field(repr=False, compare=False)
 
     @property
     def incident_flux(self) -> float:
@@ -364,7 +359,7 @@ class ScatteringSolution:
             ResummationDivergenceError: if a segment's internal round trip
                 has unit gain.
         """
-        return _segment_waves(self._chain, self._prop_ks)
+        return _segment_waves(self._chain)
 
 
 class _Chain:
@@ -386,7 +381,6 @@ class _Chain:
                 f"({profile.v_left}, {profile.v_right})"
             )
         self.profile = profile
-        self.energy = E
         self.ks = [wavevector(E, seg, channel) for seg in profile.segments]
         self.ds = [seg.length for seg in profile.segments]
         self.k_l = complex(math.sqrt(E - profile.v_left))
@@ -413,25 +407,6 @@ class _Chain:
                 prop[j] = k
         return _fold(seg_ks, self.ds, self.k_l, self.k_r, prop)
 
-    def solution(self, prop_ks: tuple[tuple[int, complex], ...] = ()) -> ScatteringSolution:
-        """The solution of one fold with prop_ks overriding propagation
-        wavevectors; it keeps the chain to build its interior waves from."""
-        t, r, t_rev, r_rev = self.fold(prop_ks=prop_ks)
-        phase = self.exit_phase
-        return ScatteringSolution(
-            energy=self.energy,
-            t=t * phase,
-            r=r,
-            t_rev=t_rev * phase,
-            r_rev=r_rev * phase * phase,
-            t_local=t,
-            k_left=self.k_l,
-            k_right=self.k_r,
-            extent=self.profile.extent(),
-            _chain=self,
-            _prop_ks=prop_ks,
-        )
-
 
 def solve(profile: PotentialProfile, E: float, channel: int | None = None) -> ScatteringSolution:
     """Solve the scattering problem at energy E (left incidence).
@@ -443,7 +418,21 @@ def solve(profile: PotentialProfile, E: float, channel: int | None = None) -> Sc
         ValidationError: if E is not finite.
         NoOpenChannelError: if E does not lie above both asymptotic potentials.
     """
-    return _Chain(profile, E, channel).solution()
+    chain = _Chain(profile, E, channel)
+    t, r, t_rev, r_rev = chain.fold()
+    phase = chain.exit_phase
+    return ScatteringSolution(
+        energy=E,
+        t=t * phase,
+        r=r,
+        t_rev=t_rev * phase,
+        r_rev=r_rev * phase * phase,
+        t_local=t,
+        k_left=chain.k_l,
+        k_right=chain.k_r,
+        extent=profile.extent(),
+        _chain=chain,
+    )
 
 
 def wavefunction_at(solution: ScatteringSolution, x: float) -> complex:
@@ -458,12 +447,12 @@ def wavefunction_at(solution: ScatteringSolution, x: float) -> complex:
         return cmath.exp(1j * solution.k_left * x) + solution.r * cmath.exp(
             -1j * solution.k_left * x
         )
-    if x >= solution.extent or not solution.segment_waves:
+    if x >= solution.extent:
         return solution.t_local * cmath.exp(1j * solution.k_right * (x - solution.extent))
+    # extent is the last edge, so some segment holds x.
     for w in solution.segment_waves:
         if x < w.x0 + w.d:
             return w.value(x)
-    return solution.segment_waves[-1].value(x)
 
 
 @dataclass(frozen=True)
@@ -531,9 +520,10 @@ def solve_with_propagation_override(
     profile: PotentialProfile,
     E: float,
     prop_override: dict[int, complex],
-) -> ScatteringSolution:
-    """Solve with per-segment propagation wavevectors replaced while every
-    interface keeps the bare wavevector.  This realises the paired-variable
-    dressing: interface scattering pinned at zero clock strength, internal
-    propagation carrying the clock dependence."""
-    return _Chain(profile, E).solution(tuple(prop_override.items()))
+) -> tuple[complex, complex, complex, complex]:
+    """The local (t, r, t_rev, r_rev) of one fold (t is a solution's t_local)
+    with per-segment propagation wavevectors replaced while every interface
+    keeps the bare wavevector: the paired-variable dressing that the sojourn
+    ladder folds, interface scattering pinned at zero clock strength and
+    internal propagation carrying the clock dependence."""
+    return _Chain(profile, E).fold(prop_ks=tuple(prop_override.items()))

@@ -7,7 +7,7 @@ from em_pulse; none of the kernel's closed forms, bands or caches does."""
 import numpy as np
 
 from wavetime import em_pulse
-from wavetime.em_pulse import MediumKind, group_wavevector_derivative, refractive_index, to_spectrum, to_time
+from wavetime.em_pulse import MediumKind, to_spectrum, to_time
 from wavetime.errors import GridError, ZeroFluxError
 
 
@@ -29,14 +29,15 @@ def check_aliasing(spectrum, what):
 
 
 def _grid(pulse, medium):
+    """(omega, n, dk/domega) on the pulse's FFT grid."""
     w = em_pulse._omegas(pulse.n_samples, pulse.span)
-    return w, em_pulse._on_grid(refractive_index, medium, w)
+    return (w, *em_pulse._on_grid(medium, w))
 
 
 def propagate(pulse, medium):
     """(e, h) at the entry and exit planes of an index-matched slab: the exit
     spectrum is E~ exp(i n w L), and H~ = n E~."""
-    w, n = _grid(pulse, medium)
+    w, n, _ = _grid(pulse, medium)
     spec_in = to_spectrum(entry_field(pulse), pulse)
     check_aliasing(spec_in, "entry spectrum")
     spec_out = spec_in * np.exp(1j * n * w * medium.thickness)
@@ -82,7 +83,7 @@ def reference_decomposition(pulse, medium):
     edges and peak read on every time sample, and the guards on the sampled
     spectra.  Returns the five times and two flags, or the error's type and
     message."""
-    w, n = _grid(pulse, medium)
+    w, n, dk = _grid(pulse, medium)
     wraps = []
 
     def centroid(spectrum, q=None):
@@ -102,8 +103,7 @@ def reference_decomposition(pulse, medium):
         spec_att = spec_in * np.exp(-np.imag(n * w) * medium.thickness)
         t_in, t_out = centroid(spec_in, q_in), centroid(spec_out)
         weight = np.real(n) * np.abs(spec_att) ** 2
-        kprime = np.real(em_pulse._on_grid(group_wavevector_derivative, medium, w))
-        group = medium.thickness * np.sum(kprime * weight) / np.sum(weight)
+        group = medium.thickness * np.sum(np.real(dk) * weight) / np.sum(weight)
         reshape = centroid(spec_att) - t_in
     except (GridError, ZeroFluxError) as exc:
         return type(exc), str(exc)

@@ -249,6 +249,19 @@ def test_criterion_08_hartmann_saturation():
     )
 
 
+def dwell_decomposition_deviation(profile, E):
+    """|tau_D - (k_R/k_L)|t|^2 tau_I^T - |r|^2 tau_I^R| / max(1, |tau_D|) over
+    the clock region: the dwell time against the flux-weighted imaginary
+    clocks of the two channels (the absorption identity)."""
+    sol = solve(profile, E)
+    tau_t = imag_clock_time(profile, E, channel="transmission")
+    tau_r = imag_clock_time(profile, E, channel="reflection")
+    tau_d = dwell_time(profile, E)
+    flux = sol.k_right.real / sol.k_left.real
+    lhs = flux * abs(sol.t) ** 2 * tau_t + abs(sol.r) ** 2 * tau_r
+    return abs(lhs - tau_d) / max(1.0, abs(tau_d))
+
+
 def test_criterion_09_dwell_decomposition(rng):
     worst = 0.0
     checked = 0
@@ -256,15 +269,11 @@ def test_criterion_09_dwell_decomposition(rng):
         prof = random_real_profile(rng, max_segments=3, clock_region=True)
         prof = PotentialProfile(segments=prof.segments, clock_region=(0, len(prof.segments) - 1))
         e = safe_energy(rng, prof)
-        sol = solve(prof, e)
         try:
-            tau_t = imag_clock_time(prof, e, channel="transmission")
-            tau_r = imag_clock_time(prof, e, channel="reflection")
+            dev = dwell_decomposition_deviation(prof, e)
         except LogSingularityError:
             continue
-        tau_d = dwell_time(prof, e)
-        lhs = abs(sol.t) ** 2 * tau_t + abs(sol.r) ** 2 * tau_r
-        worst = max(worst, abs(lhs - tau_d) / max(1.0, abs(tau_d)))
+        worst = max(worst, dev)
         checked += 1
     report(9, "dwell time equals the flux-weighted clock decomposition", worst < 1e-6,
            f"worst dev {worst:.2e}")
@@ -586,3 +595,25 @@ def test_self_interference_identity_holds_at_a_resonance():
 def test_ladder_meets_the_self_interference_identity_at_a_resonance():
     assert wigner_delay(RESONANT_SYMMETRIC, RESONANT_E) == pytest.approx(
         dwell_plus_self_interference(RESONANT_SYMMETRIC, RESONANT_E), rel=1e-5)
+
+
+# The energies of a 0.1 grid over the stack's gap, wells and barrier tops
+# where the probe ladder misreads the reflection imaginary clock (ROADMAP
+# item 3), from 9.3e-6 relative at 5.1 to 35 % at 2.9 (|r| = 0.0117); with
+# the mpmath oracle's clocks in place of the ladder's, every point meets the
+# identity to 4e-15.  The deviation reads 1.1e-6 at 5.1 and 9.4e-5 at 8.9.
+DECOMPOSITION_MISREADS = (2.9, 5.1, 5.2, 8.9, 9.0)
+DECOMPOSITION_GRID = [
+    pytest.param(E, marks=pytest.mark.xfail(strict=True, reason="the probe ladder misreads the "
+                 "reflection imaginary clock here (ROADMAP item 3: exact derivatives through "
+                 "the chain)"))
+    if E in DECOMPOSITION_MISREADS else E
+    for E in (i / 10 for i in range(1, 100))
+    # criterion 09's exclusion of the segment tops, 1 and 5
+    if all(abs(E - seg.v_real) >= 1e-3 for seg in STACK.segments)
+]
+
+
+@pytest.mark.parametrize("E", DECOMPOSITION_GRID)
+def test_stack_dwell_decomposition(E):
+    assert dwell_decomposition_deviation(STACK, E) < 1e-6

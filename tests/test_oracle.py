@@ -19,8 +19,14 @@ from dataclasses import replace
 import mpmath
 import pytest
 
-from wavetime.potentials import PotentialProfile, Segment
-from wavetime.timescales import imag_clock_time, larmor_times, sojourn_transmission, wigner_delay
+from wavetime.potentials import PotentialProfile, Segment, make_rectangular_barrier
+from wavetime.timescales import (
+    dwell_time,
+    imag_clock_time,
+    larmor_times,
+    sojourn_transmission,
+    wigner_delay,
+)
 
 # 12-segment superlattice: barriers V=5, L=0.6 alternating with wells V=1,
 # L=0.9; the clock region is the 4 middle segments.
@@ -112,6 +118,19 @@ class Oracle:
         with mpmath.workdps(self.dps(E)):
             (y_up, z_up), (y_down, z_down) = spin(H), spin(-H)
             return float(abs(y_up - y_down) / H), float((z_up - z_down) / H)
+
+    def dwell(self, E):
+        """The dwell time over the clock region through the absorption
+        identity between equal leads, -(1/2) d(|t|^2 + |r|^2) / dV_I with V_I
+        on the clock segments: the flux an absorber there takes is
+        2 V_I integral |psi|^2, against the incident flux 2k."""
+
+        def kept(h):
+            return sum(abs(self.amplitude(E, channel, shift=1j * h)) ** 2
+                       for channel in ("transmission", "reflection"))
+
+        with mpmath.workdps(self.dps(E)):
+            return float(-(kept(H) - kept(-H)) / (4 * H))
 
     def sojourn(self, E):
         """The transmission sojourn time over a clock region in one regime:
@@ -216,6 +235,24 @@ SPOT_CHECKS = [(clock, E) for E in (0.7, 3.3, 6.1, 8.9) for clock in CLOCKS
 def test_clock_matches_the_oracle(clock, E):
     kernel, oracle = CLOCKS[clock]
     assert kernel(E) == pytest.approx(oracle(ORACLE, E), rel=1e-8)
+
+
+# name: (profile, its oracle) of the dwell time over the clock region.
+DWELL_PROFILES = {
+    "stack": (STACK, ORACLE),
+    "barrier": (make_rectangular_barrier(4.0, 1.0), Oracle([(1.0, 4.0)], [0])),
+}
+
+
+@pytest.mark.parametrize(
+    "name, E",
+    [("stack", E) for E in (0.7, 3.3, 6.1, 8.9)]
+    # the height-4 barrier below, next to and above its top
+    + [("barrier", E) for E in (0.5, 2.0, 3.99, 4.00071, 5.0, 9.0)],
+)
+def test_dwell_matches_the_oracle(name, E):
+    profile, oracle = DWELL_PROFILES[name]
+    assert dwell_time(profile, E) == pytest.approx(oracle.dwell(E), rel=1e-12)
 
 
 @pytest.mark.parametrize("clock, E, truth", KNOWN_FAILURES)

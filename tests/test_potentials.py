@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_real_profile
 from wavetime.errors import ValidationError
 from wavetime.potentials import PotentialProfile, Segment, make_rectangular_barrier
+from wavetime.scatter import solve, wavefunction_at
 from wavetime.timescales import full_report
 
 
@@ -121,3 +123,17 @@ def test_edges_accumulate_lengths():
     prof = PotentialProfile(segments=(Segment(0.5, 0.0), Segment(0.25, 1.0), Segment(1.0, 0.0)))
     assert prof.edges() == pytest.approx([0.0, 0.5, 0.75, 1.75])
     assert prof.clock_indices() == ()
+
+
+def test_extent_is_the_last_edge(rng):
+    # The running sum that builds the edges reads 0.6000000000000001 on these
+    # lengths, where a compensated sum (sum() of floats on Python >= 3.12)
+    # reads 0.6; one rule keeps every x below extent() inside a segment.
+    prof = PotentialProfile(segments=tuple(Segment(d, 1.0) for d in (0.1, 0.2, 0.3)))
+    assert prof.extent() == prof.edges()[-1] == 0.6000000000000001
+    sol = solve(prof, 2.0)
+    assert wavefunction_at(sol, 0.6) == sol.segment_waves[-1].value(0.6)
+    assert PotentialProfile(segments=()).extent() == 0.0
+    for _ in range(200):
+        prof = random_real_profile(rng, max_segments=12)
+        assert prof.extent() == prof.edges()[-1]

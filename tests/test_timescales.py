@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import random_real_profile, safe_energy, set_clock
+from test_oracle import Oracle
 from wavetime.errors import (
     DivergentIntegrandError,
     LogSingularityError,
@@ -93,7 +94,7 @@ def larmor_paired_sojourn(profile, E, h):
         up, down = (
             scatter.solve_with_propagation_override(
                 profile, E, {j: shifted(j, xi, sign) for j in segs}
-            ).t
+            )[0]
             for sign in (+1, -1)
         )
         return spin_expectations(up, down)
@@ -772,10 +773,10 @@ def public_probes(profile, E, channel):
         def amplitude(xi):
             override = {j: dressed_wavevector(profile, E, j, xi * profile.segments[j].length / L)
                         for j in active}
-            sol = scatter.solve_with_propagation_override(profile, E, override)
+            t, r, _, _ = scatter.solve_with_propagation_override(profile, E, override)
             if channel == "reflection":
-                return sol.r - scatter.partial_waves(profile, E).r12
-            return sol.t_local
+                return r - scatter.partial_waves(profile, E).r12
+            return t
 
         return amplitude
 
@@ -926,15 +927,9 @@ class TestBarrierTopLadderDefect:
     E = 4.00071
 
     def fine_difference(self):
-        # -(L/2) d ln|T|^2 / d xi at xi = 0, central difference at +-1e-7.
-        h = 1e-7
-
-        def log_t2(xi):
-            override = {0: dressed_wavevector(self.PROF, self.E, 0, xi)}
-            sol = scatter.solve_with_propagation_override(self.PROF, self.E, override)
-            return math.log(abs(sol.t) ** 2)
-
-        return -(1.0 / 2.0) * (log_t2(h) - log_t2(-h)) / (2.0 * h)
+        # -(L/2) d ln|T|^2 / d xi at xi = 0, the mpmath oracle's 60-digit
+        # central difference of its own dressed chain.
+        return Oracle([(1.0, 4.0)], [0]).sojourn(self.E)
 
     def test_fine_difference_oracle(self):
         assert self.fine_difference() == pytest.approx(352.28, rel=1e-4)
