@@ -14,13 +14,17 @@ only where their kind loads or runs, so a timescale sweep never loads them.
 write_table streams the rows once, to the CSV table and its JSON mirror
 together, so its memory does not grow with the length of the sweep.
 
-Verbs:
+Verbs, parsed by argparse in main:
     wavetime run <scenario.yaml>
     wavetime validate <scenario.yaml>
     wavetime compare <a.csv> <b.csv> --tol 1e-6 [--tol column=1e-4 ...]
+
+A WavetimeError or OSError (say, a missing file) from any verb ends in main's
+one handler: "error: why" on stderr and exit status 2.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -33,7 +37,6 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-import click
 import yaml
 
 from . import __version__, timescales
@@ -153,7 +156,7 @@ def load_scenario(path: str) -> Scenario:
         ValidationError: naming the offending field on any schema violation.
     """
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # PyYAML names undecodable bytes a YAMLError
             # libyaml's parser where PyYAML has it (8x faster on a long grid),
             # with safe_load's resolver and constructor either way.
             raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
@@ -393,25 +396,26 @@ def _reason_summary(table: ResultTable) -> str:
 
 
 def _read_csv_table(path: str) -> ResultTable:
-    metadata = {}
-    with open(path, newline="") as fh:
-        header_rows = []
-        for line in fh:
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition(":")
-                metadata[key.strip()] = val.strip()
-            else:
-                header_rows.append(line)
-    reader = csv.reader(header_rows)
-    columns = next(reader)
-    rows = [list(r) for r in reader]
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    """The table write_table wrote to path: # key: value lines, then csv rows."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+    metadata = {key.strip(): val.strip() for key, _, val in
+                (line[1:].strip().partition(":") for line in lines if line.startswith("#"))}
+    reader = csv.reader(line for line in lines if not line.startswith("#"))
+    columns = next(reader, None)
+    if not columns:
+        raise ValidationError(f"{path}: no header row")
+    return ResultTable(columns=columns, rows=list(reader), metadata=metadata)
 
 
 def compare_tables(
     a: ResultTable, b: ResultTable, tolerances: dict[str, float], default_tol: float
 ) -> list[str]:
-    """Per-cell relative comparison; returns failure descriptions (empty = pass).
+    """Per-cell relative comparison; returns failure descriptions (empty = pass),
+    one per failing cell and one per row whose cell count is not the header's.
 
     Raises:
         ValidationError: if the column sets differ, row counts mismatch, or a
@@ -429,6 +433,9 @@ def compare_tables(
         raise ValidationError(f"row count mismatch: {len(a.rows)} vs {len(b.rows)}")
     failures = []
     for i, (ra, rb) in enumerate(zip(a.rows, b.rows)):
+        if not len(ra) == len(rb) == len(a.columns):
+            failures.append(f"row {i}: {len(ra)} vs {len(rb)} cells for {len(a.columns)} columns")
+            continue
         for col, va, vb in zip(a.columns, ra, rb):
             try:
                 fa, fb = float(va), float(vb)
@@ -445,81 +452,73 @@ def compare_tables(
 
 
 # ---------------------------------------------------------------------------
-# click entry points
+# command line
 
 
-@click.group()
-def main() -> None:
-    """Timescales of wave traversal: scattering clocks, lattice first passage,
-    and pulse arrival, driven by scenario files."""
+def _run(scenario_file: str) -> None:
+    scenario = load_scenario(scenario_file)
+    table = run_scenario(scenario)
+    write_table(table, scenario.output_path, scenario.output_format)
+    print(_reason_summary(table), file=sys.stderr)
+    print(f"wrote {scenario.output_path} ({len(table.rows)} rows)")
 
 
-@main.command("run")
-@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False))
-def run_cmd(scenario_file: str) -> None:
-    """Execute a scenario sweep and write its result table."""
-    try:
-        scenario = load_scenario(scenario_file)
-        table = run_scenario(scenario)
-        write_table(table, scenario.output_path, scenario.output_format)
-    except (WavetimeError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    click.echo(_reason_summary(table), err=True)
-    click.echo(f"wrote {scenario.output_path} ({len(table.rows)} rows)")
+def _validate(scenario_file: str) -> None:
+    scenario = load_scenario(scenario_file)
+    print(f"valid: kind={scenario.kind} digest={scenario.digest}")
 
 
-@main.command("validate")
-@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False))
-def validate_cmd(scenario_file: str) -> None:
-    """Check a scenario file against the schema without running it."""
-    try:
-        scenario = load_scenario(scenario_file)
-    except WavetimeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    click.echo(f"valid: kind={scenario.kind} digest={scenario.digest}")
-
-
-@main.command("compare")
-@click.argument("table_a", type=click.Path(exists=True, dir_okay=False))
-@click.argument("table_b", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--tol",
-    "tols",
-    multiple=True,
-    help="Relative tolerance: a bare number applies to all columns; "
-    "column=value overrides one column. Repeatable.",
-)
-def compare_cmd(table_a: str, table_b: str, tols: tuple[str, ...]) -> None:
-    """Compare two result tables cell by cell."""
+def _compare(table_a: str, table_b: str, tols: list[str]) -> int | None:
     default_tol = 1e-9
     per_column: dict[str, float] = {}
-    try:
-        for spec in tols:
-            col, sep, val = spec.rpartition("=")
-            try:
-                tol = float(val)
-            except ValueError:
-                tol = math.nan
-            if not tol >= 0:
-                raise ValidationError(f"--tol: must be a number >= 0, got {val!r}")
-            if sep:
-                per_column[col.strip()] = tol
-            else:
-                default_tol = tol
-        failures = compare_tables(
-            _read_csv_table(table_a), _read_csv_table(table_b), per_column, default_tol
-        )
-    except WavetimeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    for spec in tols:
+        col, sep, val = spec.rpartition("=")
+        try:
+            tol = float(val)
+        except ValueError:
+            tol = math.nan
+        if not tol >= 0:
+            raise ValidationError(f"--tol: must be a number >= 0, got {val!r}")
+        if sep:
+            per_column[col.strip()] = tol
+        else:
+            default_tol = tol
+    failures = compare_tables(_read_csv_table(table_a), _read_csv_table(table_b), per_column, default_tol)
+    for line in failures:
+        print(f"FAIL {line}", file=sys.stderr)
     if failures:
-        for line in failures:
-            click.echo(f"FAIL {line}", err=True)
-        click.echo(f"compare: {len(failures)} failing cell(s)", err=True)
-        sys.exit(1)
-    click.echo("compare: all cells within tolerance")
+        print(f"compare: {len(failures)} failing cell(s)", file=sys.stderr)
+        return 1
+    print("compare: all cells within tolerance")
+
+
+_VERBS = {"run": _run, "validate": _validate, "compare": _compare}
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the verb that argv (sys.argv[1:] by default) names and exit with its
+    status: 0, 1 for a compare that finds failing cells, and 2 for a usage
+    error or for a WavetimeError or OSError, which stderr reads as "error: why"."""
+    parser = argparse.ArgumentParser(
+        prog="wavetime", description="Scenario files in, deterministic sweep tables out.")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    verbs.add_parser("run", help="execute a scenario sweep and write its result table"
+                     ).add_argument("scenario_file")
+    verbs.add_parser("validate", help="check a scenario file against the schema without running it"
+                     ).add_argument("scenario_file")
+    compare = verbs.add_parser("compare", help="compare two result tables cell by cell")
+    compare.add_argument("table_a")
+    compare.add_argument("table_b")
+    compare.add_argument("--tol", dest="tols", metavar="TOL", action="append", default=[],
+                         help="relative tolerance: a bare number applies to all columns; "
+                         "column=value overrides one column. Repeatable.")
+    args = vars(parser.parse_args(argv))
+    try:
+        status = _VERBS[args.pop("verb")](**args)
+    except (WavetimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
+    sys.exit(status)
 
 
 if __name__ == "__main__":

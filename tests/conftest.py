@@ -1,10 +1,12 @@
 import cmath
+import contextlib
+import io
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from wavetime import scatter
 from wavetime.cli import main as cli_main
@@ -77,6 +79,36 @@ def em_sweep_doc(parameter, grid, n_samples=2048, span=120.0):
     }
 
 
+@dataclass
+class Invocation:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(args) -> Invocation:
+    """`wavetime *args` run in this process with stdout and stderr captured.
+    exception is the SystemExit of a nonzero exit status, or an exception that
+    escaped main: that one exits 1 and prints its traceback, as python would."""
+    out, err = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli_main(args)
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+        except Exception as exc:
+            traceback.print_exc()
+            code, exception = 1, exc
+    return Invocation(code, out.getvalue(), err.getvalue(), exception)
+
+
 # One sweep of each parameter that the split-grid invariance covers.
 SPLIT_SWEEPS = {
     "energy": {
@@ -97,7 +129,7 @@ def run_sweep(tmp_path, doc, name):
     path = tmp_path / f"{name}.yaml"
     out = tmp_path / f"{name}.csv"
     path.write_text(yaml.safe_dump({**doc, "output": {"path": str(out), "format": "csv"}}))
-    res = CliRunner().invoke(cli_main, ["run", str(path)])
+    res = invoke(["run", str(path)])
     assert res.exit_code == 0, res.output
     return [line for line in out.read_bytes().splitlines() if not line.startswith(b"#")][1:]
 

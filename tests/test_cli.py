@@ -12,11 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SPLIT_SWEEPS, em_sweep_doc, run_sweep, whole_and_split_rows
+from conftest import SPLIT_SWEEPS, em_sweep_doc, invoke, run_sweep, whole_and_split_rows
 from wavetime.cli import (
     METHOD_LABELS,
     ResultTable,
@@ -26,7 +25,6 @@ from wavetime.cli import (
     _reason_summary,
     compare_tables,
     load_scenario,
-    main,
     run_scenario,
     write_table,
 )
@@ -170,7 +168,7 @@ class TestSchema:
 
     def test_validate_reports_kind_and_digest(self, tmp_path):
         path = timescale_scenario(tmp_path)
-        res = CliRunner().invoke(main, ["validate", str(path)])
+        res = invoke(["validate", str(path)])
         assert res.exit_code == 0, res.output
         assert res.stdout == f"valid: kind=timescale_sweep digest={load_scenario(str(path)).digest}\n"
 
@@ -230,7 +228,7 @@ class TestSchema:
         doc["output"] = {"path": str(tmp_path / "bad.csv"), "format": "csv"}
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(doc))
-        res = CliRunner().invoke(main, ["run", str(path)])
+        res = invoke(["run", str(path)])
         assert res.exit_code == 2, res.output
         assert res.stderr.startswith(f"error: {field}:")
         assert why in res.stderr
@@ -254,7 +252,7 @@ class TestSchema:
         doc["lattice"]["n_steps"] = 1.0e300
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(doc))
-        res = CliRunner().invoke(main, [command, str(path)])
+        res = invoke([command, str(path)])
         assert res.exit_code == 2, res.output
         assert res.stderr.startswith("error: lattice.n_steps: must be at most")
         assert "Traceback" not in res.output
@@ -268,7 +266,7 @@ class TestSchema:
         path.write_text(yaml.safe_dump(doc))
         with pytest.raises(ValidationError, match="output.path"):
             load_scenario(str(path))
-        res = CliRunner().invoke(main, [command, str(path)])
+        res = invoke([command, str(path)])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("error: output.path: must be a non-empty string")
@@ -323,8 +321,7 @@ class TestRun:
             assert f"{label}: ResummationDivergenceError" in rows[2][-1]
 
     def test_cli_run_writes_csv_and_json_mirror(self, tmp_path):
-        runner = CliRunner()
-        res = runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        res = invoke(["run", str(timescale_scenario(tmp_path))])
         assert res.exit_code == 0, res.output
         csv_text = (tmp_path / "out.csv").read_text()
         assert "# scenario_digest:" in csv_text
@@ -350,8 +347,7 @@ class TestRun:
     def test_values_round_trip_at_17_digits(self, tmp_path):
         scenario = load_scenario(str(timescale_scenario(tmp_path)))
         table = run_scenario(scenario)
-        runner = CliRunner()
-        assert runner.invoke(main, ["run", str(timescale_scenario(tmp_path))]).exit_code == 0
+        assert invoke(["run", str(timescale_scenario(tmp_path))]).exit_code == 0
         lines = [
             l for l in (tmp_path / "out.csv").read_text().splitlines()
             if l and not l.startswith("#")
@@ -359,25 +355,33 @@ class TestRun:
         cells = lines[1].split(",")
         assert float(cells[1]) == table.rows[0][1]
 
-    def test_malformed_config_is_structured_error(self, tmp_path):
-        # libyaml words its errors its own way; each still arrives as one
-        # named error with exit 2.
+    def test_malformed_config_is_structured_error(self, tmp_path, monkeypatch):
+        # libyaml words its errors its own way, and PyYAML's own reader, where
+        # there is no libyaml, its own; each still arrives as one named error
+        # with exit 2.  The undecodable bytes (a UTF-16 mark before an odd
+        # byte count, and Latin-1) ended in a UnicodeDecodeError traceback and
+        # exit 1 while the scenario was opened as text.
         path = tmp_path / "broken.yaml"
-        runner = CliRunner()
-        for text in ("kind: timescale_sweep\nsweep: [not, a, mapping\n", "kind: a: b\n",
-                     "  - x\n- y\n", "kind: 'unterminated\n", "kind:\n\t- 1\n", "kind: *nope\n",
-                     "- a\nkind: 1\n", "kind: \x07\n"):
-            path.write_text(text)
-            res = runner.invoke(main, ["run", str(path)])
-            assert res.exit_code == 2
-            assert "error: scenario file is not valid YAML: " in res.stderr
+        texts = [text.encode() for text in (
+            "kind: timescale_sweep\nsweep: [not, a, mapping\n", "kind: a: b\n", "  - x\n- y\n",
+            "kind: 'unterminated\n", "kind:\n\t- 1\n", "kind: *nope\n", "- a\nkind: 1\n",
+            "kind: \x07\n")] + [b"\xff\xfe\x00garbage\n", b"kind: caf\xe9\n"]
+        for libyaml in (True, False):
+            if not libyaml:
+                monkeypatch.delattr(yaml, "CSafeLoader")
+            for text in texts:
+                path.write_bytes(text)
+                res = invoke(["run", str(path)])
+                assert res.exit_code == 2, (libyaml, text, res.output)
+                assert "error: scenario file is not valid YAML: " in res.stderr
+                assert "Traceback" not in res.output
 
     def test_unwritable_output_is_error(self, tmp_path):
         doc = yaml.safe_load(timescale_scenario(tmp_path).read_text())
         doc["output"]["path"] = str(tmp_path / "missing" / "out.csv")
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(doc))
-        res = CliRunner().invoke(main, ["run", str(path)])
+        res = invoke(["run", str(path)])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("error: ")
@@ -434,7 +438,7 @@ class TestReasonSummary:
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump({**doc, "output": {"path": str(tmp_path / "out.csv"),
                                                          "format": "csv"}}))
-        res = CliRunner().invoke(main, ["run", str(path)])
+        res = invoke(["run", str(path)])
         assert res.exit_code == 0, res.output
         assert res.stdout == f"wrote {tmp_path / 'out.csv'} ({len(doc['sweep']['grid'])} rows)\n"
         return res.stderr
@@ -730,7 +734,7 @@ class TestScenarioFuzz:
     def test_boolean_schema_version_is_refused(self, tmp_path):
         # True == 1, so the version check let it through.
         path = timescale_scenario(tmp_path, extra={"schema_version": True})
-        res = CliRunner().invoke(main, ["validate", str(path)])
+        res = invoke(["validate", str(path)])
         assert res.exit_code == 2, res.output
         assert res.stderr.startswith("error: schema_version:")
 
@@ -751,7 +755,7 @@ class TestScenarioFuzz:
         path = tmp_path / "bad.yaml"
         path.write_text(timescale_scenario(tmp_path).read_text().replace(
             "- length: 1.0\n    v_real: 2.0", "- " + text))
-        res = CliRunner().invoke(main, ["validate", str(path)])
+        res = invoke(["validate", str(path)])
         assert res.exit_code == 2, res.output
         assert res.stderr.startswith(f"error: {field}:")
 
@@ -766,7 +770,7 @@ def test_non_finite_pulse_field_is_named_error(tmp_path, field, value):
     doc["output"] = {"path": str(tmp_path / "out.csv"), "format": "csv"}
     path = tmp_path / "pulse.yaml"
     path.write_text(yaml.safe_dump(doc))
-    res = CliRunner().invoke(main, ["validate", str(path)])
+    res = invoke(["validate", str(path)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith(f"error: pulse.{field}: must be a finite real number")
 
@@ -780,22 +784,20 @@ def test_non_finite_medium_field_is_named_error(tmp_path, field):
     doc["output"] = {"path": str(tmp_path / "out.csv"), "format": "csv"}
     path = tmp_path / "medium.yaml"
     path.write_text(yaml.safe_dump(doc))
-    res = CliRunner().invoke(main, ["validate", str(path)])
+    res = invoke(["validate", str(path)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith(f"error: medium.{field}: must be a finite real number")
 
 
 class TestCompare:
     def test_table_vs_itself_passes(self, tmp_path):
-        runner = CliRunner()
-        runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        invoke(["run", str(timescale_scenario(tmp_path))])
         out = str(tmp_path / "out.csv")
-        res = runner.invoke(main, ["compare", out, out, "--tol", "1e-12"])
+        res = invoke(["compare", out, out, "--tol", "1e-12"])
         assert res.exit_code == 0
 
     def test_perturbed_copy_fails_with_enumerated_rows(self, tmp_path):
-        runner = CliRunner()
-        runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        invoke(["run", str(timescale_scenario(tmp_path))])
         out = tmp_path / "out.csv"
         text = out.read_text()
         lines = text.splitlines()
@@ -803,19 +805,16 @@ class TestCompare:
         data[1] = f"{float(data[1]) * 1.01:.17g}"
         perturbed = tmp_path / "perturbed.csv"
         perturbed.write_text("\n".join(lines[:-1] + [",".join(data)]) + "\n")
-        res = runner.invoke(
-            main, ["compare", str(out), str(perturbed), "--tol", "1e-6"]
-        )
+        res = invoke(["compare", str(out), str(perturbed), "--tol", "1e-6"])
         assert res.exit_code == 1
         assert "FAIL" in res.stderr
         assert "wigner" in res.stderr
 
     @pytest.mark.parametrize("tol", ["abc", "nan", "-1", "wigner=abc", "wigner=-1e-6"])
     def test_bad_tolerance_is_error(self, tmp_path, tol):
-        runner = CliRunner()
-        runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        invoke(["run", str(timescale_scenario(tmp_path))])
         out = str(tmp_path / "out.csv")
-        res = runner.invoke(main, ["compare", out, out, "--tol", tol])
+        res = invoke(["compare", out, out, "--tol", tol])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("error: --tol:")
@@ -823,18 +822,16 @@ class TestCompare:
 
     @pytest.mark.parametrize("tol", ["nosuchcol=1", "wigenr=10"])
     def test_tolerance_for_unknown_column_is_error(self, tmp_path, tol):
-        runner = CliRunner()
-        runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        invoke(["run", str(timescale_scenario(tmp_path))])
         out = str(tmp_path / "out.csv")
-        res = runner.invoke(main, ["compare", out, out, "--tol", tol])
+        res = invoke(["compare", out, out, "--tol", tol])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("error: --tol:")
         assert repr(tol.partition("=")[0]) in res.stderr
 
     def test_per_column_tolerance_is_applied_from_the_command_line(self, tmp_path):
-        runner = CliRunner()
-        runner.invoke(main, ["run", str(timescale_scenario(tmp_path))])
+        invoke(["run", str(timescale_scenario(tmp_path))])
         out = tmp_path / "out.csv"
         lines = out.read_text().splitlines()
         data = lines[-1].split(",")
@@ -842,8 +839,8 @@ class TestCompare:
         perturbed = tmp_path / "perturbed.csv"
         perturbed.write_text("\n".join(lines[:-1] + [",".join(data)]) + "\n")
         args = ["compare", str(out), str(perturbed), "--tol", "1e-9"]
-        assert runner.invoke(main, args).exit_code == 1
-        assert runner.invoke(main, [*args, "--tol", "wigner=1e-2"]).exit_code == 0
+        assert invoke(args).exit_code == 1
+        assert invoke([*args, "--tol", "wigner=1e-2"]).exit_code == 0
 
     @pytest.mark.parametrize("scale, code", [(1.0 + 1e-10, 0), (1.0 + 1e-8, 1)])
     def test_default_tolerance_is_1e_minus_9(self, tmp_path, scale, code):
@@ -852,9 +849,8 @@ class TestCompare:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("energy,wigner\n1,1.0\n")
         b.write_text(f"energy,wigner\n1,{scale!r}\n")
-        runner = CliRunner()
         for extra in ([], ["--tol", "energy=1"]):
-            assert runner.invoke(main, ["compare", str(a), str(b), *extra]).exit_code == code
+            assert invoke(["compare", str(a), str(b), *extra]).exit_code == code
 
     def test_per_column_tolerance_override(self, tmp_path):
         from wavetime.cli import ResultTable
@@ -868,7 +864,7 @@ class TestCompare:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("energy,wigner\n1,1.0\n")
         b.write_text("energy,wigner\n1,1.0\n2,1.0\n")
-        res = CliRunner().invoke(main, ["compare", str(a), str(b)])
+        res = invoke(["compare", str(a), str(b)])
         assert res.exit_code == 2, res.output
         assert res.stderr == "error: row count mismatch: 1 vs 2\n"
 
@@ -889,6 +885,61 @@ class TestCompare:
         b = ResultTable(columns=["y"], rows=[])
         with pytest.raises(ValidationError):
             compare_tables(a, b, {}, 1e-9)
+
+    @pytest.mark.parametrize("cells", [1, 3], ids=["short", "long"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_row_whose_cell_count_is_not_the_headers_fails(self, tmp_path, cells, side):
+        # zip stopped at the shorter row, so a missing or extra cell passed unchecked.
+        good, odd = tmp_path / "good.csv", tmp_path / "odd.csv"
+        good.write_text("energy,wigner\n1.0,2.0\n")
+        odd.write_text("energy,wigner\n" + ",".join(["1.0", "2.0", "3.0"][:cells]) + "\n")
+        tables, counts = [str(good), str(good)], [2, 2]
+        tables[side], counts[side] = str(odd), cells
+        res = invoke(["compare", *tables])
+        assert res.exit_code == 1, res.output
+        assert res.stderr == (f"FAIL row 0: {counts[0]} vs {counts[1]} cells for 2 columns\n"
+                              "compare: 1 failing cell(s)\n")
+
+    @pytest.mark.parametrize("content, why", [
+        (b"", "no header row"),
+        (b"# tool_version: 0.1.0\r\n# units: none\r\n", "no header row"),
+        (b"\xff\xfe\x00garbage\n", "not UTF-8 text"),
+        (b"energy,wigner\r\n1.0,caf\xe9\r\n", "not UTF-8 text"),
+    ], ids=["empty", "metadata-only", "utf-16-mark", "latin-1"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_unreadable_table_is_named_error(self, tmp_path, content, why, side):
+        # Each ended in a StopIteration or UnicodeDecodeError traceback, exit 1.
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("energy,wigner\n1.0,2.0\n")
+        bad.write_bytes(content)
+        tables = [str(good), str(good)]
+        tables[side] = str(bad)
+        res = invoke(["compare", *tables])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == f"error: {bad}: {why}\n"
+
+
+@pytest.mark.parametrize("kind, message", [("missing", "No such file or directory"),
+                                           ("directory", "Is a directory")], ids=["missing", "directory"])
+@pytest.mark.parametrize("verb, slot", [("validate", 0), ("run", 0), ("compare", 0), ("compare", 1)],
+                         ids=["validate", "run", "compare-a", "compare-b"])
+def test_unopenable_path_is_named_error(tmp_path, kind, message, verb, slot):
+    # A path that is missing or a directory reaches the one error handler as
+    # the OSError that opening it raises, whichever verb and argument it is.
+    if verb == "compare":
+        (tmp_path / "out.csv").write_text("energy,wigner\n1.0,2.0\n")
+        paths = [str(tmp_path / "out.csv")] * 2
+    else:
+        paths = [str(timescale_scenario(tmp_path))]
+    paths[slot] = str(tmp_path / "nowhere.yaml") if kind == "missing" else str(tmp_path)
+    res = invoke([verb, *paths])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ")
+    assert message in res.stderr and paths[slot] in res.stderr
+    assert "Traceback" not in res.output
+    assert res.stdout == ""
 
 
 def fresh_python(*args, cwd=None, check=True):
@@ -934,9 +985,9 @@ def test_import_leaves_out_integrate_and_optimize(tmp_path):
     # importing the CLI and running one sweep may load (and, for the lattice,
     # calibrating the absorber) are these (numpy brings its Cython runtime
     # modules along): each other import would cost every run its setup time.
-    allowed = {"timescale_sweep": {"click", "yaml", "wavetime"},
-               "first_passage": {"click", "numpy", "yaml", "wavetime"},
-               "em_pulse": {"click", "numpy", "yaml", "wavetime"}}
+    allowed = {"timescale_sweep": {"yaml", "wavetime"},
+               "first_passage": {"numpy", "yaml", "wavetime"},
+               "em_pulse": {"numpy", "yaml", "wavetime"}}
     for doc in valid_scenario_docs():
         kind, modules = sweep_in_fresh_process(tmp_path, doc)
         packages = {m.split(".")[0] for m in modules} - sys.stdlib_module_names

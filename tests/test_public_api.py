@@ -1,8 +1,13 @@
 """The public surface: every name that wavetime or one of its modules lists in
 __all__ resolves, and wavetime.__all__ and every module's __all__ are pinned,
-so that a name leaves (or joins) a surface only on purpose."""
+so that a name leaves (or joins) a surface only on purpose.  The packages that
+pyproject.toml declares are the ones that wavetime imports."""
+import ast
 import importlib
 import pkgutil
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +101,25 @@ def test_every_module_is_pinned():
 def test_module_surface_is_pinned(name):
     exported = getattr(importlib.import_module(name), "__all__", None)
     assert (None if exported is None else set(exported)) == MODULE_ALL[name]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# A distribution's top-level module, where its name is not the distribution's.
+MODULE_OF = {"pyyaml": "yaml"}
+
+
+def test_declared_dependencies_are_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    names = (re.match(r"[\w.-]+", requirement).group().lower() for requirement in requirements)
+    declared = {MODULE_OF.get(name, name) for name in names}
+    imported = set()
+    for path in (ROOT / "src" / "wavetime").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert declared == imported - sys.stdlib_module_names - {"wavetime"}
